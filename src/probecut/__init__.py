@@ -51,16 +51,12 @@ from .graph import (
 from .colouring import (
     BLUE,
     RED,
-    REJECTED,
     Colouring,
     CutCertificate,
-    PrecolouredPair,
     Violation,
-    colour_process,
     complete_independent_max_cut,
     complete_independent_perfect,
     cut_edges,
-    enumerate_seed_colourings,
     max_bipartite_matching,
     validate_colouring,
 )

@@ -1,7 +1,8 @@
 """Command-line front door: instance parsing/serialisation and the
 solve / verify / generate / reduce / crosscheck commands.
 
-Exit codes are a stable contract: 0 yes, 1 no, 2 usage or scale error,
+Exit codes are a stable contract: 0 yes, 1 no, 2 usage or scale error
+(or a crosscheck that skipped instances it could not generate),
 3 crosscheck mismatch.
 """
 
@@ -129,7 +130,10 @@ def _parse_json_instance(text: str) -> InstanceDocument:
             if cert is not None
             else None
         )
-        metadata = {str(k): str(v) for k, v in raw.get("metadata", {}).items()}
+        metadata = raw.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise TypeError("metadata must be an object")
+        metadata = {str(k): str(v) for k, v in metadata.items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad instance document: {exc}") from exc
     return InstanceDocument(n, edges, probes, nonprobes, cert_edges, metadata)
@@ -320,9 +324,12 @@ def cmd_verify(opts, argv) -> int:
     if opts.colouring is None:
         raise ParseError("verify needs --pattern or --colouring")
     raw = json.loads(_read(opts.colouring))
-    colours = raw["colours"] if isinstance(raw, dict) else raw
-    if not all(c in (RED, BLUE) for c in colours):
-        raise ParseError("colouring entries must be 'red' or 'blue'")
+    colours = raw.get("colours") if isinstance(raw, dict) else raw
+    if not isinstance(colours, list) or not all(c in (RED, BLUE) for c in colours):
+        raise ParseError(
+            "colouring must be a list of 'red'/'blue' entries, bare or"
+            " under \"colours\""
+        )
     result = validate_colouring(ppg.graph, list(colours), opts.d, opts.perfect)
     if isinstance(result, CutCertificate):
         return _emit_report(argv, True, certificate=result, started=started)
@@ -412,7 +419,7 @@ def cmd_crosscheck(opts, argv) -> int:
     rng = random.Random(opts.seed)
     pattern = sp1_p4_pattern(opts.s)
     mismatches = []
-    agreed = 0
+    agreed = skipped = 0
     for index in range(opts.count):
         n = rng.randint(4, max(4, opts.max_n))
         density = rng.choice([0.6, 0.75, 0.9])
@@ -426,6 +433,7 @@ def cmd_crosscheck(opts, argv) -> int:
             except ProbeCutError:
                 density = min(1.0, density + 0.1)
         if ppg is None:
+            skipped += 1
             continue
         poly_desc, brute_desc = _crosscheck_run(opts, ppg)
         if poly_desc == brute_desc:
@@ -447,12 +455,19 @@ def cmd_crosscheck(opts, argv) -> int:
         f"{agreed}/{opts.count} agree on problem={opts.problem}",
         file=sys.stderr,
     )
+    if skipped:
+        print(f"{skipped} skipped", file=sys.stderr)
     if mismatches:
         for path in mismatches:
             print(f"mismatch dumped: {path}", file=sys.stderr)
         _emit_report(argv, False, started=started,
                      violation=f"{len(mismatches)} mismatches")
         return 3
+    if skipped:
+        # an instance that was never generated was never checked
+        _emit_report(argv, False, started=started,
+                     violation=f"{skipped} skipped")
+        return 2
     return _emit_report(argv, True, started=started)
 
 

@@ -1,6 +1,6 @@
 """Red-blue d-colouring machinery: validation, the forcing-rule closure,
-branch enumeration over partial assignments, and exact completion of
-colourings whose uncoloured remainder is an independent set.
+and exact completion of colourings whose uncoloured remainder is an
+independent set, all over int bitmasks (red mask x, blue mask y).
 
 A red-blue d-colouring assigns every vertex red or blue so that both
 colours occur and every vertex has at most d neighbours of the opposite
@@ -11,7 +11,7 @@ requires exactly d opposite-coloured neighbours everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import PartialColouring, PreconditionViolation
 from .graph import Graph, is_connected, iter_bits
@@ -21,39 +21,6 @@ BLUE = "blue"
 
 Colour = Optional[str]
 Colouring = Sequence[Colour]
-
-
-class _RejectedType:
-    """Sentinel: the precoloured pair admits no valid extension."""
-
-    _instance: "_RejectedType | None" = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Rejected"
-
-
-REJECTED = _RejectedType()
-
-
-@dataclass(frozen=True)
-class PrecolouredPair:
-    """Disjoint vertex sets forced red (x) and blue (y)."""
-
-    x: frozenset[int]
-    y: frozenset[int]
-
-    def __post_init__(self):
-        if self.x & self.y:
-            raise ValueError("precoloured sets must be disjoint")
-
-    @staticmethod
-    def of(x: Iterable[int] = (), y: Iterable[int] = ()) -> "PrecolouredPair":
-        return PrecolouredPair(frozenset(x), frozenset(y))
 
 
 @dataclass(frozen=True)
@@ -154,11 +121,16 @@ def validate_colouring(
 def process_masks(
     adj_bits: Sequence[int], n: int, x: int, y: int, d: int
 ) -> Optional[tuple[int, int]]:
-    """Mask-level forcing closure; None means rejected.
+    """Grow red/blue masks to their forcing-rule closure; None means
+    rejected.
 
     Rule: an uncoloured vertex with more than d neighbours in one colour
-    class joins that class.  Once no rule applies, any vertex adjacent to
-    more than d vertices of each class rejects the pair.
+    class joins that class; one forced into both classes rejects at once.
+    Once no rule applies, any vertex adjacent to more than d vertices of
+    each class rejects the pair.  Running the overload check only then
+    makes the outcome independent of rule order.  The closure is
+    inflationary and idempotent, and a total colouring is a valid extension
+    of the input masks iff it is one of the closure.
     """
     full = (1 << n) - 1
     while True:
@@ -187,27 +159,6 @@ def process_masks(
     return x, y
 
 
-def colour_process(
-    g: Graph, pair: PrecolouredPair, d: int
-) -> Union[PrecolouredPair, _RejectedType]:
-    """Grow a precoloured pair to its forcing-rule closure, or reject.
-
-    The closure is inflationary and idempotent, and a total colouring is a
-    valid extension of the input pair iff it is one of the closure.  A
-    vertex forced into both classes rejects immediately; the two-sided
-    overload check runs once the growth rules are exhausted, which makes
-    the outcome independent of rule application order.
-    """
-    x0 = sum(1 << v for v in pair.x)
-    y0 = sum(1 << v for v in pair.y)
-    res = process_masks(g.adj_bits, g.n, x0, y0, d)
-    if res is None:
-        return REJECTED
-    return PrecolouredPair(
-        frozenset(iter_bits(res[0])), frozenset(iter_bits(res[1]))
-    )
-
-
 def local_masks_valid(
     adj_bits: Sequence[int], x: int, y: int, d: int
 ) -> bool:
@@ -221,78 +172,40 @@ def local_masks_valid(
     return True
 
 
-def enumerate_seed_colourings(
-    g: Graph, base: PrecolouredPair, frontier: Iterable[int], d: int
-) -> Iterator[PrecolouredPair]:
-    """All red/blue assignments to the uncoloured frontier vertices.
-
-    Each assignment is merged with the base pair and yielded if it passes
-    the local check (no coloured vertex has more than d opposite-coloured
-    neighbours among coloured vertices).  Frontier vertices already in the
-    base keep their colour.  Enumeration is a binary counter over the
-    frontier in ascending id order, red before blue, so the stream order
-    matches depth-first search with red tried first.
-    """
-    x0 = sum(1 << v for v in base.x)
-    y0 = sum(1 << v for v in base.y)
-    todo = [v for v in sorted(set(frontier)) if not ((x0 | y0) >> v) & 1]
-    k = len(todo)
-    adj = g.adj_bits
-    for counter in range(1 << k):
-        x, y = x0, y0
-        for i, v in enumerate(todo):
-            if (counter >> (k - 1 - i)) & 1:
-                y |= 1 << v
-            else:
-                x |= 1 << v
-        if local_masks_valid(adj, x, y, d):
-            yield PrecolouredPair(
-                frozenset(iter_bits(x)), frozenset(iter_bits(y))
-            )
-
-
-def max_bipartite_matching(
-    left: Iterable, right: Iterable, edges: Iterable[tuple]
-) -> dict:
+def max_bipartite_matching(nbrs: dict[int, int]) -> dict[int, int]:
     """Maximum-cardinality bipartite matching as a left -> right dict.
 
-    Augmenting-path search; left vertices are processed in sorted order and
-    neighbours tried in sorted order, so the result is deterministic.
+    ``nbrs`` maps each left vertex to the bitmask of right vertices it may
+    take.  Left vertices are augmented in the mapping's order and right
+    vertices tried in ascending order, so the result is deterministic.  A
+    left vertex that fails to augment in its turn stays unmatched: later
+    augmenting paths only pass through matched left vertices.
     """
-    left_list = sorted(left)
-    right_set = set(right)
-    adj: dict = {l: [] for l in left_list}
-    for l, r in edges:
-        if l not in adj or r not in right_set:
-            raise ValueError(f"edge {(l, r)} not inside left x right")
-        adj[l].append(r)
-    for l in adj:
-        adj[l].sort()
-    match_left: dict = {}
-    match_right: dict = {}
+    match_left: dict[int, int] = {}
+    match_right: dict[int, int] = {}
 
-    def augment(l, visited: set) -> bool:
-        for r in adj[l]:
-            if r in visited:
+    def augment(u: int, visited: set[int]) -> bool:
+        for w in iter_bits(nbrs[u]):
+            if w in visited:
                 continue
-            visited.add(r)
-            if r not in match_right or augment(match_right[r], visited):
-                match_left[l] = r
-                match_right[r] = l
+            visited.add(w)
+            if w not in match_right or augment(match_right[w], visited):
+                match_left[u] = w
+                match_right[w] = u
                 return True
         return False
 
-    for l in left_list:
-        augment(l, set())
+    for u in nbrs:
+        augment(u, set())
     return match_left
 
 
-def _completion_setup(g: Graph, pair: PrecolouredPair):
-    """Shared precondition checks for the completion routines."""
-    x = sum(1 << v for v in pair.x)
-    y = sum(1 << v for v in pair.y)
-    full = (1 << g.n) - 1
-    u_mask = full & ~(x | y)
+def _completion_setup(g: Graph, x: int, y: int) -> int:
+    """Shared precondition checks for the completion routines; returns the
+    uncoloured mask."""
+    if x & y:
+        raise PreconditionViolation("red and blue masks must be disjoint")
+    u_mask = ((1 << g.n) - 1) & ~(x | y)
     adj = g.adj_bits
     for u in iter_bits(u_mask):
         if adj[u] & u_mask:
@@ -306,23 +219,26 @@ def _completion_setup(g: Graph, pair: PrecolouredPair):
             )
     if not is_connected(g):
         raise PreconditionViolation("graph must be connected")
-    return x, y, u_mask
+    return u_mask
 
 
-def _residuals(adj: Sequence[int], x: int, y: int) -> dict[int, int]:
-    """Remaining opposite-neighbour budget of every coloured vertex (d=1)."""
-    res = {}
+def _budget_free(adj: Sequence[int], x: int, y: int) -> int:
+    """Coloured vertices with no opposite-coloured neighbour yet, i.e. whose
+    unit (d=1) budget is still open."""
+    free = 0
     for w in iter_bits(x):
-        res[w] = 1 - (adj[w] & y).bit_count()
+        if not adj[w] & y:
+            free |= 1 << w
     for w in iter_bits(y):
-        res[w] = 1 - (adj[w] & x).bit_count()
-    return res
+        if not adj[w] & x:
+            free |= 1 << w
+    return free
 
 
 def complete_independent_max_cut(
-    g: Graph, pair: PrecolouredPair
+    g: Graph, x: int, y: int
 ) -> Optional[CutCertificate]:
-    """Extend a processed pair over an independent uncoloured set,
+    """Extend processed red/blue masks over an independent uncoloured set,
     maximising the number of bichromatic edges (d=1).
 
     Every uncoloured vertex has at most one red and at most one blue
@@ -330,13 +246,13 @@ def complete_independent_max_cut(
     gains one cut edge and consumes that neighbour's unit budget, so the
     optimum is a maximum matching between uncoloured vertices and the
     coloured neighbours whose budget is still free.  Vertices seeing both
-    colours gain one edge either way and must be matched; if they cannot
-    all be matched no valid extension exists.  Returns None when no
-    extension passes validation.
+    colours gain one edge either way and must be matched; they are
+    augmented first, and if they cannot all be matched no valid extension
+    exists.  Returns None when no extension passes validation.
     """
-    x, y, u_mask = _completion_setup(g, pair)
+    u_mask = _completion_setup(g, x, y)
     adj = g.adj_bits
-    res = _residuals(adj, x, y)
+    free = _budget_free(adj, x, y)
     forced: list[int] = []
     optional: list[int] = []
     for u in iter_bits(u_mask):
@@ -348,33 +264,11 @@ def complete_independent_max_cut(
             optional.append(u)
         # an isolated uncoloured vertex only occurs for n == 1; the final
         # validation rejects it
-    cand: dict[int, list[int]] = {}
-    for u in forced + optional:
-        cand[u] = [
-            w for w in iter_bits(adj[u] & (x | y)) if res.get(w, 0) == 1
-        ]
-    match_left: dict[int, int] = {}
-    match_right: dict[int, int] = {}
-
-    def augment(u: int, visited: set) -> bool:
-        for w in cand[u]:
-            if w in visited:
-                continue
-            visited.add(w)
-            if w not in match_right or augment(match_right[w], visited):
-                match_left[u] = w
-                match_right[w] = u
-                return True
-        return False
-
-    for u in forced:
-        if not augment(u, set()):
-            return None
-    for u in optional:
-        augment(u, set())
-
+    matched = max_bipartite_matching({u: adj[u] & free for u in forced + optional})
+    if any(u not in matched for u in forced):
+        return None
     for u in iter_bits(u_mask):
-        w = match_left.get(u)
+        w = matched.get(u)
         if w is not None:
             # take the colour opposite to the matched neighbour
             if (x >> w) & 1:
@@ -392,19 +286,19 @@ def complete_independent_max_cut(
 
 
 def complete_independent_perfect(
-    g: Graph, pair: PrecolouredPair
+    g: Graph, x: int, y: int
 ) -> Optional[CutCertificate]:
-    """Extend a processed pair over an independent uncoloured set to a
-    perfect cut (every vertex exactly one opposite neighbour), or None.
+    """Extend processed red/blue masks over an independent uncoloured set
+    to a perfect cut (every vertex exactly one opposite neighbour), or None.
 
     Uncoloured vertices with a single neighbour are forced to the opposite
     colour first.  Each remaining one sees exactly one red and one blue
     neighbour and must hand its single cut edge to a neighbour that still
-    needs one, so a matching of the remainder into the budget-free
-    neighbours decides the branch; the final validation is the only
-    acceptance test.
+    needs one, so a matching of the remainder, in ascending order, into the
+    budget-free neighbours decides the branch; the final validation is the
+    only acceptance test.
     """
-    x, y, u_mask = _completion_setup(g, pair)
+    u_mask = _completion_setup(g, x, y)
     adj = g.adj_bits
     for u in iter_bits(u_mask):
         coloured = adj[u] & (x | y)
@@ -417,31 +311,11 @@ def complete_independent_perfect(
             u_mask &= ~(1 << u)
     if not local_masks_valid(adj, x, y, 1):
         return None
-    res = _residuals(adj, x, y)
-    remaining = sorted(iter_bits(u_mask))
-    cand = {
-        u: [w for w in iter_bits(adj[u]) if res.get(w, 0) == 1]
-        for u in remaining
-    }
-    match_left: dict[int, int] = {}
-    match_right: dict[int, int] = {}
-
-    def augment(u: int, visited: set) -> bool:
-        for w in cand[u]:
-            if w in visited:
-                continue
-            visited.add(w)
-            if w not in match_right or augment(match_right[w], visited):
-                match_left[u] = w
-                match_right[w] = u
-                return True
-        return False
-
-    for u in remaining:
-        if not augment(u, set()):
-            return None
-    for u in remaining:
-        w = match_left[u]
+    free = _budget_free(adj, x, y)
+    matched = max_bipartite_matching({u: adj[u] & free for u in iter_bits(u_mask)})
+    if len(matched) != u_mask.bit_count():
+        return None
+    for u, w in matched.items():
         if (x >> w) & 1:
             y |= 1 << u
         else:

@@ -12,7 +12,7 @@ enumerators on every input small enough for both.
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import OracleScaleExceeded
 from .graph import (
@@ -45,14 +45,16 @@ def _limit(default: int, override: Optional[int]) -> int:
     return default
 
 
-def brute_dcut(
-    g: Graph, d: int, *, max_n: Optional[int] = None
-) -> Optional[CutCertificate]:
-    """First red-blue d-colouring in counter order, or None.
+def _colourings(
+    g: Graph, d: int, lo: int, max_n: Optional[int]
+) -> Iterator[int]:
+    """Blue masks of the colourings in which every vertex has between lo
+    and d opposite-coloured neighbours, in counter order.
 
     Vertex 0 is pinned red (a colour swap preserves validity).  Bit v-1 of
     the counter holds vertex v's colour (set = blue), so low counters keep
-    low-id vertices red and the scan order is deterministic.
+    low-id vertices red and the scan order is deterministic.  The scale
+    guard runs on the first step.
     """
     limit = _limit(DEFAULT_COLOURING_LIMIT, max_n)
     if g.n > limit:
@@ -63,78 +65,55 @@ def brute_dcut(
     for counter in range(1, 1 << max(n - 1, 0)):
         blue = counter << 1
         red = full & ~blue
-        ok = True
         for v in range(n):
             opposite = blue if (red >> v) & 1 else red
-            if (adj[v] & opposite).bit_count() > d:
-                ok = False
+            k = (adj[v] & opposite).bit_count()
+            if k > d or k < lo:
                 break
-        if ok:
-            result = validate_colouring(g, colouring_of(n, red, blue), d)
-            assert isinstance(result, CutCertificate)
-            return result
-    return None
+        else:
+            yield blue
+
+
+def _certificate(g: Graph, blue: int, d: int, perfect: bool) -> CutCertificate:
+    result = validate_colouring(
+        g, colouring_of(g.n, ((1 << g.n) - 1) & ~blue, blue), d, perfect
+    )
+    assert isinstance(result, CutCertificate)
+    return result
+
+
+def brute_dcut(
+    g: Graph, d: int, *, max_n: Optional[int] = None
+) -> Optional[CutCertificate]:
+    """First red-blue d-colouring in counter order, or None."""
+    blue = next(_colourings(g, d, 0, max_n), None)
+    return None if blue is None else _certificate(g, blue, d, False)
 
 
 def brute_pmc(
     g: Graph, *, max_n: Optional[int] = None
 ) -> Optional[CutCertificate]:
     """First perfect matching cut (perfect 1-colouring) in counter order."""
-    limit = _limit(DEFAULT_COLOURING_LIMIT, max_n)
-    if g.n > limit:
-        raise OracleScaleExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    adj = g.adj_bits
-    n = g.n
-    full = (1 << n) - 1
-    for counter in range(1, 1 << max(n - 1, 0)):
-        blue = counter << 1
-        red = full & ~blue
-        ok = True
-        for v in range(n):
-            opposite = blue if (red >> v) & 1 else red
-            if (adj[v] & opposite).bit_count() != 1:
-                ok = False
-                break
-        if ok:
-            result = validate_colouring(
-                g, colouring_of(n, red, blue), 1, require_perfect=True
-            )
-            assert isinstance(result, CutCertificate)
-            return result
-    return None
+    blue = next(_colourings(g, 1, 1, max_n), None)
+    return None if blue is None else _certificate(g, blue, 1, True)
 
 
 def brute_mmc(
     g: Graph, *, max_n: Optional[int] = None
 ) -> Optional[tuple[int, CutCertificate]]:
-    """Maximum matching cut size with a witness, or None if no matching cut."""
-    limit = _limit(DEFAULT_COLOURING_LIMIT, max_n)
-    if g.n > limit:
-        raise OracleScaleExceeded(f"n={g.n} exceeds oracle limit {limit}")
+    """Maximum matching cut size with a witness, or None if no matching
+    cut; the first maximum in counter order wins."""
     adj = g.adj_bits
-    n = g.n
-    full = (1 << n) - 1
     best: Optional[tuple[int, int]] = None  # (size, blue mask)
-    for counter in range(1, 1 << max(n - 1, 0)):
-        blue = counter << 1
-        red = full & ~blue
-        ok = True
-        size = 0
-        for v in range(n):
-            opposite = blue if (red >> v) & 1 else red
-            k = (adj[v] & opposite).bit_count()
-            if k > 1:
-                ok = False
-                break
-            if (blue >> v) & 1:
-                size += k
-        if ok and (best is None or size > best[0]):
+    for blue in _colourings(g, 1, 0, max_n):
+        size = sum((adj[v] & ~blue).bit_count() for v in iter_bits(blue))
+        if best is None or size > best[0]:
             best = (size, blue)
     if best is None:
         return None
     size, blue = best
-    result = validate_colouring(g, colouring_of(n, full & ~blue, blue), 1)
-    assert isinstance(result, CutCertificate) and result.size == size
+    result = _certificate(g, blue, 1, False)
+    assert result.size == size
     return size, result
 
 

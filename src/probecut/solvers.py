@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import NotConnected, StructureViolation, UnsupportedD, WrongCase
 from .colouring import (
     CutCertificate,
-    PrecolouredPair,
     colouring_of,
     complete_independent_max_cut,
     complete_independent_perfect,
@@ -67,7 +66,14 @@ class NonProbeType:
 @dataclass
 class SolveReport:
     """Outcome of a solver run; a yes answer always carries a validated
-    certificate."""
+    certificate.
+
+    ``branches_explored`` counts, for d-cut, every total colouring that was
+    validated (the lone-non-probe tests included) plus every branch leaf
+    the closure-and-fill step rejected; for maximum matching cut, every
+    branch leaf passed to the completion; for perfect matching cut, the
+    leaves passed to the completion up to and including the first success.
+    """
 
     answer: bool
     certificate: Optional[CutCertificate]
@@ -264,6 +270,27 @@ class _DcutSolver:
             y |= leftover
         return self._validate_total(x, y)
 
+    def _first(self, x: int, y: int, frontier: int) -> Optional[CutCertificate]:
+        """Finish every leaf of one branch; the first certificate wins."""
+        for lx, ly in self._leaves(x, y, frontier):
+            cert = self._finish(lx, ly)
+            if cert:
+                return cert
+        return None
+
+    def _filled_leaves(
+        self, x: int, y: int, frontier: int
+    ) -> Iterator[tuple[int, int, int]]:
+        """Leaves closed and filled, as (red, blue, uncoloured) masks; a
+        closure or fill rejection counts as one branch."""
+        for lx, ly in self._leaves(x, y, frontier):
+            res = self._process_and_fill(lx, ly)
+            if res is None:
+                self.branches += 1
+                continue
+            fx, fy = res
+            yield fx, fy, self.full & ~(fx | fy)
+
     def _subset_masks(
         self, pool: list[int], lo: int, hi: int
     ) -> Iterator[int]:
@@ -321,11 +348,7 @@ class _DcutSolver:
         (class promise), so branching its closed neighbourhood decides."""
         self.trace.append("p4-dominating")
         frontier = sum(1 << v for v in q) | self._nbhd(sum(1 << v for v in q))
-        for x, y in self._leaves(0, 0, frontier):
-            cert = self._finish(x, y)
-            if cert:
-                return cert
-        return None
+        return self._first(0, 0, frontier)
 
     def _one_component(self) -> Optional[CutCertificate]:
         """Connected cograph probe side: some colour class inside it has
@@ -338,11 +361,9 @@ class _DcutSolver:
             ):
                 rest = self.p_mask & ~xm
                 x0, y0 = (xm, rest) if pol_red else (rest, xm)
-                frontier = self._nbhd(xm) & self.n_mask
-                for x, y in self._leaves(x0, y0, frontier):
-                    cert = self._finish(x, y)
-                    if cert:
-                        return cert
+                cert = self._first(x0, y0, self._nbhd(xm) & self.n_mask)
+                if cert:
+                    return cert
         return None
 
     def _two_components(
@@ -366,54 +387,43 @@ class _DcutSolver:
                     if px == 0 or py == 0:
                         continue  # monochromatic probe side: pre-step covers it
                     cert = self._two_component_branch(
-                        px, py, x1m | x2m, pol2_red, c1, c2, c1m, c2m
+                        px, py, x1m | x2m, pol2_red, c1m, c2m
                     )
                     if cert:
                         return cert
         return None
 
     def _two_component_branch(
-        self, px, py, guessed, pol2_red, c1, c2, c1m, c2m
+        self, px, py, guessed, pol2_red, c1m, c2m
     ) -> Optional[CutCertificate]:
         frontier = self._nbhd(guessed) & self.n_mask
-        for x, y in self._leaves(px, py, frontier):
-            if pol2_red:
-                # both guessed sets red: every remaining non-probe only has
-                # blue neighbours and the fill closes the colouring
-                cert = self._finish(x, y)
-                if cert:
-                    return cert
-                continue
-            res = self._process_and_fill(x, y)
-            if res is None:
-                self.branches += 1
-                continue
-            fx, fy = res
-            unc = self.full & ~(fx | fy)
+        if pol2_red:
+            # both guessed sets red: every remaining non-probe only has
+            # blue neighbours and the fill closes the colouring
+            return self._first(px, py, frontier)
+        for fx, fy, unc in self._filled_leaves(px, py, frontier):
             if not unc:
                 cert = self._validate_total(fx, fy)
                 if cert:
                     return cert
                 continue
-            cert = self._two_component_uncoloured(fx, fy, unc, c1, c2, c1m, c2m)
+            cert = self._two_component_uncoloured(fx, fy, unc, c1m, c2m)
             if cert:
                 return cert
         return None
 
-    def _mixed_pair(self, b: int, comp: list[int]) -> Optional[tuple[int, int]]:
-        """An edge of the component with exactly one end adjacent to b."""
+    def _mixed_edge(self, b: int, cm: int) -> int:
+        """Mask of an edge of the component with exactly one end adjacent
+        to b, or 0."""
         nb = self.adj[b]
-        comp_set = set(comp)
-        for x in comp:
-            if not (nb >> x) & 1:
-                continue
-            for xp in sorted(self.g.adj[x]):
-                if xp in comp_set and not (nb >> xp) & 1:
-                    return (x, xp)
-        return None
+        for v in iter_bits(cm & nb):
+            rest = self.adj[v] & cm & ~nb
+            if rest:
+                return (1 << v) | (rest & -rest)
+        return 0
 
     def _two_component_uncoloured(
-        self, x, y, unc, c1, c2, c1m, c2m
+        self, x, y, unc, c1m, c2m
     ) -> Optional[CutCertificate]:
         """Still-uncoloured non-probes after the first guessing round."""
         # a vertex split over both components yields a five-vertex induced
@@ -423,18 +433,10 @@ class _DcutSolver:
             mixed1 = (ab & c1m) and (c1m & ~ab)
             mixed2 = (ab & c2m) and (c2m & ~ab)
             if mixed1 and mixed2:
-                e1 = self._mixed_pair(b, c1)
-                e2 = self._mixed_pair(b, c2)
+                e1 = self._mixed_edge(b, c1m)
+                e2 = self._mixed_edge(b, c2m)
                 assert e1 and e2
-                anchors = (
-                    (1 << e1[0]) | (1 << e1[1]) | (1 << e2[0]) | (1 << e2[1])
-                )
-                frontier = self._nbhd(anchors) & self.n_mask
-                for lx, ly in self._leaves(x, y, frontier):
-                    cert = self._finish(lx, ly)
-                    if cert:
-                        return cert
-                return None
+                return self._first(x, y, self._nbhd(e1 | e2) & self.n_mask)
         # otherwise every uncoloured vertex is complete or anti-complete
         # to each component; completeness only needs the complete ones
         round_mask = 0
@@ -448,12 +450,7 @@ class _DcutSolver:
                 break
         if not round_mask:
             return self._finish(x, y)
-        frontier = self._nbhd(round_mask) & self.n_mask
-        for lx, ly in self._leaves(x, y, frontier):
-            cert = self._finish(lx, ly)
-            if cert:
-                return cert
-        return None
+        return self._first(x, y, self._nbhd(round_mask) & self.n_mask)
 
     def _many_components(
         self, comps: list[list[int]]
@@ -476,11 +473,9 @@ class _DcutSolver:
             qm = x & self.p_mask
             if qm == 0 or qm == self.p_mask:
                 continue  # monochromatic probe side: pre-step covers it
-            frontier = self._nbhd(qm) & self.n_mask
-            for lx, ly in self._leaves(x, y, frontier):
-                cert = self._finish(lx, ly)
-                if cert:
-                    return cert
+            cert = self._first(x, y, self._nbhd(qm) & self.n_mask)
+            if cert:
+                return cert
         return None
 
     def _type_b_case(
@@ -508,23 +503,17 @@ class _DcutSolver:
                     if (x1 & self.p_mask) == 0 or (y1 & self.p_mask) == 0:
                         continue
                     cert = self._type_b_branch(
-                        x1, y1, xvm | xm, typemap, comps, comp_masks, c1m
+                        x1, y1, xvm | xm, typemap, comp_masks, c1m
                     )
                     if cert:
                         return cert
         return None
 
     def _type_b_branch(
-        self, x1, y1, guessed, typemap, comps, comp_masks, c1m
+        self, x1, y1, guessed, typemap, comp_masks, c1m
     ) -> Optional[CutCertificate]:
         frontier = self._nbhd(guessed) & self.n_mask
-        for x, y in self._leaves(x1, y1, frontier):
-            res = self._process_and_fill(x, y)
-            if res is None:
-                self.branches += 1
-                continue
-            fx, fy = res
-            unc = self.full & ~(fx | fy)
+        for fx, fy, unc in self._filled_leaves(x1, y1, frontier):
             if not unc:
                 cert = self._validate_total(fx, fy)
                 if cert:
@@ -542,10 +531,9 @@ class _DcutSolver:
                 round_frontier = self._nbhd(ym) & self.n_mask
             else:
                 round_frontier = self._nbhd(c1m) & self.n_mask
-            for lx, ly in self._leaves(fx, fy, round_frontier):
-                cert = self._finish(lx, ly)
-                if cert:
-                    return cert
+            cert = self._first(fx, fy, round_frontier)
+            if cert:
+                return cert
         return None
 
     def _dominating_pair_case(
@@ -568,11 +556,9 @@ class _DcutSolver:
         ):
             x0 = xm
             y0 = (self.p_mask & ~xm) | bu | bv
-            frontier = self._nbhd(xm) & self.n_mask
-            for x, y in self._leaves(x0, y0, frontier):
-                cert = self._finish(x, y)
-                if cert:
-                    return cert
+            cert = self._first(x0, y0, self._nbhd(xm) & self.n_mask)
+            if cert:
+                return cert
         # opposite colours: u red, v blue (the swapped case is the mirror
         # image and yields the swapped certificates)
         nu, nv = self.adj[u], self.adj[v]
@@ -608,10 +594,9 @@ class _DcutSolver:
             extra |= self.adj[comps[c_v[0]][0]]
         frontier = self._nbhd(guess_mask) & self.n_mask
         for x, y in self._leaves(x0, y0, frontier):
-            for lx, ly in self._leaves(x, y, extra & self.n_mask):
-                cert = self._finish(lx, ly)
-                if cert:
-                    return cert
+            cert = self._first(x, y, extra & self.n_mask)
+            if cert:
+                return cert
         return None
 
 
@@ -623,13 +608,38 @@ def solve_dcut(ppg: PartitionedProbeGraph, d: int) -> SolveReport:
     return _DcutSolver(ppg, d).run()
 
 
-def _seeded_branches(
-    g: Graph, seed: frozenset[int]
-) -> Iterator[tuple[int, int]]:
+def _matching_cut(
+    ppg: PartitionedProbeGraph,
+    s: int,
+    complete: Callable[[Graph, int, int], Optional[CutCertificate]],
+    first: bool,
+) -> SolveReport:
+    """Branch over the closed neighbourhood of the first seed set and
+    complete every leaf with ``complete``; the largest certificate wins, or
+    the first one when ``first`` is set."""
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    g = ppg.graph
+    if g.n < 2:
+        return SolveReport(False, None, 0, ["degenerate"])
+    if not is_connected(g):
+        raise NotConnected("matching-cut solver needs a connected input")
+    seed = next(seed_sets(ppg, s + 4), None)
+    if seed is None:
+        return SolveReport(False, None, 0, ["no-seed"])
     frontier = 0
     for v in seed:
         frontier |= g.adj_bits[v] | (1 << v)
-    yield from _branch_leaves(g, 0, 0, frontier, 1)
+    best: Optional[CutCertificate] = None
+    branches = 0
+    for x, y in _branch_leaves(g, 0, 0, frontier, 1):
+        branches += 1
+        cert = complete(g, x, y)
+        if cert and (best is None or cert.size > best.size):
+            best = cert
+            if first:
+                break
+    return SolveReport(best is not None, best, branches, [f"seed {sorted(seed)}"])
 
 
 def solve_mmc(ppg: PartitionedProbeGraph, s: int) -> SolveReport:
@@ -644,54 +654,11 @@ def solve_mmc(ppg: PartitionedProbeGraph, s: int) -> SolveReport:
     the true maximum whenever a seed exists - which the class promise
     guarantees.
     """
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    g = ppg.graph
-    if g.n < 2:
-        return SolveReport(False, None, 0, ["degenerate"])
-    if not is_connected(g):
-        raise NotConnected("matching-cut solver needs a connected input")
-    for seed in seed_sets(ppg, s + 4):
-        trace = [f"seed {sorted(seed)}"]
-        best: Optional[CutCertificate] = None
-        branches = 0
-        for x, y in _seeded_branches(g, seed):
-            branches += 1
-            cert = complete_independent_max_cut(
-                g,
-                PrecolouredPair(
-                    frozenset(iter_bits(x)), frozenset(iter_bits(y))
-                ),
-            )
-            if cert and (best is None or cert.size > best.size):
-                best = cert
-        return SolveReport(best is not None, best, branches, trace)
-    return SolveReport(False, None, 0, ["no-seed"])
+    return _matching_cut(ppg, s, complete_independent_max_cut, first=False)
 
 
 def solve_pmc(ppg: PartitionedProbeGraph, s: int) -> SolveReport:
     """Perfect matching cut existence for inputs promised probe
     (sP1+P4)-free; same branch scheme as :func:`solve_mmc` with the
     perfect completion, first valid certificate wins."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    g = ppg.graph
-    if g.n < 2:
-        return SolveReport(False, None, 0, ["degenerate"])
-    if not is_connected(g):
-        raise NotConnected("matching-cut solver needs a connected input")
-    for seed in seed_sets(ppg, s + 4):
-        trace = [f"seed {sorted(seed)}"]
-        branches = 0
-        for x, y in _seeded_branches(g, seed):
-            branches += 1
-            cert = complete_independent_perfect(
-                g,
-                PrecolouredPair(
-                    frozenset(iter_bits(x)), frozenset(iter_bits(y))
-                ),
-            )
-            if cert:
-                return SolveReport(True, cert, branches, trace)
-        return SolveReport(False, None, branches, trace)
-    return SolveReport(False, None, 0, ["no-seed"])
+    return _matching_cut(ppg, s, complete_independent_perfect, first=True)

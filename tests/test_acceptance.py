@@ -9,15 +9,12 @@ import random
 import time
 
 from probecut import (
-    PrecolouredPair,
-    REJECTED,
     backtrack_dcut,
     brute_dcut,
     brute_mmc,
     brute_pmc,
     brute_sat,
     build_graph,
-    colour_process,
     complete_independent_max_cut,
     diamond_pattern,
     is_connected,
@@ -35,6 +32,8 @@ from probecut import (
     verify_probe_certificate,
     SatInstance,
 )
+from probecut.colouring import process_masks
+from probecut.graph import iter_bits
 from conftest import complete_bipartite, complete_graph, cube_graph, random_cubic_graph
 
 EXAMPLE_SAT = SatInstance.of(
@@ -312,7 +311,8 @@ def test_criterion_6_cograph_colour_class_bound():
 
 def _reference_closure(g, xs, ys, d, rng):
     """Single-step closure applying one randomly chosen forcing move at a
-    time; the overload check runs once no move applies."""
+    time; the overload check runs once no move applies.  None means
+    rejected."""
     x, y = set(xs), set(ys)
     while True:
         moves = []
@@ -333,7 +333,7 @@ def _reference_closure(g, xs, ys, d, rng):
         cx = sum(1 for u in g.adj[v] if u in x)
         cy = sum(1 for u in g.adj[v] if u in y)
         if cx > d and cy > d:
-            return REJECTED
+            return None
     return frozenset(x), frozenset(y)
 
 
@@ -356,25 +356,30 @@ def test_criterion_7_closure_confluence_and_equivalence():
         rng.shuffle(verts)
         a = rng.randint(0, n)
         b = rng.randint(a, n)
-        pair = PrecolouredPair.of(verts[:a], verts[a:b])
+        xs, ys = verts[:a], verts[a:b]
         d = rng.choice([1, 2])
         triples += 1
-        mine = colour_process(g, pair, d)
+        mine = process_masks(
+            g.adj_bits, n, sum(1 << v for v in xs), sum(1 << v for v in ys), d
+        )
         expected = (
-            REJECTED if mine is REJECTED else (mine.x, mine.y)
+            None if mine is None
+            else tuple(frozenset(iter_bits(m)) for m in mine)
         )
         for _ in range(50):
-            ref = _reference_closure(g, pair.x, pair.y, d, rng)
+            ref = _reference_closure(g, xs, ys, d, rng)
             if ref != expected:
                 disagreements += 1
                 break
         # full-enumeration equivalence: accepted extensions must coincide
-        accepted_before = _accepted_extensions(g, pair.x, pair.y, d)
-        if mine is REJECTED:
+        accepted_before = _accepted_extensions(g, xs, ys, d)
+        if mine is None:
             if accepted_before:
                 equivalence_failures += 1
         else:
-            accepted_after = _accepted_extensions(g, mine.x, mine.y, d)
+            accepted_after = _accepted_extensions(
+                g, iter_bits(mine[0]), iter_bits(mine[1]), d
+            )
             if accepted_before != accepted_after:
                 equivalence_failures += 1
     elapsed = time.perf_counter() - start
@@ -441,17 +446,20 @@ def test_criterion_8_completion_matches_brute_force():
         for v in range(n):
             if v not in uncoloured:
                 (xs if rng.random() < 0.5 else ys).add(v)
-        pair = colour_process(g, PrecolouredPair.of(xs, ys), 1)
-        if pair is REJECTED:
+        pair = process_masks(
+            g.adj_bits, n, sum(1 << v for v in xs), sum(1 << v for v in ys), 1
+        )
+        if pair is None:
             continue
-        rest = [v for v in range(n) if v not in pair.x and v not in pair.y]
+        x, y = pair
+        rest = [v for v in range(n) if not ((x | y) >> v) & 1]
         if len(rest) > 12 or any(
             g.has_edge(a, b) for a in rest for b in rest if a < b
         ):
             continue
         cases += 1
-        mine = complete_independent_max_cut(g, pair)
-        best = _brute_max_extension(g, pair)
+        mine = complete_independent_max_cut(g, x, y)
+        best = _brute_max_extension(g, x, y)
         mine_size = mine.size if mine is not None else None
         if mine_size != best:
             failures += 1
@@ -463,12 +471,10 @@ def test_criterion_8_completion_matches_brute_force():
     assert ok
 
 
-def _brute_max_extension(g, pair):
+def _brute_max_extension(g, x0, y0):
     adj = g.adj_bits
     n = g.n
     full = (1 << n) - 1
-    x0 = sum(1 << v for v in pair.x)
-    y0 = sum(1 << v for v in pair.y)
     free = [v for v in range(n) if not ((x0 | y0) >> v) & 1]
     best = None
     for bits in range(1 << len(free)):

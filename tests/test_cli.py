@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from probecut import InvalidInstance, ParseError
+from probecut import GenerationTimeout, InvalidInstance, ParseError
 from probecut.cli import (
     InstanceDocument,
     document_from,
@@ -291,8 +291,42 @@ class TestCrosscheck:
         assert code == 0
         assert "trivial pass" in capsys.readouterr().err
 
+    def test_generation_failure_is_reported(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise GenerationTimeout("no instance")
+
+        monkeypatch.setattr("probecut.cli.random_probe_hfree", fail)
+        code = main(["crosscheck", "--problem", "dcut", "--count", "2",
+                     "--max-n", "6", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            "0/2 agree on problem=dcut", "2 skipped",
+        ]
+        report = json.loads(captured.out)
+        assert report["answer"] == "no"
+        assert report["violation"] == "2 skipped"
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize("instance, colouring, message", [
+        ('{"n":2,"edges":[[0,1]],"probes":[0,1],"metadata":[1]}', None,
+         "bad instance document"),
+        (K2_JSON, '{"colors": ["red", "blue"]}', "colouring must be"),
+        (K2_JSON, '{"colours": 5}', "colouring must be"),
+    ], ids=["metadata-list", "colouring-without-colours", "colours-not-list"])
+    def test_malformed_input_is_parse_error(
+        self, tmp_path, capsys, instance, colouring, message
+    ):
+        argv = ["verify", "--input", _write(tmp_path, "inst.json", instance)]
+        if colouring is None:
+            argv += ["--pattern", "P4"]
+        else:
+            argv += ["--colouring", _write(tmp_path, "col.json", colouring)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_missing_file_is_usage_error(self):
         assert main(["solve", "--problem", "mc", "--algo", "brute",
                      "--input", "/nonexistent.json"]) == 2

@@ -1,5 +1,5 @@
-"""colouring engine: validation, forcing closure, branch enumeration and
-the two completion routines."""
+"""colouring engine: validation, forcing closure, branch enumeration,
+bipartite matching and the two completion routines."""
 
 import itertools
 import random
@@ -10,22 +10,25 @@ from hypothesis import given, settings, strategies as st
 from probecut import (
     BLUE,
     RED,
-    REJECTED,
     CutCertificate,
     PartialColouring,
-    PrecolouredPair,
     PreconditionViolation,
     Violation,
     build_graph,
-    colour_process,
     complete_independent_max_cut,
     complete_independent_perfect,
     cut_edges,
-    enumerate_seed_colourings,
+    is_connected,
     max_bipartite_matching,
     validate_colouring,
 )
-from probecut.colouring import colouring_of, masks_of
+from probecut.colouring import (
+    colouring_of,
+    local_masks_valid,
+    masks_of,
+    process_masks,
+)
+from probecut.solvers import _branch_leaves
 
 from conftest import complete_bipartite, cycle_graph, path_graph, random_graph
 
@@ -35,13 +38,18 @@ def _all_colourings(n):
         yield [BLUE if (bits >> v) & 1 else RED for v in range(n)]
 
 
-def _valid_extensions(g, pair, d):
-    """Reference enumeration of accepted total colourings extending a pair."""
+def _m(vertices):
+    """Bitmask of a vertex collection."""
+    return sum(1 << v for v in set(vertices))
+
+
+def _valid_extensions(g, x, y, d):
+    """Reference enumeration of accepted total colourings extending the
+    red/blue masks."""
     out = []
     for col in _all_colourings(g.n):
-        if any(col[v] != RED for v in pair.x):
-            continue
-        if any(col[v] != BLUE for v in pair.y):
+        cx, cy = masks_of(col)
+        if x & ~cx or y & ~cy:
             continue
         if isinstance(validate_colouring(g, col, d), CutCertificate):
             out.append(tuple(col))
@@ -108,27 +116,29 @@ class TestCutEdges:
             cut_edges(path_graph(2), [RED, None])
 
 
+def _closure(g, x, y, d):
+    return process_masks(g.adj_bits, g.n, x, y, d)
+
+
 class TestColourProcess:
+    """The forcing closure, process_masks."""
+
     def test_p3_endpoints_stable(self):
         g = path_graph(3)
-        pair = PrecolouredPair.of({0}, {2})
-        assert colour_process(g, pair, 1) == pair
+        assert _closure(g, _m({0}), _m({2}), 1) == (_m({0}), _m({2}))
 
     def test_star_centre_forced(self):
         g = build_graph(3, [(0, 1), (1, 2)])  # centre is vertex 1
-        out = colour_process(g, PrecolouredPair.of({0, 2}, set()), 1)
-        assert out == PrecolouredPair.of({0, 1, 2}, set())
+        assert _closure(g, _m({0, 2}), 0, 1) == (_m({0, 1, 2}), 0)
 
     def test_k22_side_propagates(self):
         g = complete_bipartite(2, 2)
-        out = colour_process(g, PrecolouredPair.of({0, 1}, set()), 1)
-        assert out == PrecolouredPair.of({0, 1, 2, 3}, set())
+        assert _closure(g, _m({0, 1}), 0, 1) == (_m({0, 1, 2, 3}), 0)
 
     def test_rejection_on_double_demand(self):
         # centre adjacent to two red and two blue forces both colours at d=1
         g = build_graph(5, [(4, 0), (4, 1), (4, 2), (4, 3)])
-        out = colour_process(g, PrecolouredPair.of({0, 1}, {2, 3}), 1)
-        assert out is REJECTED
+        assert _closure(g, _m({0, 1}), _m({2, 3}), 1) is None
 
     @given(st.integers(0, 2 ** 20), st.integers(1, 2))
     @settings(max_examples=120)
@@ -140,64 +150,68 @@ class TestColourProcess:
         rng.shuffle(verts)
         cut1 = rng.randint(0, n)
         cut2 = rng.randint(cut1, n)
-        pair = PrecolouredPair.of(verts[:cut1], verts[cut1:cut2])
-        out = colour_process(g, pair, d)
-        if out is REJECTED:
-            assert _valid_extensions(g, pair, d) == []
+        x, y = _m(verts[:cut1]), _m(verts[cut1:cut2])
+        out = _closure(g, x, y, d)
+        if out is None:
+            assert _valid_extensions(g, x, y, d) == []
             return
-        assert pair.x <= out.x and pair.y <= out.y
-        assert colour_process(g, out, d) == out
-        assert _valid_extensions(g, pair, d) == _valid_extensions(g, out, d)
+        ox, oy = out
+        assert x & ~ox == 0 and y & ~oy == 0
+        assert _closure(g, ox, oy, d) == out
+        assert _valid_extensions(g, x, y, d) == _valid_extensions(g, ox, oy, d)
 
 
 class TestEnumerateSeedColourings:
+    """Branch enumeration over a frontier: leaves in ascending-vertex,
+    red-before-blue order, pruned by the closure and local_masks_valid."""
+
     def test_k2_all_four(self):
         g = build_graph(2, [(0, 1)])
-        out = list(enumerate_seed_colourings(g, PrecolouredPair.of(), [0, 1], 1))
+        out = list(_branch_leaves(g, 0, 0, _m({0, 1}), 1))
         assert out == [
-            PrecolouredPair.of({0, 1}, set()),
-            PrecolouredPair.of({0}, {1}),
-            PrecolouredPair.of({1}, {0}),
-            PrecolouredPair.of(set(), {0, 1}),
+            (_m({0, 1}), 0),
+            (_m({0}), _m({1})),
+            (_m({1}), _m({0})),
+            (0, _m({0, 1})),
         ]
+        assert all(local_masks_valid(g.adj_bits, x, y, 1) for x, y in out)
 
     def test_c3_only_monochromatic_survive(self):
         g = cycle_graph(3)
-        out = list(enumerate_seed_colourings(g, PrecolouredPair.of(), [0, 1, 2], 1))
-        assert out == [
-            PrecolouredPair.of({0, 1, 2}, set()),
-            PrecolouredPair.of(set(), {0, 1, 2}),
-        ]
+        out = list(_branch_leaves(g, 0, 0, _m({0, 1, 2}), 1))
+        assert out == [(_m({0, 1, 2}), 0), (0, _m({0, 1, 2}))]
+        # every mixed total colouring fails the local check
+        for x in range(1, 7):
+            assert not local_masks_valid(g.adj_bits, x, 7 & ~x, 1)
 
     def test_empty_frontier_returns_base(self):
         g = path_graph(3)
-        base = PrecolouredPair.of({0}, {2})
-        assert list(enumerate_seed_colourings(g, base, [], 1)) == [base]
+        assert list(_branch_leaves(g, _m({0}), _m({2}), 0, 1)) == [
+            (_m({0}), _m({2}))
+        ]
 
     def test_preassigned_frontier_vertices_keep_colour(self):
         g = path_graph(3)
-        base = PrecolouredPair.of({0}, set())
-        out = list(enumerate_seed_colourings(g, base, [0, 1], 1))
-        assert all(0 in pair.x for pair in out)
+        out = list(_branch_leaves(g, _m({0}), 0, _m({0, 1}), 1))
+        assert all(x & 1 for x, _ in out)
         assert len(out) == 2
 
 
 class TestMaxBipartiteMatching:
     def test_empty(self):
-        assert max_bipartite_matching([], [], []) == {}
+        assert max_bipartite_matching({}) == {}
 
     def test_single_edge(self):
-        assert max_bipartite_matching(["a"], ["b"], [("a", "b")]) == {"a": "b"}
+        assert max_bipartite_matching({0: _m({5})}) == {0: 5}
 
     def test_complete_2x2(self):
-        m = max_bipartite_matching(
-            [0, 1], ["x", "y"], [(0, "x"), (0, "y"), (1, "x"), (1, "y")]
-        )
+        m = max_bipartite_matching({0: _m({2, 3}), 1: _m({2, 3})})
         assert len(m) == 2 and len(set(m.values())) == 2
 
-    def test_edge_outside_sides_rejected(self):
-        with pytest.raises(ValueError):
-            max_bipartite_matching([0], [1], [(0, 2)])
+    def test_failed_left_vertex_stays_unmatched(self):
+        # 1 cannot augment in its turn; 2 then takes the free right vertex
+        m = max_bipartite_matching({0: _m({5}), 1: _m({5}), 2: _m({5, 6})})
+        assert m == {0: 5, 2: 6}
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60)
@@ -210,7 +224,8 @@ class TestMaxBipartiteMatching:
             for r in range(nr)
             if rng.random() < 0.5
         ]
-        m = max_bipartite_matching(range(nl), range(100, 100 + nr), edges)
+        nbrs = {l: _m(r for ll, r in edges if ll == l) for l in range(nl)}
+        m = max_bipartite_matching(nbrs)
         assert all((l, r) in edges for l, r in m.items())
         assert len(set(m.values())) == len(m)
         best = 0
@@ -226,18 +241,12 @@ class TestMaxBipartiteMatching:
         assert len(m) == best
 
 
-def _brute_best_extension(g, pair, perfect=False):
+def _brute_best_extension(g, x, y, perfect=False):
     """Reference: try all extensions over the uncoloured set."""
-    uncoloured = [
-        v for v in range(g.n) if v not in pair.x and v not in pair.y
-    ]
+    uncoloured = [v for v in range(g.n) if not ((x | y) >> v) & 1]
     best = None
     for bits in range(1 << len(uncoloured)):
-        col = [None] * g.n
-        for v in pair.x:
-            col[v] = RED
-        for v in pair.y:
-            col[v] = BLUE
+        col = list(colouring_of(g.n, x, y))
         for i, v in enumerate(uncoloured):
             col[v] = BLUE if (bits >> i) & 1 else RED
         result = validate_colouring(g, col, 1, perfect)
@@ -252,35 +261,34 @@ def _brute_best_extension(g, pair, perfect=False):
 class TestCompleteMaxCut:
     def test_no_uncoloured_validates_pair(self):
         g = build_graph(2, [(0, 1)])
-        cert = complete_independent_max_cut(g, PrecolouredPair.of({0}, {1}))
+        cert = complete_independent_max_cut(g, _m({0}), _m({1}))
         assert cert is not None and cert.size == 1
 
     def test_p3_centre_red(self):
         g = path_graph(3)
-        cert = complete_independent_max_cut(g, PrecolouredPair.of({1}, set()))
+        cert = complete_independent_max_cut(g, _m({1}), 0)
         assert cert is not None and cert.size == 1
-        best = _brute_best_extension(g, PrecolouredPair.of({1}, set()))
+        best = _brute_best_extension(g, _m({1}), 0)
         assert best.size == 1
 
     def test_dependent_uncoloured_rejected(self):
         g = path_graph(4)
         with pytest.raises(PreconditionViolation):
-            complete_independent_max_cut(g, PrecolouredPair.of({0}, {3}))
+            complete_independent_max_cut(g, _m({0}), _m({3}))
 
     def test_no_valid_extension_returns_none(self):
         g = cycle_graph(3)
         # the red-blue edge exhausts both budgets, so the last vertex has
         # nowhere to hand its forced cut edge
-        pair = PrecolouredPair.of({0}, {1})
-        assert complete_independent_max_cut(g, pair) is None
-        assert _brute_best_extension(g, pair) is None
+        assert complete_independent_max_cut(g, _m({0}), _m({1})) is None
+        assert _brute_best_extension(g, _m({0}), _m({1})) is None
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=150)
     def test_matches_brute_extension(self, seed):
-        g, pair = _random_completion_input(seed)
-        mine = complete_independent_max_cut(g, pair)
-        brute = _brute_best_extension(g, pair)
+        g, x, y = _random_completion_input(seed)
+        mine = complete_independent_max_cut(g, x, y)
+        brute = _brute_best_extension(g, x, y)
         if brute is None:
             assert mine is None
         else:
@@ -288,9 +296,8 @@ class TestCompleteMaxCut:
 
 
 def _random_completion_input(seed):
-    """Connected graph plus a processed pair whose remainder is independent."""
-    from probecut import colour_process, is_connected
-
+    """Connected graph plus processed red/blue masks whose remainder is
+    independent."""
     rng = random.Random(seed)
     while True:
         n = rng.randint(2, 9)
@@ -311,41 +318,39 @@ def _random_completion_input(seed):
             if v in uncoloured:
                 continue
             (xs if rng.random() < 0.5 else ys).add(v)
-        out = colour_process(g, PrecolouredPair.of(xs, ys), 1)
-        if out is REJECTED:
+        out = _closure(g, _m(xs), _m(ys), 1)
+        if out is None:
             continue
-        rest = [v for v in range(n) if v not in out.x and v not in out.y]
+        x, y = out
+        rest = [v for v in range(n) if not ((x | y) >> v) & 1]
         if any(g.has_edge(a, b) for a in rest for b in rest if a < b):
             continue
-        return g, out
+        return g, x, y
 
 
 class TestCompletePerfect:
     def test_k2(self):
         g = build_graph(2, [(0, 1)])
-        cert = complete_independent_perfect(g, PrecolouredPair.of({0}, {1}))
+        cert = complete_independent_perfect(g, _m({0}), _m({1}))
         assert cert is not None and cert.perfect and cert.size == 1
 
     def test_c3_never_perfect(self):
         g = cycle_graph(3)
-        for pair in (
-            PrecolouredPair.of({0}, {1}),
-            PrecolouredPair.of({0, 1}, {2}),
-        ):
-            assert complete_independent_perfect(g, pair) is None
+        for x, y in ((_m({0}), _m({1})), (_m({0, 1}), _m({2}))):
+            assert complete_independent_perfect(g, x, y) is None
 
     def test_p4_branch_completes_to_perfect(self):
         g = path_graph(4)
-        cert = complete_independent_perfect(g, PrecolouredPair.of({0}, {1, 2}))
+        cert = complete_independent_perfect(g, _m({0}), _m({1, 2}))
         assert cert is not None and cert.size == 2
         assert cert.colouring == (RED, BLUE, BLUE, RED)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=150)
     def test_matches_brute_extension(self, seed):
-        g, pair = _random_completion_input(seed)
-        mine = complete_independent_perfect(g, pair)
-        brute = _brute_best_extension(g, pair, perfect=True)
+        g, x, y = _random_completion_input(seed)
+        mine = complete_independent_perfect(g, x, y)
+        brute = _brute_best_extension(g, x, y, perfect=True)
         assert (mine is None) == (brute is None)
         if mine is not None:
             check = validate_colouring(g, list(mine.colouring), 1, True)
