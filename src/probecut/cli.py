@@ -9,6 +9,7 @@ Exit codes are a stable contract: 0 yes, 1 no, 2 usage or scale error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -99,6 +100,14 @@ def document_from(
 
 def parse_instance(text: str) -> InstanceDocument:
     """Parse the JSON instance format or the line-oriented edge list."""
+    return _load_instance(text)[0]
+
+
+def _load_instance(
+    text: str,
+) -> tuple[InstanceDocument, PartitionedProbeGraph, Optional[ProbeCertificate]]:
+    """Parse an instance and build it once; returns the document with the
+    checked instance and certificate."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = _parse_json_instance(text)
@@ -111,7 +120,7 @@ def parse_instance(text: str) -> InstanceDocument:
                 raise InvalidInstance(
                     f"certificate pair {(u, v)} leaves the non-probe side"
                 )
-    return doc
+    return doc, ppg, cert
 
 
 def _parse_json_instance(text: str) -> InstanceDocument:
@@ -271,8 +280,7 @@ def _read_graph(path: str) -> Graph:
 
 def cmd_solve(opts, argv) -> int:
     started = time.perf_counter()
-    doc = parse_instance(_read(opts.input))
-    ppg, _ = doc.to_instance()
+    _, ppg, _ = _load_instance(_read(opts.input))
     problem, algo = opts.problem, opts.algo
     if algo == "poly":
         if problem == "dcut":
@@ -304,8 +312,7 @@ def cmd_solve(opts, argv) -> int:
 
 def cmd_verify(opts, argv) -> int:
     started = time.perf_counter()
-    doc = parse_instance(_read(opts.input))
-    ppg, cert = doc.to_instance()
+    _, ppg, cert = _load_instance(_read(opts.input))
     if opts.pattern is not None:
         if cert is None:
             raise InvalidInstance("instance carries no certificate_f to verify")
@@ -501,7 +508,10 @@ def _crosscheck_run(opts, ppg) -> tuple[str, str]:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls;
+    ``parse_args`` starts every call from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="probecut",
         description="d-cut / matching cut workbench for partitioned probe graphs",

@@ -218,14 +218,16 @@ def is_connected(g: Graph) -> bool:
     """
     if g.n == 0:
         return False
-    seen = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in g.adj[v]:
-            if not (seen >> u) & 1:
-                seen |= 1 << u
-                stack.append(u)
+    adj = g.adj_bits
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
     return seen == (1 << g.n) - 1
 
 

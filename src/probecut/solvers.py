@@ -299,6 +299,23 @@ class _DcutSolver:
             for sel in combinations(pool, size):
                 yield sum(1 << v for v in sel)
 
+    def _small_classes(self, part: list[int], lo: int, hi: int) -> Iterator[int]:
+        """Guesses for a colour class of at most ``hi`` vertices inside
+        ``part`` while the rest of ``part`` takes the other colour.
+
+        A class member has fewer than ``hi`` neighbours in its class and at
+        most d in the rest of ``part``, so its degree inside ``part`` is at
+        most d + hi - 1.  A subset holding a vertex above that bound gives
+        it more than d opposite-coloured neighbours among the pre-coloured
+        vertices, which the first closure rejects; dropping those vertices
+        from the pool skips exactly those subsets and keeps the order of
+        the rest.
+        """
+        pm = sum(1 << v for v in part)
+        cap = self.d + hi - 1
+        pool = [v for v in part if (self.adj[v] & pm).bit_count() <= cap]
+        return self._subset_masks(pool, lo, hi)
+
     # -- main flow --------------------------------------------------------
 
     def run(self) -> SolveReport:
@@ -352,11 +369,13 @@ class _DcutSolver:
 
     def _one_component(self) -> Optional[CutCertificate]:
         """Connected cograph probe side: some colour class inside it has
-        at most 2d vertices, so guess it (both polarities), branch its
-        non-probe neighbourhood and fill the rest."""
+        at most hi = min(2d, |P| - 1) vertices, so guess it (both
+        polarities), branch its non-probe neighbourhood and fill the rest.
+        A member of that class has probe-degree at most d + hi - 1, so only
+        such probes are guessed."""
         self.trace.append("cograph-1comp")
         for pol_red in (True, False):
-            for xm in self._subset_masks(
+            for xm in self._small_classes(
                 self.p_list, 1, min(2 * self.d, len(self.p_list) - 1)
             ):
                 rest = self.p_mask & ~xm
@@ -374,11 +393,11 @@ class _DcutSolver:
         c1m = sum(1 << v for v in c1)
         c2m = sum(1 << v for v in c2)
         cap = 2 * self.d
-        for x1m in self._subset_masks(c1, 0, cap):
+        for x1m in self._small_classes(c1, 0, cap):
             base_x = x1m
             base_y = c1m & ~x1m
             for pol2_red in (True, False):
-                for x2m in self._subset_masks(c2, 0, cap):
+                for x2m in self._small_classes(c2, 0, cap):
                     rest2 = c2m & ~x2m
                     if pol2_red:
                         px, py = base_x | x2m, base_y | rest2
@@ -494,7 +513,7 @@ class _DcutSolver:
             x0 = xvm
             y0 = (1 << v) | (nv & ~xvm)
             for pol_red in (True, False):
-                for xm in self._subset_masks(c1, 0, 2 * self.d):
+                for xm in self._small_classes(c1, 0, 2 * self.d):
                     rest = c1m & ~xm
                     addx, addy = (xm, rest) if pol_red else (rest, xm)
                     x1, y1 = x0 | addx, y0 | addy
@@ -551,7 +570,7 @@ class _DcutSolver:
         u, v = pair
         bu, bv = 1 << u, 1 << v
         # both endpoints alike (blue): the red probes number at most 2d
-        for xm in self._subset_masks(
+        for xm in self._small_classes(
             self.p_list, 1, min(2 * self.d, len(self.p_list) - 1)
         ):
             x0 = xm

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from probecut import GenerationTimeout, InvalidInstance, ParseError
+from probecut import cli
 from probecut.cli import (
     InstanceDocument,
     document_from,
@@ -343,3 +344,51 @@ class TestExitCodes:
         doc = document_from(ppg, None, {"k": "v"})
         assert doc.metadata == {"k": "v"}
         assert parse_instance(serialize_instance(doc)) == doc
+
+
+class TestParserReuse:
+    """The parser is built once per process; every call still starts from
+    its own defaults."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        seen = []
+        for name in ("solve", "verify"):
+            monkeypatch.setitem(
+                cli._HANDLERS, name, lambda opts, argv: seen.append(opts) or 0
+            )
+        return seen
+
+    def test_options_do_not_leak_between_calls(self, seen):
+        assert main(["solve", "--problem", "dcut", "--d", "3", "--s", "2",
+                     "--algo", "poly", "--input", "a.json"]) == 0
+        assert main(["solve", "--problem", "mc", "--algo", "brute",
+                     "--input", "b.json"]) == 0
+        assert main(["verify", "--input", "c.json", "--perfect",
+                     "--colouring", "col.json", "--d", "2"]) == 0
+        assert main(["verify", "--input", "d.json"]) == 0
+        first, second, third, fourth = seen
+        assert (first.problem, first.d, first.s, first.input) == (
+            "dcut", 3, 2, "a.json")
+        assert (second.problem, second.d, second.s, second.algo) == (
+            "mc", 1, 0, "brute")
+        assert (third.perfect, third.colouring, third.d) == (True, "col.json", 2)
+        assert (fourth.perfect, fourth.colouring, fourth.d, fourth.pattern) == (
+            False, None, 1, None)
+
+    def test_invalid_call_leaves_no_options_behind(self, seen, capsys):
+        assert main(["solve", "--d", "5", "--s", "4", "--problem", "nope",
+                     "--algo", "poly", "--input", "x"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["solve", "--problem", "pmc", "--algo", "poly",
+                     "--input", "y"]) == 0
+        (opts,) = seen
+        assert (opts.problem, opts.d, opts.s, opts.input) == ("pmc", 1, 0, "y")
+
+    def test_help_is_the_same_on_every_call(self, capsys):
+        outputs = []
+        for _ in range(2):
+            assert main(["solve", "--help"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("usage: probecut solve")

@@ -15,6 +15,7 @@ from probecut import (
     ProbeCertificate,
     UnsupportedPattern,
     build_graph,
+    connected_components,
     cycle_pattern,
     diamond_pattern,
     dominating_edge,
@@ -40,6 +41,7 @@ from conftest import (
     cycle_graph,
     exhaustive_induced,
     path_graph,
+    random_graph,
     star_graph,
 )
 
@@ -106,6 +108,12 @@ class TestConnectivity:
 
     def test_single_vertex(self):
         assert is_connected(build_graph(1, []))
+
+    @given(st.integers(0, 12), st.floats(0.0, 0.6), st.integers(0, 2 ** 32))
+    @settings(max_examples=120)
+    def test_agrees_with_components(self, n, p, seed):
+        g = random_graph(n, p, seed)
+        assert is_connected(g) == (len(connected_components(g)) == 1)
 
 
 class TestFindInduced:

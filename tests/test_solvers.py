@@ -492,3 +492,134 @@ class TestRandomParity:
             assert isinstance(check, CutCertificate)
         if brute_dcut(g, 2) is None:
             assert not report.answer
+
+
+def _cograph_edges(verts, rng, join):
+    """Edges of a random cograph on ``verts``; the root is a join when
+    ``join`` is set, and node types alternate below it."""
+    edges = []
+    stack = [(list(verts), join)]
+    while stack:
+        part, is_join = stack.pop()
+        if len(part) < 2:
+            continue
+        rng.shuffle(part)
+        k = rng.randint(2, min(4, len(part)))
+        cuts = sorted(rng.sample(range(1, len(part)), k - 1))
+        kids = [part[a:b] for a, b in zip([0] + cuts, cuts + [len(part)])]
+        if is_join:
+            for i, a in enumerate(kids):
+                for b in kids[i + 1:]:
+                    edges += [(u, v) for u in a for v in b]
+        stack += [(kid, not is_join) for kid in kids]
+    return edges
+
+
+def _cograph_probe_instance(seed):
+    """A connected instance whose probe side is a cograph of one to three
+    connected components (joins at their roots), with non-probes complete,
+    anti-complete or partial to each component; not certified."""
+    rng = random.Random(seed)
+    comps, edges, start = [], [], 0
+    for _ in range(rng.randint(1, 3)):
+        comp = list(range(start, start + rng.randint(2, 9)))
+        comps.append(comp)
+        edges += _cograph_edges(comp, rng, True)
+        start += len(comp)
+    n = start + rng.randint(1, 4)
+    for v in range(start, n):
+        for comp in comps:
+            mode = rng.random()
+            if mode < 0.35:
+                edges += [(u, v) for u in comp]
+            elif mode < 0.7:
+                edges += [(u, v) for u in comp if rng.random() < 0.5]
+    g = build_graph(n, edges)
+    if not is_connected(g):
+        return None, comps
+    return PartitionedProbeGraph(
+        g, frozenset(range(start)), frozenset(range(start, n))
+    ), comps
+
+
+class TestSmallClassPruning:
+    @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
+    @settings(max_examples=40)
+    def test_dropped_guesses_yield_no_leaves(self, seed, d):
+        """Every subset that the degree bound drops is rejected by the first
+        closure in both polarities, and the kept subsets keep their order."""
+        from probecut.solvers import _branch_leaves, _DcutSolver
+
+        ppg, comps = _cograph_probe_instance(seed)
+        if ppg is None:
+            return
+        solver = _DcutSolver(ppg, d)
+        parts = [solver.p_list] if len(comps) == 1 else comps
+        for part in parts:
+            part_mask = sum(1 << v for v in part)
+            for lo, hi in ((1, min(2 * d, len(part) - 1)), (0, 2 * d)):
+                every = list(solver._subset_masks(part, lo, hi))
+                kept = list(solver._small_classes(part, lo, hi))
+                remaining = iter(every)
+                assert all(m in remaining for m in kept)
+                for xm in set(every) - set(kept):
+                    frontier = solver._nbhd(xm) & solver.n_mask
+                    rest = part_mask & ~xm
+                    for x0, y0 in ((xm, rest), (rest, xm)):
+                        assert not list(
+                            _branch_leaves(ppg.graph, x0, y0, frontier, d)
+                        )
+
+    def test_vertex_at_the_bound_stays_guessable(self):
+        """The bound is tight: probe 0 of the class {0, 1, 2, 3} has
+        probe-degree d + hi - 1 = 5 for d = 2, hi = 4, and that guess
+        passes the first closure."""
+        from probecut.solvers import _branch_leaves, _DcutSolver
+
+        # probe 0 joined to a triangle and an edge; non-probe 6 hangs off 1
+        g = build_graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                            (4, 5), (0, 4), (0, 5), (1, 6)])
+        ppg = PartitionedProbeGraph(g, frozenset(range(6)), frozenset({6}))
+        solver = _DcutSolver(ppg, 2)
+        assert 0b1111 in solver._small_classes(solver.p_list, 1, 4)
+        assert list(_branch_leaves(g, 0b1111, 0b110000, 1 << 6, 2))
+
+    def test_dense_cotree_needs_few_closures(self, monkeypatch):
+        """A 48-vertex dense cograph with a join at the root, its non-probe
+        edges deleted: every probe has probe-degree above 3d - 1, so no
+        bounded-class guess survives and the solver decides without
+        closing one."""
+        import probecut.solvers as solvers_mod
+        from probecut.oracles import backtrack_dcut
+
+        n = 48
+        rng = random.Random(48)
+        while True:
+            nonprobes = frozenset(rng.sample(range(n), n // 2 + 1))
+            edges = [
+                (u, v) for u, v in _cograph_edges(range(n), rng, True)
+                if u not in nonprobes or v not in nonprobes
+            ]
+            g = build_graph(n, edges)
+            probes = sorted(frozenset(range(n)) - nonprobes)
+            if not (0.48 <= g.edge_count() / (n * (n - 1) / 2) <= 0.60):
+                continue
+            if not is_connected(g) or min(g.degree(v) for v in nonprobes) < 4:
+                continue
+            if len(connected_components(g, probes)) == 1:
+                break
+        ppg = PartitionedProbeGraph(g, frozenset(probes), nonprobes)
+        calls = [0]
+        closure = solvers_mod.process_masks
+
+        def counted(*args):
+            calls[0] += 1
+            return closure(*args)
+
+        monkeypatch.setattr(solvers_mod, "process_masks", counted)
+        for d in (2, 3):
+            calls[0] = 0
+            report = solve_dcut(ppg, d)
+            assert "cograph-1comp" in report.case_trace
+            assert calls[0] < 1000
+            assert report.answer == (backtrack_dcut(g, d) is not None)
