@@ -48,6 +48,10 @@ from .reductions import (
 )
 from .solvers import solve_dcut, solve_mmc, solve_pmc
 
+MAX_VERTICES = 100_000
+"""Largest vertex count an instance may declare (or imply by its largest
+vertex id).  The parsers reject more before any graph is allocated."""
+
 
 @dataclass
 class InstanceDocument:
@@ -123,13 +127,21 @@ def _load_instance(
     return doc, ppg, cert
 
 
+def _check_size(n: int) -> int:
+    if n > MAX_VERTICES:
+        raise ParseError(
+            f"n={n} exceeds the instance size limit {MAX_VERTICES}"
+        )
+    return n
+
+
 def _parse_json_instance(text: str) -> InstanceDocument:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
     try:
-        n = int(raw["n"])
+        n = _check_size(int(raw["n"]))
         edges = _norm_edges((int(u), int(v)) for u, v in raw.get("edges", []))
         probes = sorted(int(v) for v in raw.get("probes", []))
         nonprobes = sorted(int(v) for v in raw.get("nonprobes", []))
@@ -183,8 +195,7 @@ def _parse_text_instance(text: str) -> InstanceDocument:
                 raise ParseError(f"line {lineno}: cannot parse {line!r}")
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-    if n is None:
-        n = seen_vertex + 1
+    n = _check_size(seen_vertex + 1 if n is None else n)
     if probes & nonprobes:
         raise InvalidInstance("a vertex is marked both probe and nonprobe")
     declared_non = set(range(n)) - probes  # unmarked vertices are non-probes

@@ -280,6 +280,19 @@ def find_induced(g: Graph, h: Pattern) -> Optional[dict[int, int]]:
     edges and non-edges, or None if the graph is pattern-free.  The result
     is the lexicographically least occurrence: pattern vertices are assigned
     in id order, candidates tried in ascending order.
+
+    The search runs on an explicit stack with forward checking: placing
+    pattern vertex j narrows the candidates of every later vertex, and a
+    placement that leaves one of them none is dropped at once.  Only dead
+    branches are cut, so the first occurrence found is still the least.
+
+    Twin pattern vertices (the same neighbours apart from each other, such
+    as the leaves of a claw, the vertices of sP1 or the ends of each edge
+    of 2P2) take increasing images: for twins i < j only candidates above
+    ``image[i]`` are kept at j.  Swapping the images of two twins gives
+    another occurrence, which is lexicographically smaller when
+    ``image[j] < image[i]``; so the least occurrence meets every such
+    constraint, and the search only skips reordered copies of occurrences.
     """
     k = h.graph.n
     if k > 8:
@@ -288,39 +301,62 @@ def find_induced(g: Graph, h: Pattern) -> Optional[dict[int, int]]:
         )
     if k > g.n:
         return None
+    if k == 0:
+        return {}
     pat_adj = h.graph.adj_bits
-    adj = g.adj_bits
-    # vertices with enough degree to host pattern vertex j
-    deg_ok = [
-        sum(1 << v for v in range(g.n) if g.degree(v) >= h.graph.degree(j))
+    # plan[j]: (l, adjacent, twin) for each later pattern vertex l
+    plan = [
+        [
+            (
+                l,
+                (pat_adj[l] >> j) & 1,
+                pat_adj[j] & ~(1 << l) == pat_adj[l] & ~(1 << j),
+            )
+            for l in range(j + 1, k)
+        ]
         for j in range(k)
     ]
+    adj = g.adj_bits
+    # at_least[t]: vertices of degree >= t, for pattern degrees t < k
+    at_least = [0] * (k + 1)
+    for v, av in enumerate(adj):
+        at_least[min(av.bit_count(), k)] |= 1 << v
+    for t in range(k - 1, -1, -1):
+        at_least[t] |= at_least[t + 1]
     image = [0] * k
-
-    def rec(j: int, used: int) -> bool:
-        if j == k:
-            return True
-        cand = deg_ok[j] & ~used
-        want = pat_adj[j]
-        for i in range(j):
-            if (want >> i) & 1:
-                cand &= adj[image[i]]
-            else:
-                cand &= ~adj[image[i]]
-            if not cand:
-                return False
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            w = low.bit_length() - 1
-            image[j] = w
-            if rec(j + 1, used | low):
-                return True
-        return False
-
-    if rec(0, 0):
-        return {i: image[i] for i in range(k)}
-    return None
+    # cands[j][l]: candidates for pattern vertex l >= j given images[:j];
+    # left[j]: candidates for j not tried yet
+    cands = [[at_least[a.bit_count()] for a in pat_adj]] + [[]] * k
+    left = [0] * k
+    left[0] = cands[0][0]
+    j = 0
+    while True:
+        cand = left[j]
+        if not cand:
+            if j == 0:
+                return None
+            j -= 1
+            continue
+        low = cand & -cand
+        left[j] = cand ^ low
+        w = low.bit_length() - 1
+        image[j] = w
+        mine = cands[j]
+        nxt = mine[:]
+        aw = adj[w]
+        for l, adjacent, twin in plan[j]:
+            m = mine[l] & ~low & (aw if adjacent else ~aw)
+            if twin:
+                m &= -2 << w
+            if not m:
+                break
+            nxt[l] = m
+        else:
+            if j + 1 == k:
+                return {i: image[i] for i in range(k)}
+            j += 1
+            cands[j] = nxt
+            left[j] = nxt[j]
 
 
 def verify_probe_certificate(

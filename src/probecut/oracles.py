@@ -178,6 +178,23 @@ def backtrack_dcut(
     a vertex that needs all its remaining neighbours forces them opposite.
     Every leaf is validated, so the result is exactly that of the plain
     enumeration oracles (checked by tests on shared scales).
+
+    Propagation runs a work queue holding only the vertices whose counts
+    just changed: the newly coloured ones and their coloured neighbours.
+    The order in which rules fire does not matter.  Colours are only
+    added, so a vertex's opposite count only grows and its count of
+    neighbours not sharing its colour only shrinks; a rule that applies,
+    or a failure that shows, in one state does so in every larger one.
+    Every forced colour is thus shared by all valid completions, and the
+    closure is one state, or a failure, in every firing order.
+
+    The search runs on an explicit stack, so deep inputs need no
+    recursion.  It branches on the uncoloured vertex with most coloured
+    neighbours, least id on ties; only vertices in ``reach`` (neighbours
+    of coloured vertices) can have any, so the rest are looked at only
+    when none is left.  The red child is pushed last and so expanded
+    first: the first valid leaf is that of the red-first depth-first
+    search.
     """
     n = g.n
     if n < 2:
@@ -185,63 +202,70 @@ def backtrack_dcut(
     adj = g.adj_bits
     full = (1 << n) - 1
 
-    def propagate(x: int, y: int) -> Optional[tuple[int, int]]:
-        while True:
-            changed = False
-            coloured = x | y
-            for v in iter_bits(coloured):
-                mine, other = (x, y) if (x >> v) & 1 else (y, x)
-                av = adj[v]
-                opp = (av & other).bit_count()
-                unc = av & ~coloured
-                if opp > d:
-                    return None
-                if require_perfect and opp + unc.bit_count() < d:
-                    return None
-                if opp == d and unc:
-                    # no budget left: uncoloured neighbours take my colour
-                    if (x >> v) & 1:
-                        x |= unc
-                    else:
-                        y |= unc
-                    changed = True
-                    break
-                if require_perfect and unc and opp + unc.bit_count() == d:
-                    # every remaining neighbour must be opposite
-                    if (x >> v) & 1:
-                        y |= unc
-                    else:
-                        x |= unc
-                    changed = True
-                    break
-            if not changed:
-                return x, y
+    def propagate(
+        x: int, y: int, dirty: int, reach: int
+    ) -> Optional[tuple[int, int, int]]:
+        while dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            av = adj[low.bit_length() - 1]
+            red = x & low
+            opp = (av & (y if red else x)).bit_count()
+            if opp > d:
+                return None
+            unc = av & ~(x | y)
+            free = opp + unc.bit_count()
+            if require_perfect and free < d:
+                return None
+            if not unc:
+                continue
+            if opp == d:
+                # no budget left: uncoloured neighbours take my colour
+                to_red = bool(red)
+            elif require_perfect and free == d:
+                # every remaining neighbour must be opposite
+                to_red = not red
+            else:
+                continue
+            if to_red:
+                x |= unc
+            else:
+                y |= unc
+            touched = unc
+            for u in iter_bits(unc):
+                touched |= adj[u]
+            dirty |= touched & (x | y)
+            reach |= touched
+        return x, y, reach
 
-    def search(x: int, y: int) -> Optional[tuple[int, int]]:
-        state = propagate(x, y)
+    stack = [(1, 0, 1, adj[0])]
+    while stack:
+        state = propagate(*stack.pop())
         if state is None:
-            return None
-        x, y = state
-        uncoloured = full & ~(x | y)
+            continue
+        x, y, reach = state
+        coloured = x | y
+        uncoloured = full & ~coloured
         if not uncoloured:
             result = validate_colouring(
                 g, colouring_of(n, x, y), d, require_perfect
             )
-            return (x, y) if isinstance(result, CutCertificate) else None
+            if isinstance(result, CutCertificate):
+                return result
+            continue
         # branch on the uncoloured vertex with most coloured neighbours
-        best_v, best_key = -1, (-1, 0)
-        for v in iter_bits(uncoloured):
-            key = ((adj[v] & (x | y)).bit_count(), -v)
-            if key > best_key:
-                best_key, best_v = key, v
+        cand = reach & uncoloured or uncoloured & -uncoloured
+        best_v, best_k = -1, -1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            k = (adj[v] & coloured).bit_count()
+            if k > best_k:
+                best_v, best_k = v, k
         bit = 1 << best_v
-        return search(x | bit, y) or search(x, y | bit)
-
-    found = search(1, 0)
-    if found is None:
-        return None
-    result = validate_colouring(
-        g, colouring_of(n, found[0], found[1]), d, require_perfect
-    )
-    assert isinstance(result, CutCertificate)
-    return result
+        dirty = bit | (adj[best_v] & coloured)
+        reach |= adj[best_v]
+        stack.append((x, y | bit, dirty, reach))
+        stack.append((x | bit, y, dirty, reach))
+    return None

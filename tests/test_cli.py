@@ -1,6 +1,7 @@
 """Command-line front door: parsing, round-trips, exit codes, commands."""
 
 import json
+import time
 
 import pytest
 
@@ -327,6 +328,29 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("name, instance", [
+        ("huge.json", '{"n": 1000000000, "edges": [[0, 1]], "probes": [0, 1]}'),
+        ("huge.txt", "n 1000000000\ne 0 1\nprobe 0\nprobe 1\n"),
+        ("far-vertex.txt", "e 0 999999999\nprobe 0\n"),
+    ], ids=["json", "text", "text-implied"])
+    def test_oversized_instance_is_parse_error(
+        self, tmp_path, capsys, name, instance
+    ):
+        path = _write(tmp_path, name, instance)
+        began = time.perf_counter()
+        code = main(["solve", "--problem", "mc", "--algo", "poly",
+                     "--input", path])
+        assert time.perf_counter() - began < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "size limit" in err
+        assert str(cli.MAX_VERTICES) in err
+
+    def test_instance_at_size_limit_parses(self):
+        # unmarked vertices are non-probes, so this is a valid instance
+        doc = parse_instance(f"n {cli.MAX_VERTICES}\nprobe 0\n")
+        assert doc.n == cli.MAX_VERTICES
 
     def test_missing_file_is_usage_error(self):
         assert main(["solve", "--problem", "mc", "--algo", "brute",

@@ -1,6 +1,8 @@
 """graph module: construction, pattern search, cograph structure,
 probe certificates and the random instance generator."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -160,6 +162,30 @@ class TestFindInduced:
             cycle_pattern(4),
         ):
             assert (find_induced(g, h) is not None) == exhaustive_induced(g, h)
+
+    @given(graphs_strategy)
+    @settings(max_examples=80)
+    def test_twin_patterns_give_least_occurrence(self, g):
+        # patterns with twin vertices, whose images the search orders
+        for name in ("K1,3", "K1,4", "4P1", "diamond", "2P2", "2P1+P4"):
+            h = parse_pattern(name)
+            k = h.graph.n
+            least = next(
+                (
+                    placed
+                    for placed in itertools.permutations(range(g.n), k)
+                    if all(
+                        h.graph.has_edge(i, j)
+                        == g.has_edge(placed[i], placed[j])
+                        for i in range(k)
+                        for j in range(i + 1, k)
+                    )
+                ),
+                None,
+            )
+            found = find_induced(g, h)
+            image = None if found is None else tuple(found[i] for i in range(k))
+            assert image == least, name
 
 
 class TestPatterns:

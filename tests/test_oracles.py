@@ -1,6 +1,7 @@
 """Brute-force oracle behaviour, scale guards and cross-oracle invariants."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
     random_graph,
+    star_graph,
 )
 
 EXAMPLE_SAT = SatInstance.of(
@@ -200,3 +202,23 @@ class TestBacktrackDcut:
         assert (backtrack_dcut(g, 1, require_perfect=True) is not None) == (
             brute_pmc(g) is not None
         )
+
+
+class TestBacktrackDcutDeepInputs:
+    """Inputs deeper than the default recursion limit: the search runs on
+    an explicit stack, so each returns an answer instead of raising
+    RecursionError."""
+
+    @pytest.mark.parametrize("g, d, perfect, expected", [
+        (path_graph(1500), 1, False, True),
+        (path_graph(1500), 1, True, True),
+        (path_graph(1501), 1, True, False),
+        (star_graph(1499), 1, False, True),
+    ], ids=["P1500-d1", "P1500-perfect", "P1501-perfect", "star1499-d1"])
+    def test_returns_answer(self, g, d, perfect, expected):
+        assert sys.getrecursionlimit() < g.n
+        cert = backtrack_dcut(g, d, require_perfect=perfect)
+        assert (cert is not None) == expected
+        if cert is not None:
+            again = validate_colouring(g, cert.colouring, d, perfect)
+            assert isinstance(again, CutCertificate)
