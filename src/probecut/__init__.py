@@ -29,16 +29,15 @@ from .graph import (
     PartitionedProbeGraph,
     ProbeCertificate,
     build_graph,
+    cograph_split,
     connected_components,
     cycle_pattern,
     diamond_pattern,
-    dominating_edge,
     find_induced,
     independent_pattern,
     induced_subgraph,
     is_connected,
     is_p4_free,
-    join_split,
     parse_pattern,
     path_pattern,
     random_probe_hfree,
@@ -88,4 +87,33 @@ from .solvers import (
     solve_pmc,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # errors
+    "GenerationTimeout", "InvalidCertificate", "InvalidEdge",
+    "InvalidInstance", "InvalidSatInstance", "NoEdges", "NotACograph",
+    "NotBipartite", "NotConnected", "NotCubic", "OracleScaleExceeded",
+    "ParseError", "PartialColouring", "PreconditionViolation", "ProbeCutError",
+    "StructureViolation", "UnsupportedD", "UnsupportedPattern", "WrongCase",
+    # graph
+    "Graph", "Pattern", "PartitionedProbeGraph", "ProbeCertificate",
+    "build_graph", "cograph_split", "connected_components", "cycle_pattern",
+    "diamond_pattern", "find_induced", "independent_pattern",
+    "induced_subgraph", "is_connected", "is_p4_free", "parse_pattern",
+    "path_pattern", "random_probe_hfree", "sp1_p4_pattern",
+    "split_forbidden_patterns", "star_pattern", "two_p2_pattern",
+    "verify_probe_certificate",
+    # colouring
+    "BLUE", "RED", "Colouring", "CutCertificate", "Violation",
+    "complete_independent_max_cut", "complete_independent_perfect",
+    "cut_edges", "max_bipartite_matching", "validate_colouring",
+    # oracles
+    "backtrack_dcut", "brute_dcut", "brute_mmc", "brute_pmc",
+    "brute_probe_certificate", "brute_sat",
+    # reductions
+    "SatInstance", "bipartite_to_split", "moshi_double", "random_sat_instance",
+    "sat_to_4p1", "subdivide4", "validate_sat_shape",
+    # solvers
+    "NonProbeType", "SolveReport", "classify_nonprobe",
+    "find_p_dominating_pair", "seed_sets", "solve_dcut", "solve_mmc",
+    "solve_pmc",
+]

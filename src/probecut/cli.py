@@ -112,11 +112,7 @@ def _load_instance(
 ) -> tuple[InstanceDocument, PartitionedProbeGraph, Optional[ProbeCertificate]]:
     """Parse an instance and build it once; returns the document with the
     checked instance and certificate."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = _parse_json_instance(text)
-    else:
-        doc = _parse_text_instance(text)
+    doc = _parse_document(text)
     ppg, cert = doc.to_instance()  # runs all invariant checks
     if cert is not None:
         for u, v in cert.f_edges:
@@ -127,6 +123,13 @@ def _load_instance(
     return doc, ppg, cert
 
 
+def _parse_document(text: str) -> InstanceDocument:
+    """The JSON format if the text starts with ``{``, else the edge list."""
+    if text.lstrip().startswith("{"):
+        return _parse_json_instance(text)
+    return _parse_text_instance(text)
+
+
 def _check_size(n: int) -> int:
     if n > MAX_VERTICES:
         raise ParseError(
@@ -135,11 +138,17 @@ def _check_size(n: int) -> int:
     return n
 
 
-def _parse_json_instance(text: str) -> InstanceDocument:
+def _load_json(text: str):
+    """``json.loads`` raising :class:`ParseError` on bad syntax, too many
+    digits in an integer or nesting deeper than the recursion limit."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
+
+
+def _parse_json_instance(text: str) -> InstanceDocument:
+    raw = _load_json(text)
     try:
         n = _check_size(int(raw["n"]))
         edges = _norm_edges((int(u), int(v)) for u, v in raw.get("edges", []))
@@ -155,7 +164,8 @@ def _parse_json_instance(text: str) -> InstanceDocument:
         if not isinstance(metadata, dict):
             raise TypeError("metadata must be an object")
         metadata = {str(k): str(v) for k, v in metadata.items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: int() of an infinite JSON number
         raise ParseError(f"bad instance document: {exc}") from exc
     return InstanceDocument(n, edges, probes, nonprobes, cert_edges, metadata)
 
@@ -225,16 +235,14 @@ def serialize_instance(doc: InstanceDocument) -> str:
 
 
 def parse_sat(text: str) -> SatInstance:
+    raw = _load_json(text)
     try:
-        raw = json.loads(text)
         return SatInstance.of(
             int(raw["n_vars"]),
             [tuple(int(v) for v in c) for c in raw["positive"]],
             [tuple(int(v) for v in c) for c in raw["negative"]],
         )
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad SAT document: {exc}") from exc
 
 
@@ -276,13 +284,7 @@ def _read(path: str) -> str:
 def _read_graph(path: str) -> Graph:
     """Read only the graph part of an instance file; reduction inputs are
     plain graphs, so the probe partition is neither required nor checked."""
-    text = _read(path)
-    stripped = text.lstrip()
-    doc = (
-        _parse_json_instance(text)
-        if stripped.startswith("{")
-        else _parse_text_instance(text)
-    )
+    doc = _parse_document(_read(path))
     try:
         return build_graph(doc.n, doc.edges)
     except ProbeCutError as exc:
@@ -341,7 +343,7 @@ def cmd_verify(opts, argv) -> int:
         return _emit_report(argv, True, started=started)
     if opts.colouring is None:
         raise ParseError("verify needs --pattern or --colouring")
-    raw = json.loads(_read(opts.colouring))
+    raw = _load_json(_read(opts.colouring))
     colours = raw.get("colours") if isinstance(raw, dict) else raw
     if not isinstance(colours, list) or not all(c in (RED, BLUE) for c in colours):
         raise ParseError(
@@ -403,6 +405,7 @@ def _run_construction(construction: str, opts) -> tuple:
 def cmd_generate(opts, argv) -> int:
     if opts.family == "random-probe-hfree":
         pattern = parse_pattern(opts.pattern)
+        _check_size(opts.n)  # the sampler draws n(n-1)/2 numbers per attempt
         ppg, cert = random_probe_hfree(opts.n, pattern, opts.density, opts.seed)
         meta = {
             "family": "random-probe-hfree",

@@ -1,9 +1,14 @@
-"""Graph representation, induced-pattern search, cograph structure, probe
-partitions and certified random instance generation.
+"""Graph representation, induced-pattern search, cograph decomposition,
+probe partitions and certified random instance generation.
 
 Vertices are dense integers ``0..n-1``.  Adjacency is exposed both as
 frozensets (``Graph.adj``) and as int bitmasks (``Graph.adj_bits``); the
 bitmasks are what every hot loop in the package runs on.
+
+The cograph decomposition is one frontier BFS that splits a vertex mask
+into its components or those of its complement, ordered by least vertex;
+:func:`cograph_split`, :func:`is_connected`, :func:`connected_components`
+and :func:`is_p4_free` (a worklist, so no recursion) all run on it.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from .errors import (
     InvalidCertificate,
     InvalidEdge,
     InvalidInstance,
-    NotACograph,
-    NotConnected,
     UnsupportedPattern,
 )
 
@@ -211,24 +214,33 @@ def parse_pattern(name: str) -> Pattern:
     raise UnsupportedPattern(f"unknown pattern name {name!r}")
 
 
+def _parts(adj: tuple[int, ...], mask: int, flip: int) -> list[int]:
+    """Components of the vertex mask in the graph (``flip = 0``) or in its
+    complement (``flip = -1``: XOR with -1 complements a row), as masks
+    ordered by least vertex; a frontier BFS, no recursion."""
+    parts = []
+    while mask:
+        frontier = mask & -mask
+        rest = mask ^ frontier  # not reached yet
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1] ^ flip
+                frontier ^= low
+            frontier = reach & rest
+            rest ^= frontier
+        parts.append(mask ^ rest)
+        mask = rest
+    return parts
+
+
 def is_connected(g: Graph) -> bool:
     """True iff the graph has exactly one connected component.
 
     The empty graph is not connected; a single vertex is.
     """
-    if g.n == 0:
-        return False
-    adj = g.adj_bits
-    seen = frontier = 1
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return g.n > 0 and len(_parts(g.adj_bits, (1 << g.n) - 1, 0)) == 1
 
 
 def connected_components(
@@ -236,25 +248,8 @@ def connected_components(
 ) -> list[list[int]]:
     """Connected components (of the induced subgraph on ``within`` if given),
     each sorted, ordered by smallest member."""
-    verts = sorted(range(g.n) if within is None else within)
-    allowed = set(verts)
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for s in verts:
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in g.adj[v]:
-                if u in allowed and u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
+    mask = (1 << g.n) - 1 if within is None else sum(1 << v for v in set(within))
+    return [list(iter_bits(p)) for p in _parts(g.adj_bits, mask, 0)]
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
@@ -381,89 +376,64 @@ def verify_probe_certificate(
     return find_induced(g.with_edges(cert.f_edges), h) is None
 
 
-def _co_components(g: Graph, verts: list[int]) -> list[list[int]]:
-    """Components of the complement of the induced subgraph on ``verts``."""
-    vert_mask = sum(1 << v for v in verts)
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for s in verts:
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            non_nbrs = vert_mask & ~g.adj_bits[v] & ~(1 << v)
-            m = non_nbrs
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
+def cograph_split(g: Graph, mask: int) -> tuple[bool, list[int]]:
+    """One level of the cograph decomposition of the vertex mask ``mask``.
 
-
-def _is_cograph(g: Graph, verts: list[int]) -> bool:
-    if len(verts) <= 3:
-        return True
-    comps = connected_components(g, verts)
-    if len(comps) > 1:
-        return all(_is_cograph(g, c) for c in comps)
-    cocomps = _co_components(g, verts)
-    if len(cocomps) > 1:
-        return all(_is_cograph(g, c) for c in cocomps)
-    return False
+    Returns ``(False, components)`` if the induced subgraph is empty or
+    disconnected, else ``(True, co_components)``: the components of its
+    complement, every two of which are complete to one another (the
+    top-level join).  Parts are vertex masks ordered by least vertex.  A
+    single part of two or more vertices means the subgraph is connected
+    and co-connected, so it holds an induced P4.
+    """
+    parts = _parts(g.adj_bits, mask, 0)
+    if len(parts) != 1:
+        return False, parts
+    return True, _parts(g.adj_bits, mask, -1)
 
 
 def is_p4_free(g: Graph):
     """True if the graph is a cograph, else a witness induced path.
 
-    The check runs the cograph decomposition (every induced subgraph on two
-    or more vertices must be disconnected or co-disconnected); the witness
-    for the negative case is the lexicographically least induced P4, as a
-    4-tuple in path order.
+    A graph is P4-free iff every induced subgraph on two or more vertices
+    is disconnected or co-disconnected, so :func:`cograph_split` runs on a
+    worklist of vertex masks, without recursion.  Vertices isolated or
+    universal inside a mask lie on no induced P4 and are dropped in bulk
+    first, which keeps long cotree chains such as threshold graphs to a
+    few mask operations per level.  The witness for the negative case is
+    the lexicographically least induced P4, as a 4-tuple in path order.
     """
-    if _is_cograph(g, list(range(g.n))):
-        return True
-    occurrence = find_induced(g, path_pattern(4))
-    assert occurrence is not None
-    return tuple(occurrence[i] for i in range(4))
-
-
-def dominating_edge(g: Graph) -> tuple[int, int]:
-    """An edge (u, v) of a connected cograph such that every other vertex
-    is adjacent to u or to v.
-
-    Taken from the top-level join: u and v are the smallest vertices of the
-    first two co-components.
-    """
-    if g.n < 2 or not is_connected(g):
-        raise NotConnected("dominating_edge needs a connected graph on >= 2 vertices")
-    if is_p4_free(g) is not True:
-        raise NotACograph("dominating_edge needs a P4-free graph")
-    cocomps = _co_components(g, list(range(g.n)))
-    if len(cocomps) < 2:
-        raise NotACograph("connected cograph must be co-disconnected")
-    return (cocomps[0][0], cocomps[1][0])
-
-
-def join_split(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
-    """The top-level join of a connected cograph: two non-empty disjoint
-    vertex sets covering V that are complete to one another."""
-    if g.n < 2 or not is_connected(g):
-        raise NotConnected("join_split needs a connected graph on >= 2 vertices")
-    if is_p4_free(g) is not True:
-        raise NotACograph("join_split needs a P4-free graph")
-    cocomps = _co_components(g, list(range(g.n)))
-    if len(cocomps) < 2:
-        raise NotACograph("connected cograph must be co-disconnected")
-    s1 = frozenset(cocomps[0])
-    s2 = frozenset(v for c in cocomps[1:] for v in c)
-    return s1, s2
+    # In every part the worklist holds, a vertex's degree inside the part
+    # is its degree in g minus the part's offset: components keep their
+    # degrees, and a co-component loses the vertices it is joined to.
+    by_degree = [0] * g.n
+    for v, av in enumerate(g.adj_bits):
+        by_degree[av.bit_count()] |= 1 << v
+    work = [((1 << g.n) - 1, 0)]
+    while work:
+        mask, offset = work.pop()
+        size = mask.bit_count()
+        while size >= 4:
+            drop = mask & by_degree[offset]  # isolated inside the mask
+            if not drop:
+                drop = mask & by_degree[offset + size - 1]  # universal
+                offset += drop.bit_count()
+            if not drop:
+                break
+            mask ^= drop
+            size = mask.bit_count()
+        if size < 4:
+            continue
+        joined, parts = cograph_split(g, mask)
+        if len(parts) == 1:
+            occurrence = find_induced(g, path_pattern(4))
+            assert occurrence is not None
+            return tuple(occurrence[i] for i in range(4))
+        work += [
+            (p, offset + size - p.bit_count() if joined else offset)
+            for p in parts
+        ]
+    return True
 
 
 def random_probe_hfree(

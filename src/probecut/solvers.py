@@ -352,8 +352,6 @@ class _DcutSolver:
         if witness is not True:
             return self._p4_dominating([mapping[i] for i in witness])
         comps = connected_components(self.g, self.p_list)
-        if not comps:
-            return None  # no probes: connected implies n <= 1, handled above
         if len(comps) == 1:
             return self._one_component()
         if len(comps) == 2:

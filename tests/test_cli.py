@@ -1,11 +1,24 @@
 """Command-line front door: parsing, round-trips, exit codes, commands."""
 
+import contextlib
+import io
 import json
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from probecut import GenerationTimeout, InvalidInstance, ParseError
+from probecut import (
+    CutCertificate,
+    GenerationTimeout,
+    InvalidInstance,
+    ParseError,
+    build_graph,
+    validate_colouring,
+)
 from probecut import cli
 from probecut.cli import (
     InstanceDocument,
@@ -157,6 +170,31 @@ class TestSolveCommand:
         assert main(["verify", "--input", path, "--colouring", col_path,
                      "--d", "1"]) == 0
 
+    def test_dcut_poly_deep_cograph_probe_side(self, tmp_path, capsys):
+        # probe side: a threshold graph on 449 vertices (vertex i joined to
+        # every earlier vertex when i is odd), a cotree of depth 448; the
+        # one non-probe is complete to it, so the instance is P4-free
+        n = 450
+        edges = [(j, i) for i in range(1, n - 1, 2) for j in range(i)]
+        edges += [(v, n - 1) for v in range(n - 1)]
+        path = _write(tmp_path, "deep.json", json.dumps({
+            "n": n, "edges": edges, "probes": list(range(n - 1)),
+            "nonprobes": [n - 1],
+        }))
+        assert sys.getrecursionlimit() <= 1000  # the default limit
+        began = time.perf_counter()
+        code = main(["solve", "--problem", "dcut", "--d", "2",
+                     "--algo", "poly", "--input", path])
+        assert time.perf_counter() - began < 2.0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert code == 0
+        report = json.loads(captured.out)
+        again = validate_colouring(
+            build_graph(n, edges), report["certificate"]["colours"], 2
+        )
+        assert isinstance(again, CutCertificate)
+
 
 class TestVerifyCommand:
     def test_certificate_pattern(self, tmp_path, capsys):
@@ -258,6 +296,15 @@ class TestGenerateCommands:
         doc = parse_instance(capsys.readouterr().out)
         assert doc.certificate_f == [(0, 2)]
 
+    def test_generate_oversized_n_is_parse_error(self, capsys):
+        began = time.perf_counter()
+        code = main(["generate", "--family", "random-probe-hfree",
+                     "--n", "1000000000"])
+        assert time.perf_counter() - began < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "size limit" in err
+
     def test_reduce_requires_matching_source(self, tmp_path):
         path = _write(tmp_path, "k2.json", K2_JSON)
         assert main(["reduce", "--from", "sat", "--construction", "moshi",
@@ -316,7 +363,12 @@ class TestExitCodes:
          "bad instance document"),
         (K2_JSON, '{"colors": ["red", "blue"]}', "colouring must be"),
         (K2_JSON, '{"colours": 5}', "colouring must be"),
-    ], ids=["metadata-list", "colouring-without-colours", "colours-not-list"])
+        ('{"n": Infinity, "probes": [0]}', None, "bad instance document"),
+        ('{"n": 2, "edges": [[0, -Infinity]]}', None, "bad instance document"),
+        ('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}", None, "bad JSON"),
+        (K2_JSON, "[" * 100_000 + "]" * 100_000, "bad JSON"),
+    ], ids=["metadata-list", "colouring-without-colours", "colours-not-list",
+            "infinite-n", "infinite-vertex", "deep-instance", "deep-colouring"])
     def test_malformed_input_is_parse_error(
         self, tmp_path, capsys, instance, colouring, message
     ):
@@ -416,3 +468,94 @@ class TestParserReuse:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[0].startswith("usage: probecut solve")
+
+
+_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    # JSON numbers that json.loads accepts but int() rejects
+    | st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e300])
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=8), kids, max_size=4),
+    max_leaves=12,
+)
+_lines = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
+@st.composite
+def _instance_texts(draw):
+    """Instance files: arbitrary JSON or text, or a small valid instance in
+    either format, often with one part garbled."""
+    kind = draw(st.sampled_from(["json", "text", "document", "edge list"]))
+    if kind == "json":
+        return json.dumps(draw(_json_values))
+    if kind == "text":
+        return draw(_lines)
+    n = draw(st.integers(1, 8))
+    probes = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    pairs = [
+        [u, v] for u in range(n) for v in range(u + 1, n)
+        if u in probes or v in probes
+    ]
+    edges = draw(st.lists(st.sampled_from(pairs), unique_by=tuple)) if pairs else []
+    if draw(st.booleans()):  # a probe hub makes the graph connected
+        edges += [p for p in pairs if probes[0] in p and p not in edges]
+    garble = draw(st.sampled_from([None, None, "field", "item"]))
+    if kind == "edge list":
+        lines = [f"n {n}", *(f"e {u} {v}" for u, v in edges),
+                 *(f"probe {v}" for v in probes)]
+        if garble:
+            lines.insert(draw(st.integers(0, len(lines))), draw(_lines))
+        return "\n".join(lines)
+    doc = {"n": n, "edges": edges, "probes": probes,
+           "nonprobes": [v for v in range(n) if v not in probes]}
+    if garble == "field":
+        doc[draw(st.sampled_from([*doc, "certificate_f", "metadata"]))] = draw(
+            _json_values
+        )
+    elif garble == "item" and edges:
+        edges[draw(st.integers(0, len(edges) - 1))][draw(st.integers(0, 1))] = (
+            draw(_scalars)
+        )
+    return json.dumps(doc)
+
+
+class TestFuzzedInput:
+    """Arbitrary instance and colouring files end in an exit code of the
+    contract, never in an exception escaping ``main``."""
+
+    @staticmethod
+    def _run(argv, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                (Path(tmp) / name).write_text(text)
+            argv = [str(Path(tmp) / a) if a in files else a for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+        else:
+            json.loads(out.getvalue())
+
+    @given(_instance_texts(), st.sampled_from(["dcut", "mmc", "pmc"]))
+    @settings(max_examples=300)
+    def test_solve(self, instance, problem):
+        argv = ["solve", "--problem", problem, "--algo", "poly", "--d", "2",
+                "--s", "1", "--input", "inst"]
+        self._run(argv, {"inst": instance})
+
+    @given(_instance_texts(), st.none() | _json_values.map(json.dumps))
+    @settings(max_examples=300)
+    def test_verify(self, instance, colouring):
+        argv = ["verify", "--input", "inst"]
+        files = {"inst": instance}
+        if colouring is None:
+            argv += ["--pattern", "P1+P4"]
+        else:
+            argv += ["--colouring", "col", "--d", "2"]
+            files["col"] = colouring
+        self._run(argv, files)

@@ -2,6 +2,9 @@
 probe certificates and the random instance generator."""
 
 import itertools
+import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,21 +14,18 @@ from probecut import (
     InvalidCertificate,
     InvalidEdge,
     InvalidInstance,
-    NotACograph,
-    NotConnected,
     PartitionedProbeGraph,
     ProbeCertificate,
     UnsupportedPattern,
     build_graph,
+    cograph_split,
     connected_components,
     cycle_pattern,
     diamond_pattern,
-    dominating_edge,
     find_induced,
     independent_pattern,
     is_connected,
     is_p4_free,
-    join_split,
     moshi_double,
     parse_pattern,
     path_pattern,
@@ -266,15 +266,15 @@ class TestCographMachinery:
         )
 
     def test_dominating_edge_k2(self):
-        assert dominating_edge(build_graph(2, [(0, 1)])) == (0, 1)
+        assert _dominating_edge(build_graph(2, [(0, 1)])) == (0, 1)
 
     def test_dominating_edge_c4(self):
         g = cycle_graph(4)
-        u, v = dominating_edge(g)
+        u, v = _dominating_edge(g)
         assert g.has_edge(u, v)
 
     def test_dominating_edge_star_contains_centre(self):
-        edge = dominating_edge(star_graph(3))
+        edge = _dominating_edge(star_graph(3))
         assert 0 in edge
         # only centre-incident edges dominate, and those are all the edges
         assert set(star_graph(3).edges()) == {(0, 1), (0, 2), (0, 3)}
@@ -284,41 +284,150 @@ class TestCographMachinery:
             g = _random_connected_cograph(seed)
             if g.n < 2:
                 continue
-            u, v = dominating_edge(g)
+            u, v = _dominating_edge(g)
             assert g.has_edge(u, v)
             for w in range(g.n):
                 assert w in (u, v) or g.has_edge(w, u) or g.has_edge(w, v)
 
     def test_dominating_edge_rejects_p4(self):
-        with pytest.raises(NotACograph):
-            dominating_edge(path_graph(4))
+        g = path_graph(4)
+        assert is_p4_free(g) == (0, 1, 2, 3)
+        # connected and co-connected: the split has a single part
+        assert cograph_split(g, 0b1111) == (True, [0b1111])
 
     def test_dominating_edge_rejects_disconnected(self):
-        with pytest.raises(NotConnected):
-            dominating_edge(build_graph(2, []))
+        assert cograph_split(build_graph(2, []), 0b11) == (False, [0b01, 0b10])
+        g = build_graph(5, [(0, 3), (3, 4)])
+        assert cograph_split(g, 0b11111) == (False, [0b11001, 0b10, 0b100])
 
     def test_join_split_k2(self):
-        assert join_split(build_graph(2, [(0, 1)])) == (
+        assert _join_split(build_graph(2, [(0, 1)])) == (
             frozenset({0}), frozenset({1}),
         )
 
     def test_join_split_c4(self):
-        assert join_split(cycle_graph(4)) == (frozenset({0, 2}), frozenset({1, 3}))
+        assert _join_split(cycle_graph(4)) == (frozenset({0, 2}), frozenset({1, 3}))
 
     def test_join_split_star(self):
-        assert join_split(star_graph(3)) == (frozenset({0}), frozenset({1, 2, 3}))
+        assert _join_split(star_graph(3)) == (frozenset({0}), frozenset({1, 2, 3}))
 
     def test_join_split_postcondition(self):
         for seed in range(40):
             g = _random_connected_cograph(seed)
             if g.n < 2:
                 continue
-            s1, s2 = join_split(g)
+            s1, s2 = _join_split(g)
             assert s1 and s2 and not (s1 & s2)
             assert s1 | s2 == set(range(g.n))
             for a in s1:
                 for b in s2:
                     assert g.has_edge(a, b)
+
+    @given(st.integers(1, 40), st.integers(0, 2 ** 32), st.booleans())
+    @settings(max_examples=150)
+    def test_random_cotrees(self, n, seed, perturb):
+        rng = random.Random(seed)
+        g = _random_cotree(n, rng)
+        if perturb and n >= 2:
+            u, v = rng.sample(range(n), 2)
+            edges = set(g.edges()) ^ {(min(u, v), max(u, v))}
+            g = build_graph(n, edges)
+        assert (is_p4_free(g) is True) == (
+            find_induced(g, path_pattern(4)) is None
+        )
+        within = [v for v in range(n) if rng.random() < 0.7]
+        assert connected_components(g) == _bfs_components(g, range(n))
+        assert connected_components(g, within) == _bfs_components(g, within)
+        mask = sum(1 << v for v in within)
+        joined, parts = cograph_split(g, mask)
+        assert sorted(v for p in parts for v in _bits(p)) == within
+        assert [p & -p for p in parts] == sorted(p & -p for p in parts)
+        for i, a in enumerate(parts):
+            for b in parts[i + 1:]:
+                for u in _bits(a):
+                    # a join links every two parts, a union none
+                    assert g.adj_bits[u] & b == (b if joined else 0)
+
+    def test_deep_threshold_graph(self):
+        # vertex i is joined to every earlier vertex when i is odd and
+        # isolated from them when i is even: a cotree of depth 1,499.  The
+        # budget holds only if a level costs a few mask operations; a BFS
+        # on every level takes about three times as long
+        n = 1500
+        edges = [(j, i) for i in range(1, n, 2) for j in range(i)]
+        perm = list(range(n))
+        random.Random(7).shuffle(perm)
+        shuffled = [(perm[u], perm[v]) for u, v in edges]
+        assert sys.getrecursionlimit() < n
+        for g in (build_graph(n, edges), build_graph(n, shuffled)):
+            began = time.perf_counter()
+            assert is_p4_free(g) is True
+            assert time.perf_counter() - began < 0.25
+            assert connected_components(g) == [list(range(n))]
+        # without the edge 0-3 the bottom of the chain holds the P4 0-1-3-2
+        broken = build_graph(n, [e for e in edges if e != (0, 3)])
+        assert is_p4_free(broken) == (0, 1, 3, 2)
+
+
+def _bits(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _co_split(g):
+    """The co-component split of V; the top-level join of a connected
+    cograph."""
+    joined, parts = cograph_split(g, (1 << g.n) - 1)
+    assert joined and len(parts) >= 2
+    return parts
+
+
+def _dominating_edge(g):
+    """Least vertices of the first two co-components: every other vertex
+    lies in a co-component joined to one of them."""
+    parts = _co_split(g)
+    return (_bits(parts[0])[0], _bits(parts[1])[0])
+
+
+def _join_split(g):
+    """First co-component against the union of the rest."""
+    parts = _co_split(g)
+    return frozenset(_bits(parts[0])), frozenset(_bits(sum(parts[1:])))
+
+
+def _bfs_components(g, within):
+    """Reference: plain breadth-first search over ``Graph.adj``."""
+    allowed = set(within)
+    comps = []
+    for s in sorted(allowed):
+        if any(s in c for c in comps):
+            continue
+        comp, queue = {s}, [s]
+        for v in queue:
+            for u in g.adj[v]:
+                if u in allowed and u not in comp:
+                    comp.add(u)
+                    queue.append(u)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _random_cotree(n: int, rng: random.Random):
+    """Random cograph on n shuffled vertices: each cotree node splits its
+    vertices in two and joins the halves or leaves them apart."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges = []
+    stack = [labels]
+    while stack:
+        part = stack.pop()
+        if len(part) < 2:
+            continue
+        k = rng.randint(1, len(part) - 1)
+        left, right = part[:k], part[k:]
+        if rng.random() < 0.5:
+            edges += [(u, v) for u in left for v in right]
+        stack += [left, right]
+    return build_graph(n, edges)
 
 
 def _random_connected_cograph(seed: int):
