@@ -9,7 +9,6 @@ from .errors import (
     InvalidInstance,
     InvalidSatInstance,
     NoEdges,
-    NotACograph,
     NotBipartite,
     NotConnected,
     NotCubic,
@@ -35,7 +34,6 @@ from .graph import (
     diamond_pattern,
     find_induced,
     independent_pattern,
-    induced_subgraph,
     is_connected,
     is_p4_free,
     parse_pattern,
@@ -90,16 +88,16 @@ from .solvers import (
 __all__ = [
     # errors
     "GenerationTimeout", "InvalidCertificate", "InvalidEdge",
-    "InvalidInstance", "InvalidSatInstance", "NoEdges", "NotACograph",
-    "NotBipartite", "NotConnected", "NotCubic", "OracleScaleExceeded",
+    "InvalidInstance", "InvalidSatInstance", "NoEdges", "NotBipartite",
+    "NotConnected", "NotCubic", "OracleScaleExceeded",
     "ParseError", "PartialColouring", "PreconditionViolation", "ProbeCutError",
     "StructureViolation", "UnsupportedD", "UnsupportedPattern", "WrongCase",
     # graph
     "Graph", "Pattern", "PartitionedProbeGraph", "ProbeCertificate",
     "build_graph", "cograph_split", "connected_components", "cycle_pattern",
-    "diamond_pattern", "find_induced", "independent_pattern",
-    "induced_subgraph", "is_connected", "is_p4_free", "parse_pattern",
-    "path_pattern", "random_probe_hfree", "sp1_p4_pattern",
+    "diamond_pattern", "find_induced", "independent_pattern", "is_connected",
+    "is_p4_free", "parse_pattern", "path_pattern", "random_probe_hfree",
+    "sp1_p4_pattern",
     "split_forbidden_patterns", "star_pattern", "two_p2_pattern",
     "verify_probe_certificate",
     # colouring

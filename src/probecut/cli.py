@@ -30,6 +30,7 @@ from .graph import (
     PartitionedProbeGraph,
     ProbeCertificate,
     build_graph,
+    iter_bits,
     parse_pattern,
     random_probe_hfree,
     split_forbidden_patterns,
@@ -147,16 +148,23 @@ def _load_json(text: str):
         raise ParseError(f"bad JSON: {exc}") from exc
 
 
+def _int(value) -> int:
+    """A JSON integer; a float, bool or string is refused, not coerced."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _parse_json_instance(text: str) -> InstanceDocument:
     raw = _load_json(text)
     try:
-        n = _check_size(int(raw["n"]))
-        edges = _norm_edges((int(u), int(v)) for u, v in raw.get("edges", []))
-        probes = sorted(int(v) for v in raw.get("probes", []))
-        nonprobes = sorted(int(v) for v in raw.get("nonprobes", []))
+        n = _check_size(_int(raw["n"]))
+        edges = _norm_edges((_int(u), _int(v)) for u, v in raw.get("edges", []))
+        probes = sorted(_int(v) for v in raw.get("probes", []))
+        nonprobes = sorted(_int(v) for v in raw.get("nonprobes", []))
         cert = raw.get("certificate_f")
         cert_edges = (
-            _norm_edges((int(u), int(v)) for u, v in cert)
+            _norm_edges((_int(u), _int(v)) for u, v in cert)
             if cert is not None
             else None
         )
@@ -164,8 +172,7 @@ def _parse_json_instance(text: str) -> InstanceDocument:
         if not isinstance(metadata, dict):
             raise TypeError("metadata must be an object")
         metadata = {str(k): str(v) for k, v in metadata.items()}
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: int() of an infinite JSON number
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad instance document: {exc}") from exc
     return InstanceDocument(n, edges, probes, nonprobes, cert_edges, metadata)
 
@@ -238,11 +245,12 @@ def parse_sat(text: str) -> SatInstance:
     raw = _load_json(text)
     try:
         return SatInstance.of(
-            int(raw["n_vars"]),
-            [tuple(int(v) for v in c) for c in raw["positive"]],
-            [tuple(int(v) for v in c) for c in raw["negative"]],
+            # the shape check allocates per variable
+            _check_size(_int(raw["n_vars"])),
+            [tuple(_int(v) for v in c) for c in raw["positive"]],
+            [tuple(_int(v) for v in c) for c in raw["negative"]],
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad SAT document: {exc}") from exc
 
 
@@ -357,21 +365,28 @@ def cmd_verify(opts, argv) -> int:
 
 
 def _bipartition_side(g: Graph, anchor: int) -> frozenset[int]:
-    """The bipartition class containing ``anchor``, by breadth-first
-    2-colouring; raises NotBipartite on an odd cycle or disconnection."""
-    colour = {anchor: 0}
-    queue = [anchor]
-    while queue:
-        v = queue.pop(0)
-        for u in g.adj[v]:
-            if u not in colour:
-                colour[u] = 1 - colour[v]
-                queue.append(u)
-            elif colour[u] == colour[v]:
-                raise NotBipartite("graph has an odd cycle")
-    if len(colour) != g.n:
+    """The bipartition class containing ``anchor``, by a layered frontier
+    BFS; raises ParseError for an anchor that is not a vertex and
+    NotBipartite on an odd cycle or disconnection."""
+    if not 0 <= anchor < g.n:
+        raise ParseError(
+            f"--side-of {anchor} is not a vertex of the {g.n}-vertex graph"
+        )
+    frontier = seen = 1 << anchor
+    sides, layer = [frontier, 0], 0
+    while frontier:
+        reach = 0
+        for v in iter_bits(frontier):
+            reach |= g.adj_bits[v]
+        if reach & sides[layer]:  # a neighbour on the frontier's own side
+            raise NotBipartite("graph has an odd cycle")
+        frontier = reach & ~seen
+        seen |= frontier
+        layer ^= 1
+        sides[layer] |= frontier
+    if seen != (1 << g.n) - 1:
         raise NotBipartite("graph is disconnected")
-    return frozenset(v for v, c in colour.items() if c == 0)
+    return frozenset(iter_bits(sides[0]))
 
 
 def _run_construction(construction: str, opts) -> tuple:
@@ -493,33 +508,21 @@ def cmd_crosscheck(opts, argv) -> int:
 
 
 def _crosscheck_run(opts, ppg) -> tuple[str, str]:
-    if opts.problem == "dcut":
-        poly = solve_dcut(ppg, opts.d)
-        brute = brute_dcut(ppg.graph, opts.d)
-        return (
-            "yes" if poly.answer else "no",
-            "yes" if brute is not None else "no",
-        )
+    g = ppg.graph
     if opts.problem == "mmc":
         poly = solve_mmc(ppg, opts.s)
-        brute = brute_mmc(ppg.graph)
+        brute = brute_mmc(g)
         return (
             f"size={poly.certificate.size}" if poly.answer else "no",
             f"size={brute[0]}" if brute is not None else "no",
         )
-    if opts.problem == "mc":
-        poly = solve_mmc(ppg, opts.s)
-        brute = brute_dcut(ppg.graph, 1)
-        return (
-            "yes" if poly.answer else "no",
-            "yes" if brute is not None else "no",
-        )
-    poly = solve_pmc(ppg, opts.s)
-    brute = brute_pmc(ppg.graph)
-    return (
-        "yes" if poly.answer else "no",
-        "yes" if brute is not None else "no",
-    )
+    if opts.problem == "dcut":
+        poly, brute = solve_dcut(ppg, opts.d), brute_dcut(g, opts.d)
+    elif opts.problem == "mc":
+        poly, brute = solve_mmc(ppg, opts.s), brute_dcut(g, 1)
+    else:
+        poly, brute = solve_pmc(ppg, opts.s), brute_pmc(g)
+    return "yes" if poly.answer else "no", "yes" if brute is not None else "no"
 
 
 @functools.lru_cache(maxsize=None)

@@ -76,8 +76,11 @@ def colouring_of(n: int, x: int, y: int) -> tuple[Colour, ...]:
 def cut_edges(g: Graph, colouring: Colouring) -> frozenset[tuple[int, int]]:
     """The bichromatic edges of a total colouring."""
     _require_total(g, colouring)
+    x, y = masks_of(colouring)
     return frozenset(
-        (u, v) for (u, v) in g.edges() if colouring[u] != colouring[v]
+        (min(u, v), max(u, v))
+        for u in iter_bits(x)
+        for v in iter_bits(g.adj_bits[u] & y)
     )
 
 

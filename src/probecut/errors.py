@@ -25,10 +25,6 @@ class NotConnected(ProbeCutError):
     """Operation requires a connected graph."""
 
 
-class NotACograph(ProbeCutError):
-    """Operation requires a P4-free input."""
-
-
 class NotCubic(ProbeCutError):
     """Operation requires a 3-regular input."""
 

@@ -1,9 +1,11 @@
 """Graph representation, induced-pattern search, cograph decomposition,
 probe partitions and certified random instance generation.
 
-Vertices are dense integers ``0..n-1``.  Adjacency is exposed both as
-frozensets (``Graph.adj``) and as int bitmasks (``Graph.adj_bits``); the
-bitmasks are what every hot loop in the package runs on.
+Vertices are dense integers ``0..n-1``, and a vertex set is an int
+bitmask.  ``Graph`` holds only the vertex count and one neighbour mask per
+vertex (``Graph.adj_bits``); edge lists and frozensets appear only where
+the API takes or returns them.  Subgraphs are vertex masks of one graph,
+never relabelled copies.
 
 The cograph decomposition is one frontier BFS that splits a vertex mask
 into its components or those of its complement, ordered by least vertex;
@@ -28,45 +30,54 @@ from .errors import (
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices ``0..n-1``."""
+    """Immutable simple undirected graph on vertices ``0..n-1``; bit u of
+    ``adj_bits[v]`` is set iff uv is an edge."""
 
-    __slots__ = ("n", "adj", "adj_bits")
+    __slots__ = ("n", "adj_bits")
 
-    def __init__(self, n: int, adj: tuple[frozenset[int], ...]):
+    def __init__(self, n: int, adj_bits: tuple[int, ...]):
         self.n = n
-        self.adj = adj
-        self.adj_bits = tuple(
-            sum(1 << u for u in neighbours) for neighbours in adj
-        )
+        self.adj_bits = adj_bits
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
         return [
-            (u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v
+            (u, v)
+            for u, row in enumerate(self.adj_bits)
+            for v in iter_bits(row & (-2 << u))
         ]
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(row.bit_count() for row in self.adj_bits) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return (self.adj_bits[u] >> v) & 1 == 1
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_bits[v].bit_count()
 
     def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
-        """Copy of the graph with the given edges added."""
-        return build_graph(self.n, self.edges() + [tuple(e) for e in extra])
+        """Copy of the graph with the given edges added; raises
+        :class:`InvalidEdge` for out-of-range endpoints or self-loops."""
+        n, rows = self.n, list(self.adj_bits)
+        for u, v in extra:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidEdge(f"edge {(u, v)} out of range for n={n}")
+            if u == v:
+                raise InvalidEdge(f"self-loop at vertex {u}")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return Graph(n, tuple(rows))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.adj == other.adj
+            and self.adj_bits == other.adj_bits
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash((self.n, self.adj_bits))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -75,20 +86,12 @@ class Graph:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list, deduplicating as needed.
 
-    Raises :class:`InvalidEdge` for out-of-range endpoints or self-loops.
+    Raises :class:`InvalidEdge` for a negative vertex count, out-of-range
+    endpoints or self-loops.
     """
     if n < 0:
         raise InvalidEdge(f"vertex count must be non-negative, got {n}")
-    neighbours: list[set[int]] = [set() for _ in range(n)]
-    for e in edges:
-        u, v = e
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidEdge(f"edge {(u, v)} out of range for n={n}")
-        if u == v:
-            raise InvalidEdge(f"self-loop at vertex {u}")
-        neighbours[u].add(v)
-        neighbours[v].add(u)
-    return Graph(n, tuple(frozenset(s) for s in neighbours))
+    return Graph(n, (0,) * n).with_edges(edges)
 
 
 @dataclass(frozen=True)
@@ -110,8 +113,9 @@ class PartitionedProbeGraph:
             raise InvalidInstance("probes and nonprobes overlap")
         if self.probes | self.nonprobes != all_v:
             raise InvalidInstance("probes and nonprobes do not cover V")
+        non = sum(1 << v for v in self.nonprobes)
         for v in self.nonprobes:
-            if g.adj[v] & self.nonprobes:
+            if g.adj_bits[v] & non:
                 raise InvalidInstance(
                     f"nonprobe set is not independent (edge at vertex {v})"
                 )
@@ -252,22 +256,6 @@ def connected_components(
     return [list(iter_bits(p)) for p in _parts(g.adj_bits, mask, 0)]
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Induced subgraph on the given vertices, relabelled densely.
-
-    Returns the subgraph and a mapping list: new id -> original id.
-    """
-    verts = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (index[u], index[v])
-        for u in verts
-        for v in g.adj[u]
-        if v in index and u < v
-    ]
-    return build_graph(len(verts), edges), verts
-
-
 def find_induced(g: Graph, h: Pattern) -> Optional[dict[int, int]]:
     """Find an induced occurrence of the pattern in ``g``.
 
@@ -289,12 +277,18 @@ def find_induced(g: Graph, h: Pattern) -> Optional[dict[int, int]]:
     ``image[j] < image[i]``; so the least occurrence meets every such
     constraint, and the search only skips reordered copies of occurrences.
     """
+    return _find_within(g, h, (1 << g.n) - 1)
+
+
+def _find_within(g: Graph, h: Pattern, within: int) -> Optional[dict[int, int]]:
+    """:func:`find_induced` inside the vertex mask ``within``, in the ids
+    of ``g``: every candidate set is cut down to the mask."""
     k = h.graph.n
     if k > 8:
         raise UnsupportedPattern(
             f"pattern {h.name} has {k} > 8 vertices"
         )
-    if k > g.n:
+    if k > within.bit_count():
         return None
     if k == 0:
         return {}
@@ -312,7 +306,8 @@ def find_induced(g: Graph, h: Pattern) -> Optional[dict[int, int]]:
         for j in range(k)
     ]
     adj = g.adj_bits
-    # at_least[t]: vertices of degree >= t, for pattern degrees t < k
+    # at_least[t]: vertices of degree >= t, for pattern degrees t < k; a
+    # degree in g bounds the degree inside ``within``, so this stays sound
     at_least = [0] * (k + 1)
     for v, av in enumerate(adj):
         at_least[min(av.bit_count(), k)] |= 1 << v
@@ -321,7 +316,7 @@ def find_induced(g: Graph, h: Pattern) -> Optional[dict[int, int]]:
     image = [0] * k
     # cands[j][l]: candidates for pattern vertex l >= j given images[:j];
     # left[j]: candidates for j not tried yet
-    cands = [[at_least[a.bit_count()] for a in pat_adj]] + [[]] * k
+    cands = [[at_least[a.bit_count()] & within for a in pat_adj]] + [[]] * k
     left = [0] * k
     left[0] = cands[0][0]
     j = 0
@@ -392,8 +387,9 @@ def cograph_split(g: Graph, mask: int) -> tuple[bool, list[int]]:
     return True, _parts(g.adj_bits, mask, -1)
 
 
-def is_p4_free(g: Graph):
-    """True if the graph is a cograph, else a witness induced path.
+def is_p4_free(g: Graph, mask: Optional[int] = None):
+    """True if the subgraph induced by the vertex mask (default: all of
+    ``g``) is a cograph, else a witness induced path.
 
     A graph is P4-free iff every induced subgraph on two or more vertices
     is disconnected or co-disconnected, so :func:`cograph_split` runs on a
@@ -401,32 +397,34 @@ def is_p4_free(g: Graph):
     universal inside a mask lie on no induced P4 and are dropped in bulk
     first, which keeps long cotree chains such as threshold graphs to a
     few mask operations per level.  The witness for the negative case is
-    the lexicographically least induced P4, as a 4-tuple in path order.
+    the lexicographically least induced P4 inside the mask, as a 4-tuple
+    in path order.
     """
+    mask = (1 << g.n) - 1 if mask is None else mask
     # In every part the worklist holds, a vertex's degree inside the part
-    # is its degree in g minus the part's offset: components keep their
-    # degrees, and a co-component loses the vertices it is joined to.
+    # is its degree inside the start mask minus the part's offset: parts
+    # keep their degrees, and a co-component loses those joined to it.
     by_degree = [0] * g.n
-    for v, av in enumerate(g.adj_bits):
-        by_degree[av.bit_count()] |= 1 << v
-    work = [((1 << g.n) - 1, 0)]
+    for v in iter_bits(mask):
+        by_degree[(g.adj_bits[v] & mask).bit_count()] |= 1 << v
+    work = [(mask, 0)]
     while work:
-        mask, offset = work.pop()
-        size = mask.bit_count()
+        part, offset = work.pop()
+        size = part.bit_count()
         while size >= 4:
-            drop = mask & by_degree[offset]  # isolated inside the mask
+            drop = part & by_degree[offset]  # isolated inside the part
             if not drop:
-                drop = mask & by_degree[offset + size - 1]  # universal
+                drop = part & by_degree[offset + size - 1]  # universal
                 offset += drop.bit_count()
             if not drop:
                 break
-            mask ^= drop
-            size = mask.bit_count()
+            part ^= drop
+            size = part.bit_count()
         if size < 4:
             continue
-        joined, parts = cograph_split(g, mask)
+        joined, parts = cograph_split(g, part)
         if len(parts) == 1:
-            occurrence = find_induced(g, path_pattern(4))
+            occurrence = _find_within(g, path_pattern(4), mask)
             assert occurrence is not None
             return tuple(occurrence[i] for i in range(4))
         work += [

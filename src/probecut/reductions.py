@@ -26,6 +26,7 @@ from .graph import (
     ProbeCertificate,
     build_graph,
     is_connected,
+    iter_bits,
 )
 
 
@@ -209,7 +210,7 @@ def subdivide4(
     for u in range(n):
         if rotation is not None and u in rotation:
             order = rotation[u]
-            if sorted(order) != sorted(g.adj[u]):
+            if sorted(order) != list(iter_bits(g.adj_bits[u])):
                 raise NotCubic(
                     f"rotation at {u} does not list its neighbours"
                 )

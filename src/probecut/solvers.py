@@ -41,7 +41,6 @@ from .graph import (
     Graph,
     PartitionedProbeGraph,
     connected_components,
-    induced_subgraph,
     is_connected,
     is_p4_free,
     iter_bits,
@@ -205,7 +204,7 @@ class _DcutSolver:
         self.g = ppg.graph
         self.d = d
         self.n = self.g.n
-        self.adj = self.g.adj_bits
+        self.adj_bits = self.g.adj_bits
         self.full = (1 << self.n) - 1
         self.p_list = sorted(ppg.probes)
         self.n_list = sorted(ppg.nonprobes)
@@ -219,7 +218,7 @@ class _DcutSolver:
     def _nbhd(self, mask: int) -> int:
         out = 0
         for v in iter_bits(mask):
-            out |= self.adj[v]
+            out |= self.adj_bits[v]
         return out
 
     def _leaves(self, x: int, y: int, frontier: int):
@@ -237,7 +236,7 @@ class _DcutSolver:
         an uncoloured vertex whose neighbours are all coloured alike takes
         that shared colour (the lone-opposite alternative is covered by
         the single-non-probe pre-step)."""
-        adj = self.adj
+        adj = self.adj_bits
         while True:
             res = process_masks(adj, self.n, x, y, self.d)
             if res is None:
@@ -313,7 +312,7 @@ class _DcutSolver:
         """
         pm = sum(1 << v for v in part)
         cap = self.d + hi - 1
-        pool = [v for v in part if (self.adj[v] & pm).bit_count() <= cap]
+        pool = [v for v in part if (self.adj_bits[v] & pm).bit_count() <= cap]
         return self._subset_masks(pool, lo, hi)
 
     # -- main flow --------------------------------------------------------
@@ -347,10 +346,9 @@ class _DcutSolver:
         return None
 
     def _dispatch(self) -> Optional[CutCertificate]:
-        sub, mapping = induced_subgraph(self.g, self.p_list)
-        witness = is_p4_free(sub)
+        witness = is_p4_free(self.g, self.p_mask)
         if witness is not True:
-            return self._p4_dominating([mapping[i] for i in witness])
+            return self._p4_dominating(witness)
         comps = connected_components(self.g, self.p_list)
         if len(comps) == 1:
             return self._one_component()
@@ -358,7 +356,7 @@ class _DcutSolver:
             return self._two_components(comps)
         return self._many_components(comps)
 
-    def _p4_dominating(self, q: list[int]) -> Optional[CutCertificate]:
+    def _p4_dominating(self, q: tuple[int, ...]) -> Optional[CutCertificate]:
         """An induced P4 inside the probe side dominates the whole graph
         (class promise), so branching its closed neighbourhood decides."""
         self.trace.append("p4-dominating")
@@ -432,9 +430,9 @@ class _DcutSolver:
     def _mixed_edge(self, b: int, cm: int) -> int:
         """Mask of an edge of the component with exactly one end adjacent
         to b, or 0."""
-        nb = self.adj[b]
+        nb = self.adj_bits[b]
         for v in iter_bits(cm & nb):
-            rest = self.adj[v] & cm & ~nb
+            rest = self.adj_bits[v] & cm & ~nb
             if rest:
                 return (1 << v) | (rest & -rest)
         return 0
@@ -446,7 +444,7 @@ class _DcutSolver:
         # a vertex split over both components yields a five-vertex induced
         # path whose probe ends we can branch on
         for b in iter_bits(unc):
-            ab = self.adj[b]
+            ab = self.adj_bits[b]
             mixed1 = (ab & c1m) and (c1m & ~ab)
             mixed2 = (ab & c2m) and (c2m & ~ab)
             if mixed1 and mixed2:
@@ -458,7 +456,7 @@ class _DcutSolver:
         # to each component; completeness only needs the complete ones
         round_mask = 0
         for b in iter_bits(unc):
-            ab = self.adj[b]
+            ab = self.adj_bits[b]
             if ab & c1m == c1m:
                 round_mask = c1m
                 break
@@ -505,7 +503,7 @@ class _DcutSolver:
         exceptional = typemap[v].witness
         c1 = comps[exceptional]
         c1m = comp_masks[exceptional]
-        nv = self.adj[v]
+        nv = self.adj_bits[v]
         nv_list = sorted(iter_bits(nv))
         for xvm in self._subset_masks(nv_list, 0, self.d):
             x0 = xvm
@@ -543,7 +541,7 @@ class _DcutSolver:
                 b = uncoloured_b[0]
                 ym = 0
                 for cm in comp_masks:
-                    if self.adj[b] & cm == cm:
+                    if self.adj_bits[b] & cm == cm:
                         ym |= cm
                 round_frontier = self._nbhd(ym) & self.n_mask
             else:
@@ -578,7 +576,7 @@ class _DcutSolver:
                 return cert
         # opposite colours: u red, v blue (the swapped case is the mirror
         # image and yields the swapped certificates)
-        nu, nv = self.adj[u], self.adj[v]
+        nu, nv = self.adj_bits[u], self.adj_bits[v]
         nu_list = sorted(iter_bits(nu))
         nv_list = sorted(iter_bits(nv))
         for xum in self._subset_masks(nu_list, 0, self.d):
@@ -606,9 +604,9 @@ class _DcutSolver:
                 c_v.append(i)
         extra = 0
         if c_u:
-            extra |= self.adj[comps[c_u[0]][0]]
+            extra |= self.adj_bits[comps[c_u[0]][0]]
         if c_v:
-            extra |= self.adj[comps[c_v[0]][0]]
+            extra |= self.adj_bits[comps[c_v[0]][0]]
         frontier = self._nbhd(guess_mask) & self.n_mask
         for x, y in self._leaves(x0, y0, frontier):
             cert = self._first(x, y, extra & self.n_mask)

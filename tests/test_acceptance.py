@@ -319,8 +319,8 @@ def _reference_closure(g, xs, ys, d, rng):
         for v in range(g.n):
             if v in x or v in y:
                 continue
-            cx = sum(1 for u in g.adj[v] if u in x)
-            cy = sum(1 for u in g.adj[v] if u in y)
+            cx = sum(g.has_edge(v, u) for u in x)
+            cy = sum(g.has_edge(v, u) for u in y)
             if cx > d:
                 moves.append((v, "x"))
             if cy > d:
@@ -330,8 +330,8 @@ def _reference_closure(g, xs, ys, d, rng):
         v, side = rng.choice(moves)
         (x if side == "x" else y).add(v)
     for v in range(g.n):
-        cx = sum(1 for u in g.adj[v] if u in x)
-        cy = sum(1 for u in g.adj[v] if u in y)
+        cx = sum(g.has_edge(v, u) for u in x)
+        cy = sum(g.has_edge(v, u) for u in y)
         if cx > d and cy > d:
             return None
     return frozenset(x), frozenset(y)

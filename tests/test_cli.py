@@ -30,6 +30,12 @@ from probecut.cli import (
 
 K2_JSON = '{"n":2,"edges":[[0,1]],"probes":[0,1],"nonprobes":[]}'
 
+EXAMPLE_SAT = {
+    "n_vars": 6,
+    "positive": [[0, 1, 2], [0, 2, 3], [1, 4, 5], [3, 4, 5]],
+    "negative": [[0, 1, 3], [0, 2, 4], [1, 3, 5], [2, 4, 5]],
+}
+
 K2_TEXT = """\
 # a single edge, both ends probes
 e 0 1
@@ -248,14 +254,7 @@ class TestGenerateCommands:
         assert doc.n == 4 and len(doc.certificate_f) == 1
 
     def test_generate_sat4p1_example_size(self, tmp_path, capsys):
-        sat = _write(
-            tmp_path, "inst.json",
-            json.dumps({
-                "n_vars": 6,
-                "positive": [[0, 1, 2], [0, 2, 3], [1, 4, 5], [3, 4, 5]],
-                "negative": [[0, 1, 3], [0, 2, 4], [1, 3, 5], [2, 4, 5]],
-            }),
-        )
+        sat = _write(tmp_path, "inst.json", json.dumps(EXAMPLE_SAT))
         code = main(["generate", "--family", "sat4p1", "--input", sat,
                      "--d", "2"])
         assert code == 0
@@ -357,26 +356,56 @@ class TestCrosscheck:
         assert report["violation"] == "2 skipped"
 
 
+_VERIFY = ["verify", "--input", "inst", "--pattern", "P4"]
+_VERIFY_COLOURING = ["verify", "--input", "inst", "--colouring", "col"]
+_SPLIT = ["reduce", "--from", "graph", "--construction", "split",
+          "--input", "inst"]
+_SAT4P1 = ["reduce", "--from", "sat", "--construction", "sat4p1",
+           "--input", "inst"]
+P4_JSON = '{"n":4,"edges":[[0,1],[1,2],[2,3]],"probes":[0,1,2,3]}'
+
+
 class TestExitCodes:
-    @pytest.mark.parametrize("instance, colouring, message", [
-        ('{"n":2,"edges":[[0,1]],"probes":[0,1],"metadata":[1]}', None,
+    @pytest.mark.parametrize("argv, files, message", [
+        (_VERIFY,
+         {"inst": '{"n":2,"edges":[[0,1]],"probes":[0,1],"metadata":[1]}'},
          "bad instance document"),
-        (K2_JSON, '{"colors": ["red", "blue"]}', "colouring must be"),
-        (K2_JSON, '{"colours": 5}', "colouring must be"),
-        ('{"n": Infinity, "probes": [0]}', None, "bad instance document"),
-        ('{"n": 2, "edges": [[0, -Infinity]]}', None, "bad instance document"),
-        ('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}", None, "bad JSON"),
-        (K2_JSON, "[" * 100_000 + "]" * 100_000, "bad JSON"),
+        (_VERIFY_COLOURING,
+         {"inst": K2_JSON, "col": '{"colors": ["red", "blue"]}'},
+         "colouring must be"),
+        (_VERIFY_COLOURING, {"inst": K2_JSON, "col": '{"colours": 5}'},
+         "colouring must be"),
+        (_VERIFY, {"inst": '{"n": Infinity, "probes": [0]}'},
+         "bad instance document"),
+        (_VERIFY, {"inst": '{"n": 2, "edges": [[0, -Infinity]]}'},
+         "bad instance document"),
+        (_VERIFY, {"inst": '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"},
+         "bad JSON"),
+        (_VERIFY_COLOURING,
+         {"inst": K2_JSON, "col": "[" * 100_000 + "]" * 100_000}, "bad JSON"),
+        (_SPLIT + ["--side-of", "99"], {"inst": P4_JSON}, "not a vertex"),
+        (_SPLIT + ["--side-of", "-1"], {"inst": P4_JSON}, "not a vertex"),
+        # read with int() these name a different instance, and answer yes
+        (["solve", "--problem", "mc", "--algo", "brute", "--input", "inst"],
+         {"inst": '{"n": 2.9, "edges": [[0, 1.7]], "probes": [true],'
+                  ' "nonprobes": [false]}'},
+         "bad instance document"),
+        (_SAT4P1, {"inst": json.dumps({**EXAMPLE_SAT, "n_vars": 6.0})},
+         "bad SAT document"),
+        (_SAT4P1,
+         {"inst": json.dumps({**EXAMPLE_SAT, "positive": [
+             [0, True, 2], [0, 2, 3], [1, 4, 5], [3, 4, 5]
+         ]})},
+         "bad SAT document"),
     ], ids=["metadata-list", "colouring-without-colours", "colours-not-list",
-            "infinite-n", "infinite-vertex", "deep-instance", "deep-colouring"])
+            "infinite-n", "infinite-vertex", "deep-instance", "deep-colouring",
+            "side-of-above-n", "side-of-negative", "float-and-bool-instance",
+            "float-sat-n-vars", "bool-sat-variable"])
     def test_malformed_input_is_parse_error(
-        self, tmp_path, capsys, instance, colouring, message
+        self, tmp_path, capsys, argv, files, message
     ):
-        argv = ["verify", "--input", _write(tmp_path, "inst.json", instance)]
-        if colouring is None:
-            argv += ["--pattern", "P4"]
-        else:
-            argv += ["--colouring", _write(tmp_path, "col.json", colouring)]
+        argv = [_write(tmp_path, a, files[a]) if a in files else a
+                for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
@@ -522,9 +551,33 @@ def _instance_texts(draw):
     return json.dumps(doc)
 
 
+@st.composite
+def _sat_texts(draw):
+    """SAT files: arbitrary JSON or text, or the example instance with one
+    field or one clause entry garbled, or with any integer as n_vars."""
+    kind = draw(st.sampled_from(["json", "text", "document"]))
+    if kind == "json":
+        return json.dumps(draw(_json_values))
+    if kind == "text":
+        return draw(_lines)
+    doc = json.loads(json.dumps(EXAMPLE_SAT))
+    garble = draw(st.sampled_from([None, "field", "item", "n_vars"]))
+    if garble == "n_vars":
+        doc["n_vars"] = draw(st.integers())
+    elif garble == "field":
+        doc[draw(st.sampled_from(list(doc)))] = draw(_json_values)
+    elif garble == "item":
+        clause = doc[draw(st.sampled_from(["positive", "negative"]))][
+            draw(st.integers(0, 3))
+        ]
+        clause[draw(st.integers(0, 2))] = draw(_scalars)
+    return json.dumps(doc)
+
+
 class TestFuzzedInput:
-    """Arbitrary instance and colouring files end in an exit code of the
-    contract, never in an exception escaping ``main``."""
+    """Arbitrary instance, colouring and SAT files and option values end in
+    an exit code of the contract, never in an exception escaping
+    ``main``."""
 
     @staticmethod
     def _run(argv, files):
@@ -559,3 +612,13 @@ class TestFuzzedInput:
             argv += ["--colouring", "col", "--d", "2"]
             files["col"] = colouring
         self._run(argv, files)
+
+    @given(_sat_texts())
+    @settings(max_examples=300)
+    def test_reduce_sat(self, sat):
+        self._run(_SAT4P1, {"inst": sat})
+
+    @given(_instance_texts(), st.integers())
+    @settings(max_examples=300)
+    def test_reduce_split(self, graph, side_of):
+        self._run(_SPLIT + ["--side-of", str(side_of)], {"inst": graph})

@@ -69,7 +69,7 @@ class TestBuildGraph:
     def test_k2(self):
         g = build_graph(2, [(0, 1)])
         assert g.edges() == [(0, 1)]
-        assert g.adj[0] == frozenset({1})
+        assert g.adj_bits == (0b10, 0b01)
 
     def test_c3(self):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -90,9 +90,10 @@ class TestBuildGraph:
     @given(graphs_strategy)
     def test_adjacency_symmetric_no_loops(self, g):
         for v in range(g.n):
-            assert v not in g.adj[v]
-            for u in g.adj[v]:
-                assert v in g.adj[u]
+            assert not g.has_edge(v, v)
+            assert g.adj_bits[v] >> g.n == 0
+            for u in _bits(g.adj_bits[v]):
+                assert g.has_edge(u, v)
 
 
 class TestConnectivity:
@@ -265,6 +266,25 @@ class TestCographMachinery:
             find_induced(g, path_pattern(4)) is None
         )
 
+    @given(
+        st.integers(1, 14), st.floats(0, 1), st.integers(0, 2**32), st.data()
+    )
+    @settings(max_examples=300)
+    def test_masked_check_matches_relabelled_copy(self, n, p, seed, data):
+        g = random_graph(n, p, seed)
+        mask = data.draw(st.integers(0, (1 << n) - 1))
+        # reference: the subgraph on the mask, relabelled densely
+        verts = _bits(mask)
+        index = {v: i for i, v in enumerate(verts)}
+        sub = build_graph(len(verts), [
+            (index[u], index[v]) for u, v in g.edges()
+            if u in index and v in index
+        ])
+        expected = is_p4_free(sub)
+        if expected is not True:
+            expected = tuple(verts[i] for i in expected)
+        assert is_p4_free(g, mask) == expected
+
     def test_dominating_edge_k2(self):
         assert _dominating_edge(build_graph(2, [(0, 1)])) == (0, 1)
 
@@ -395,7 +415,7 @@ def _join_split(g):
 
 
 def _bfs_components(g, within):
-    """Reference: plain breadth-first search over ``Graph.adj``."""
+    """Reference: plain breadth-first search over ``Graph.has_edge``."""
     allowed = set(within)
     comps = []
     for s in sorted(allowed):
@@ -403,8 +423,8 @@ def _bfs_components(g, within):
             continue
         comp, queue = {s}, [s]
         for v in queue:
-            for u in g.adj[v]:
-                if u in allowed and u not in comp:
+            for u in sorted(allowed - comp):
+                if g.has_edge(v, u):
                     comp.add(u)
                     queue.append(u)
         comps.append(sorted(comp))

@@ -213,7 +213,7 @@ class TestSatTo4P1:
         assert len(ppg.nonprobes) == 6
         clause_vertices = list(range(8))
         for c in clause_vertices:
-            in_i = sum(1 for u in g.adj[c] if u in ppg.nonprobes)
+            in_i = sum(g.has_edge(c, u) for u in ppg.nonprobes)
             assert in_i == 3
         for x in sorted(ppg.nonprobes):
             assert g.degree(x) == 4  # two positive + two negative clauses
@@ -232,7 +232,7 @@ class TestSatTo4P1:
         g = ppg.graph
         assert g.n == 14  # no padding at d=3
         for i in range(4):  # positive-clause vertices
-            cross = sum(1 for u in g.adj[i] if 4 <= u < 8)
+            cross = sum(g.has_edge(i, u) for u in range(4, 8))
             assert cross == 1
         assert verify_probe_certificate(ppg, cert, independent_pattern(4))
 
@@ -242,9 +242,7 @@ class TestSatTo4P1:
         # each variable gains one padding vertex per side
         assert g.n == 14 + 2 * 6
         for i in range(4):
-            cross = sum(
-                1 for u in g.adj[i] if u in range(10, 14)
-            )
+            cross = sum(g.has_edge(i, u) for u in range(10, 14))
             assert cross == 2
         assert verify_probe_certificate(ppg, cert, independent_pattern(4))
 
