@@ -247,13 +247,11 @@ def is_connected(g: Graph) -> bool:
     return g.n > 0 and len(_parts(g.adj_bits, (1 << g.n) - 1, 0)) == 1
 
 
-def connected_components(
-    g: Graph, within: Optional[Iterable[int]] = None
-) -> list[list[int]]:
-    """Connected components (of the induced subgraph on ``within`` if given),
-    each sorted, ordered by smallest member."""
-    mask = (1 << g.n) - 1 if within is None else sum(1 << v for v in set(within))
-    return [list(iter_bits(p)) for p in _parts(g.adj_bits, mask, 0)]
+def connected_components(g: Graph, mask: Optional[int] = None) -> list[int]:
+    """Connected components of the subgraph induced by the vertex mask
+    (default: all of ``g``), as masks ordered by least vertex."""
+    mask = (1 << g.n) - 1 if mask is None else mask
+    return _parts(g.adj_bits, mask, 0)
 
 
 def find_induced(g: Graph, h: Pattern) -> Optional[dict[int, int]]:

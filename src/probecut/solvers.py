@@ -24,6 +24,7 @@ invalid certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
@@ -68,10 +69,10 @@ class SolveReport:
     certificate.
 
     ``branches_explored`` counts, for d-cut, every total colouring that was
-    validated (the lone-non-probe tests included) plus every branch leaf
-    the closure-and-fill step rejected; for maximum matching cut, every
-    branch leaf passed to the completion; for perfect matching cut, the
-    leaves passed to the completion up to and including the first success.
+    validated (the lone-non-probe tests included); for maximum matching
+    cut, every branch leaf passed to the completion; for perfect matching
+    cut, the leaves passed to the completion up to and including the first
+    success.
     """
 
     answer: bool
@@ -80,9 +81,18 @@ class SolveReport:
     case_trace: list[str] = field(default_factory=list)
 
 
-def seed_sets(ppg: PartitionedProbeGraph, k: int) -> Iterator[frozenset[int]]:
-    """All vertex sets of size at most k whose closed neighbourhood covers
-    everything except an independent set.
+def _subsets(mask: int, lo: int, hi: int) -> Iterator[int]:
+    """Sub-masks of ``mask`` with lo to hi vertices, by size and then in
+    lexicographic order of their ascending vertex lists."""
+    bits = [1 << v for v in iter_bits(mask)]
+    for size in range(lo, min(hi, len(bits)) + 1):
+        for sel in combinations(bits, size):
+            yield sum(sel)
+
+
+def seed_sets(ppg: PartitionedProbeGraph, k: int) -> Iterator[int]:
+    """All vertex masks of at most k vertices whose closed neighbourhood
+    covers everything except an independent set.
 
     Ordered by size then lexicographically, so consumers that stop at the
     first hit are deterministic.
@@ -90,14 +100,13 @@ def seed_sets(ppg: PartitionedProbeGraph, k: int) -> Iterator[frozenset[int]]:
     g = ppg.graph
     full = (1 << g.n) - 1
     adj = g.adj_bits
-    for size in range(k + 1):
-        for sel in combinations(range(g.n), size):
-            covered = 0
-            for v in sel:
-                covered |= adj[v] | (1 << v)
-            rest = full & ~covered
-            if all(not (adj[v] & rest) for v in iter_bits(rest)):
-                yield frozenset(sel)
+    for sel in _subsets(full, 0, k):
+        covered = sel
+        for v in iter_bits(sel):
+            covered |= adj[v]
+        rest = full & ~covered
+        if all(not (adj[v] & rest) for v in iter_bits(rest)):
+            yield sel
 
 
 def _branch_leaves(
@@ -134,23 +143,22 @@ def _branch_leaves(
 
 
 def classify_nonprobe(
-    ppg: PartitionedProbeGraph, components: list[list[int]]
+    ppg: PartitionedProbeGraph, components: list[int]
 ) -> dict[int, NonProbeType]:
     """Classify every non-probe by its profile against the probe
-    components; requires at least three components."""
+    component masks; requires at least three components."""
     if len(components) < 3:
         raise WrongCase("classification needs >= 3 probe components")
     adj = ppg.graph.adj_bits
-    comp_masks = [sum(1 << v for v in comp) for comp in components]
-    p_mask = sum(comp_masks)
+    p_mask = sum(components)  # the components are disjoint
     result: dict[int, NonProbeType] = {}
     for v in sorted(ppg.nonprobes):
         av = adj[v]
         if av & p_mask == p_mask:
             result[v] = NonProbeType("A")
             continue
-        touched = [i for i, cm in enumerate(comp_masks) if av & cm]
-        complete = [i for i, cm in enumerate(comp_masks) if av & cm == cm]
+        touched = [i for i, cm in enumerate(components) if av & cm]
+        complete = [i for i, cm in enumerate(components) if av & cm == cm]
         if len(touched) == len(components):
             missing = [i for i in touched if i not in complete]
             result[v] = NonProbeType("B", missing[0])
@@ -163,7 +171,7 @@ def classify_nonprobe(
 
 def find_p_dominating_pair(
     ppg: PartitionedProbeGraph,
-    components: list[list[int]],
+    components: list[int],
     typemap: dict[int, NonProbeType],
 ) -> Optional[tuple[int, int]]:
     """A pair of type-C non-probes with every probe component complete to
@@ -206,10 +214,8 @@ class _DcutSolver:
         self.n = self.g.n
         self.adj_bits = self.g.adj_bits
         self.full = (1 << self.n) - 1
-        self.p_list = sorted(ppg.probes)
-        self.n_list = sorted(ppg.nonprobes)
-        self.p_mask = sum(1 << v for v in self.p_list)
-        self.n_mask = sum(1 << v for v in self.n_list)
+        self.n_mask = sum(1 << v for v in ppg.nonprobes)
+        self.p_mask = self.full & ~self.n_mask
         self.trace: list[str] = []
         self.branches = 0
 
@@ -231,89 +237,64 @@ class _DcutSolver:
         )
         return result if isinstance(result, CutCertificate) else None
 
-    def _process_and_fill(self, x: int, y: int) -> Optional[tuple[int, int]]:
-        """Forcing closure interleaved with the safe monochromatic fill:
-        an uncoloured vertex whose neighbours are all coloured alike takes
-        that shared colour (the lone-opposite alternative is covered by
-        the single-non-probe pre-step)."""
+    def _search(
+        self, x: int, y: int, frontier: int,
+        second: Optional[Callable[[int], int]] = None,
+    ) -> Optional[CutCertificate]:
+        """Branch the frontier, fill every leaf and validate it; the first
+        certificate wins.
+
+        Fill: an uncoloured vertex whose neighbours are all coloured alike
+        takes that shared colour (the lone-opposite alternative is covered
+        by the single-non-probe pre-step).  One pass is the whole fixpoint
+        of closure and fill, and it never rejects: a leaf is closed and no
+        coloured vertex on it exceeds its budget, so the closure returns it
+        unchanged; a filled vertex has no uncoloured neighbour, so the fill
+        changes no uncoloured vertex's counts, and a coloured neighbour
+        only gains neighbours of its own colour.
+
+        Vertices left uncoloured on a filled leaf take the second round,
+        which branches the frontier ``second(uncoloured)``, when ``second``
+        is given, and are coloured blue otherwise (only reachable
+        off-promise).
+        """
         adj = self.adj_bits
-        while True:
-            res = process_masks(adj, self.n, x, y, self.d)
-            if res is None:
-                return None
-            x, y = res
-            coloured = x | y
-            add_x = add_y = 0
-            for v in iter_bits(self.full & ~coloured):
-                av = adj[v]
-                if av and not (av & ~coloured):
-                    if not (av & y):
-                        add_x |= 1 << v
-                    elif not (av & x):
-                        add_y |= 1 << v
-            if not add_x and not add_y:
-                return x, y
-            x |= add_x
-            y |= add_y
-
-    def _finish(self, x: int, y: int) -> Optional[CutCertificate]:
-        """Close, fill, push leftovers blue (only reachable off-promise)
-        and validate."""
-        res = self._process_and_fill(x, y)
-        if res is None:
-            self.branches += 1
-            return None
-        x, y = res
-        leftover = self.full & ~(x | y)
-        if leftover:
-            y |= leftover
-        return self._validate_total(x, y)
-
-    def _first(self, x: int, y: int, frontier: int) -> Optional[CutCertificate]:
-        """Finish every leaf of one branch; the first certificate wins."""
         for lx, ly in self._leaves(x, y, frontier):
-            cert = self._finish(lx, ly)
+            unc = self.full & ~(lx | ly)
+            for v in iter_bits(unc):
+                av = adj[v]
+                if av and not (av & unc):
+                    if not (av & ly):
+                        lx |= 1 << v
+                    elif not (av & lx):
+                        ly |= 1 << v
+            unc &= ~(lx | ly)
+            if unc and second:
+                cert = self._search(lx, ly, second(unc))
+            else:
+                cert = self._validate_total(lx, ly | unc)
             if cert:
                 return cert
         return None
 
-    def _filled_leaves(
-        self, x: int, y: int, frontier: int
-    ) -> Iterator[tuple[int, int, int]]:
-        """Leaves closed and filled, as (red, blue, uncoloured) masks; a
-        closure or fill rejection counts as one branch."""
-        for lx, ly in self._leaves(x, y, frontier):
-            res = self._process_and_fill(lx, ly)
-            if res is None:
-                self.branches += 1
-                continue
-            fx, fy = res
-            yield fx, fy, self.full & ~(fx | fy)
-
-    def _subset_masks(
-        self, pool: list[int], lo: int, hi: int
-    ) -> Iterator[int]:
-        hi = min(hi, len(pool))
-        for size in range(lo, hi + 1):
-            for sel in combinations(pool, size):
-                yield sum(1 << v for v in sel)
-
-    def _small_classes(self, part: list[int], lo: int, hi: int) -> Iterator[int]:
+    def _small_classes(self, part_mask: int, lo: int, hi: int) -> Iterator[int]:
         """Guesses for a colour class of at most ``hi`` vertices inside
-        ``part`` while the rest of ``part`` takes the other colour.
+        ``part_mask`` while the rest of the part takes the other colour.
 
         A class member has fewer than ``hi`` neighbours in its class and at
-        most d in the rest of ``part``, so its degree inside ``part`` is at
+        most d in the rest of the part, so its degree inside the part is at
         most d + hi - 1.  A subset holding a vertex above that bound gives
         it more than d opposite-coloured neighbours among the pre-coloured
         vertices, which the first closure rejects; dropping those vertices
         from the pool skips exactly those subsets and keeps the order of
         the rest.
         """
-        pm = sum(1 << v for v in part)
         cap = self.d + hi - 1
-        pool = [v for v in part if (self.adj_bits[v] & pm).bit_count() <= cap]
-        return self._subset_masks(pool, lo, hi)
+        pool = 0
+        for v in iter_bits(part_mask):
+            if (self.adj_bits[v] & part_mask).bit_count() <= cap:
+                pool |= 1 << v
+        return _subsets(pool, lo, hi)
 
     # -- main flow --------------------------------------------------------
 
@@ -335,11 +316,11 @@ class _DcutSolver:
         a single oddly-coloured non-probe does, so test each non-probe as
         the lone red and the lone blue vertex."""
         self.trace.append("mono-probe")
-        for v in self.n_list:
+        for v in iter_bits(self.n_mask):
             cert = self._validate_total(1 << v, self.full & ~(1 << v))
             if cert:
                 return cert
-        for v in self.n_list:
+        for v in iter_bits(self.n_mask):
             cert = self._validate_total(self.full & ~(1 << v), 1 << v)
             if cert:
                 return cert
@@ -349,19 +330,19 @@ class _DcutSolver:
         witness = is_p4_free(self.g, self.p_mask)
         if witness is not True:
             return self._p4_dominating(witness)
-        comps = connected_components(self.g, self.p_list)
+        comps = connected_components(self.g, self.p_mask)
         if len(comps) == 1:
             return self._one_component()
         if len(comps) == 2:
-            return self._two_components(comps)
+            return self._two_components(*comps)
         return self._many_components(comps)
 
     def _p4_dominating(self, q: tuple[int, ...]) -> Optional[CutCertificate]:
         """An induced P4 inside the probe side dominates the whole graph
         (class promise), so branching its closed neighbourhood decides."""
         self.trace.append("p4-dominating")
-        frontier = sum(1 << v for v in q) | self._nbhd(sum(1 << v for v in q))
-        return self._first(0, 0, frontier)
+        qm = sum(1 << v for v in q)
+        return self._search(0, 0, qm | self._nbhd(qm))
 
     def _one_component(self) -> Optional[CutCertificate]:
         """Connected cograph probe side: some colour class inside it has
@@ -370,115 +351,85 @@ class _DcutSolver:
         A member of that class has probe-degree at most d + hi - 1, so only
         such probes are guessed."""
         self.trace.append("cograph-1comp")
-        for pol_red in (True, False):
-            for xm in self._small_classes(
-                self.p_list, 1, min(2 * self.d, len(self.p_list) - 1)
-            ):
-                rest = self.p_mask & ~xm
-                x0, y0 = (xm, rest) if pol_red else (rest, xm)
-                cert = self._first(x0, y0, self._nbhd(xm) & self.n_mask)
-                if cert:
-                    return cert
+        return self._probe_class(True) or self._probe_class(False)
+
+    def _probe_class(self, red: bool, blue: int = 0) -> Optional[CutCertificate]:
+        """Guess a class of 1 to min(2d, |P| - 1) probes, red or blue as
+        ``red`` says, with the other probes and ``blue`` in the other
+        colour, and search the class's non-probe neighbourhood."""
+        hi = min(2 * self.d, self.p_mask.bit_count() - 1)
+        for xm in self._small_classes(self.p_mask, 1, hi):
+            rest = self.p_mask & ~xm
+            x0, y0 = (xm, rest | blue) if red else (rest, xm)
+            cert = self._search(x0, y0, self._nbhd(xm) & self.n_mask)
+            if cert:
+                return cert
         return None
 
-    def _two_components(
-        self, comps: list[list[int]]
-    ) -> Optional[CutCertificate]:
+    def _two_components(self, c1m: int, c2m: int) -> Optional[CutCertificate]:
+        """Guess a bounded class in each component.  With both guessed
+        sets red every remaining non-probe only has blue neighbours and
+        the fill closes the colouring; otherwise a second round covers the
+        non-probes left uncoloured."""
         self.trace.append("cograph-2comp")
-        c1, c2 = comps
-        c1m = sum(1 << v for v in c1)
-        c2m = sum(1 << v for v in c2)
         cap = 2 * self.d
-        for x1m in self._small_classes(c1, 0, cap):
-            base_x = x1m
-            base_y = c1m & ~x1m
+        second = partial(self._two_component_round, c1m, c2m)
+        for x1m in self._small_classes(c1m, 0, cap):
             for pol2_red in (True, False):
-                for x2m in self._small_classes(c2, 0, cap):
+                for x2m in self._small_classes(c2m, 0, cap):
                     rest2 = c2m & ~x2m
-                    if pol2_red:
-                        px, py = base_x | x2m, base_y | rest2
-                    else:
-                        px, py = base_x | rest2, base_y | x2m
+                    add_x, add_y = (x2m, rest2) if pol2_red else (rest2, x2m)
+                    px, py = x1m | add_x, (c1m & ~x1m) | add_y
                     if px == 0 or py == 0:
                         continue  # monochromatic probe side: pre-step covers it
-                    cert = self._two_component_branch(
-                        px, py, x1m | x2m, pol2_red, c1m, c2m
+                    cert = self._search(
+                        px, py, self._nbhd(x1m | x2m) & self.n_mask,
+                        None if pol2_red else second,
                     )
                     if cert:
                         return cert
         return None
 
-    def _two_component_branch(
-        self, px, py, guessed, pol2_red, c1m, c2m
-    ) -> Optional[CutCertificate]:
-        frontier = self._nbhd(guessed) & self.n_mask
-        if pol2_red:
-            # both guessed sets red: every remaining non-probe only has
-            # blue neighbours and the fill closes the colouring
-            return self._first(px, py, frontier)
-        for fx, fy, unc in self._filled_leaves(px, py, frontier):
-            if not unc:
-                cert = self._validate_total(fx, fy)
-                if cert:
-                    return cert
-                continue
-            cert = self._two_component_uncoloured(fx, fy, unc, c1m, c2m)
-            if cert:
-                return cert
-        return None
-
     def _mixed_edge(self, b: int, cm: int) -> int:
         """Mask of an edge of the component with exactly one end adjacent
-        to b, or 0."""
+        to b; one exists because b has neighbours and non-neighbours in
+        the connected component."""
         nb = self.adj_bits[b]
         for v in iter_bits(cm & nb):
             rest = self.adj_bits[v] & cm & ~nb
             if rest:
                 return (1 << v) | (rest & -rest)
-        return 0
 
-    def _two_component_uncoloured(
-        self, x, y, unc, c1m, c2m
-    ) -> Optional[CutCertificate]:
-        """Still-uncoloured non-probes after the first guessing round."""
-        # a vertex split over both components yields a five-vertex induced
-        # path whose probe ends we can branch on
-        for b in iter_bits(unc):
-            ab = self.adj_bits[b]
-            mixed1 = (ab & c1m) and (c1m & ~ab)
-            mixed2 = (ab & c2m) and (c2m & ~ab)
-            if mixed1 and mixed2:
-                e1 = self._mixed_edge(b, c1m)
-                e2 = self._mixed_edge(b, c2m)
-                assert e1 and e2
-                return self._first(x, y, self._nbhd(e1 | e2) & self.n_mask)
-        # otherwise every uncoloured vertex is complete or anti-complete
-        # to each component; completeness only needs the complete ones
-        round_mask = 0
-        for b in iter_bits(unc):
-            ab = self.adj_bits[b]
-            if ab & c1m == c1m:
-                round_mask = c1m
-                break
-            if ab & c2m == c2m:
-                round_mask = c2m
-                break
-        if not round_mask:
-            return self._finish(x, y)
-        return self._first(x, y, self._nbhd(round_mask) & self.n_mask)
+    def _two_component_round(self, c1m: int, c2m: int, unc: int) -> int:
+        """Frontier for the non-probes still uncoloured after the guesses
+        red x1 in c1 and blue x2 in c2.
 
-    def _many_components(
-        self, comps: list[list[int]]
-    ) -> Optional[CutCertificate]:
+        Such a vertex b has only probe neighbours, all coloured, of both
+        colours, and none in x1 or x2 (their neighbourhood was branched):
+        its red neighbours lie in c2 and its blue ones in c1.  So b is
+        mixed on both components, and then a five-vertex induced path
+        through b has probe ends to branch on, or b is complete to one
+        component, and then that component's neighbourhood is branched.
+        """
+        adj = self.adj_bits
+        for b in iter_bits(unc):
+            ab = adj[b]
+            if (ab & c1m) and (c1m & ~ab) and (ab & c2m) and (c2m & ~ab):
+                edges = self._mixed_edge(b, c1m) | self._mixed_edge(b, c2m)
+                return self._nbhd(edges) & self.n_mask
+        b = (unc & -unc).bit_length() - 1
+        cm = c1m if adj[b] & c1m == c1m else c2m
+        return self._nbhd(cm) & self.n_mask
+
+    def _many_components(self, comps: list[int]) -> Optional[CutCertificate]:
         typemap = classify_nonprobe(self.ppg, comps)
-        comp_masks = [sum(1 << v for v in c) for c in comps]
-        a_verts = [v for v in self.n_list if typemap[v].tag == "A"]
-        if a_verts:
-            return self._type_a_case(a_verts[0])
-        b_verts = [v for v in self.n_list if typemap[v].tag == "B"]
-        if b_verts:
-            return self._type_b_case(b_verts[0], typemap, comps, comp_masks)
-        return self._dominating_pair_case(typemap, comps, comp_masks)
+        for v, t in typemap.items():
+            if t.tag == "A":
+                return self._type_a_case(v)
+        for v, t in typemap.items():
+            if t.tag == "B":
+                return self._type_b_case(v, typemap, comps)
+        return self._dominating_pair_case(typemap, comps)
 
     def _type_a_case(self, v: int) -> Optional[CutCertificate]:
         """A non-probe complete to the probe side sees every probe, so its
@@ -488,72 +439,49 @@ class _DcutSolver:
             qm = x & self.p_mask
             if qm == 0 or qm == self.p_mask:
                 continue  # monochromatic probe side: pre-step covers it
-            cert = self._first(x, y, self._nbhd(qm) & self.n_mask)
+            cert = self._search(x, y, self._nbhd(qm) & self.n_mask)
             if cert:
                 return cert
         return None
 
-    def _type_b_case(
-        self, v, typemap, comps, comp_masks
-    ) -> Optional[CutCertificate]:
+    def _type_b_case(self, v, typemap, comps) -> Optional[CutCertificate]:
         """A type-B non-probe is complete to all components but one; its
         neighbourhood guess colours everything except part of that
         component, which the bounded-class guess covers."""
         self.trace.append("multi-comp/type-b")
-        exceptional = typemap[v].witness
-        c1 = comps[exceptional]
-        c1m = comp_masks[exceptional]
+        c1m = comps[typemap[v].witness]
         nv = self.adj_bits[v]
-        nv_list = sorted(iter_bits(nv))
-        for xvm in self._subset_masks(nv_list, 0, self.d):
-            x0 = xvm
+        second = partial(self._type_b_round, typemap, comps, c1m)
+        for xvm in _subsets(nv, 0, self.d):
             y0 = (1 << v) | (nv & ~xvm)
             for pol_red in (True, False):
-                for xm in self._small_classes(c1, 0, 2 * self.d):
+                for xm in self._small_classes(c1m, 0, 2 * self.d):
                     rest = c1m & ~xm
-                    addx, addy = (xm, rest) if pol_red else (rest, xm)
-                    x1, y1 = x0 | addx, y0 | addy
+                    add_x, add_y = (xm, rest) if pol_red else (rest, xm)
+                    x1, y1 = xvm | add_x, y0 | add_y
                     if x1 & y1:
                         continue  # conflicts with the neighbourhood guess
                     if (x1 & self.p_mask) == 0 or (y1 & self.p_mask) == 0:
                         continue
-                    cert = self._type_b_branch(
-                        x1, y1, xvm | xm, typemap, comp_masks, c1m
+                    cert = self._search(
+                        x1, y1, self._nbhd(xvm | xm) & self.n_mask, second
                     )
                     if cert:
                         return cert
         return None
 
-    def _type_b_branch(
-        self, x1, y1, guessed, typemap, comp_masks, c1m
-    ) -> Optional[CutCertificate]:
-        frontier = self._nbhd(guessed) & self.n_mask
-        for fx, fy, unc in self._filled_leaves(x1, y1, frontier):
-            if not unc:
-                cert = self._validate_total(fx, fy)
-                if cert:
-                    return cert
-                continue
-            uncoloured_b = [
-                b for b in iter_bits(unc) if typemap.get(b, NonProbeType("D")).tag == "B"
-            ]
-            if uncoloured_b:
-                b = uncoloured_b[0]
-                ym = 0
-                for cm in comp_masks:
-                    if self.adj_bits[b] & cm == cm:
-                        ym |= cm
-                round_frontier = self._nbhd(ym) & self.n_mask
-            else:
-                round_frontier = self._nbhd(c1m) & self.n_mask
-            cert = self._first(fx, fy, round_frontier)
-            if cert:
-                return cert
-        return None
+    def _type_b_round(self, typemap, comps, c1m, unc) -> int:
+        """Frontier for the vertices the type-B guesses left uncoloured:
+        the neighbourhood of the components complete to the first
+        uncoloured type-B non-probe, or of the exceptional component."""
+        for b in iter_bits(unc & self.n_mask):
+            if typemap[b].tag == "B":
+                ab = self.adj_bits[b]
+                ym = sum(cm for cm in comps if ab & cm == cm)
+                return self._nbhd(ym) & self.n_mask
+        return self._nbhd(c1m) & self.n_mask
 
-    def _dominating_pair_case(
-        self, typemap, comps, comp_masks
-    ) -> Optional[CutCertificate]:
+    def _dominating_pair_case(self, typemap, comps) -> Optional[CutCertificate]:
         """Only type-C and type-D non-probes remain; a pair of type-C
         vertices jointly complete to every component drives the guesses."""
         self.trace.append("multi-comp/dominating-pair")
@@ -566,50 +494,37 @@ class _DcutSolver:
         u, v = pair
         bu, bv = 1 << u, 1 << v
         # both endpoints alike (blue): the red probes number at most 2d
-        for xm in self._small_classes(
-            self.p_list, 1, min(2 * self.d, len(self.p_list) - 1)
-        ):
-            x0 = xm
-            y0 = (self.p_mask & ~xm) | bu | bv
-            cert = self._first(x0, y0, self._nbhd(xm) & self.n_mask)
-            if cert:
-                return cert
+        cert = self._probe_class(True, bu | bv)
+        if cert:
+            return cert
         # opposite colours: u red, v blue (the swapped case is the mirror
         # image and yields the swapped certificates)
         nu, nv = self.adj_bits[u], self.adj_bits[v]
-        nu_list = sorted(iter_bits(nu))
-        nv_list = sorted(iter_bits(nv))
-        for xum in self._subset_masks(nu_list, 0, self.d):
-            for xvm in self._subset_masks(nv_list, 0, self.d):
+        for xum in _subsets(nu, 0, self.d):
+            for xvm in _subsets(nv, 0, self.d):
                 x0 = bu | (nu & ~xum) | xvm
                 y0 = bv | (nv & ~xvm) | xum
                 if x0 & y0:
                     continue
-                cert = self._pair_branch(x0, y0, xum | xvm, comps, comp_masks)
+                cert = self._pair_branch(x0, y0, xum | xvm, comps)
                 if cert:
                     return cert
         return None
 
-    def _pair_branch(
-        self, x0, y0, guess_mask, comps, comp_masks
-    ) -> Optional[CutCertificate]:
-        c_u: list[int] = []  # untouched components coloured red
-        c_v: list[int] = []  # untouched components coloured blue
-        for i, cm in enumerate(comp_masks):
-            if cm & guess_mask:
-                continue
-            if cm & x0 == cm:
-                c_u.append(i)
-            elif cm & y0 == cm:
-                c_v.append(i)
+    def _pair_branch(self, x0, y0, guess_mask, comps) -> Optional[CutCertificate]:
+        """Branch the guessed vertices' neighbourhood, then the
+        neighbourhoods of the least vertex of the first untouched
+        component coloured red and of the first coloured blue."""
+        untouched = [cm for cm in comps if not cm & guess_mask]
         extra = 0
-        if c_u:
-            extra |= self.adj_bits[comps[c_u[0]][0]]
-        if c_v:
-            extra |= self.adj_bits[comps[c_v[0]][0]]
+        for colour in (x0, y0):
+            for cm in untouched:
+                if cm & colour == cm:
+                    extra |= self.adj_bits[(cm & -cm).bit_length() - 1]
+                    break
         frontier = self._nbhd(guess_mask) & self.n_mask
         for x, y in self._leaves(x0, y0, frontier):
-            cert = self._first(x, y, extra & self.n_mask)
+            cert = self._search(x, y, extra & self.n_mask)
             if cert:
                 return cert
         return None
@@ -642,9 +557,9 @@ def _matching_cut(
     seed = next(seed_sets(ppg, s + 4), None)
     if seed is None:
         return SolveReport(False, None, 0, ["no-seed"])
-    frontier = 0
-    for v in seed:
-        frontier |= g.adj_bits[v] | (1 << v)
+    frontier = seed
+    for v in iter_bits(seed):
+        frontier |= g.adj_bits[v]
     best: Optional[CutCertificate] = None
     branches = 0
     for x, y in _branch_leaves(g, 0, 0, frontier, 1):
@@ -654,7 +569,7 @@ def _matching_cut(
             best = cert
             if first:
                 break
-    return SolveReport(best is not None, best, branches, [f"seed {sorted(seed)}"])
+    return SolveReport(best is not None, best, branches, [f"seed {list(iter_bits(seed))}"])
 
 
 def solve_mmc(ppg: PartitionedProbeGraph, s: int) -> SolveReport:

@@ -44,24 +44,32 @@ class TestSeedSets:
     def test_k2(self):
         g = build_graph(2, [(0, 1)])
         out = list(seed_sets(all_probes(g), 1))
-        assert out == [frozenset({0}), frozenset({1})]
+        assert out == [0b01, 0b10]
 
     def test_p4_singletons(self):
         out = [
-            s for s in seed_sets(all_probes(path_graph(4)), 1) if len(s) == 1
+            s for s in seed_sets(all_probes(path_graph(4)), 1)
+            if s.bit_count() == 1
         ]
-        assert out == [frozenset({1}), frozenset({2})]
+        assert out == [0b0010, 0b0100]
 
     def test_full_set_always_included(self):
         g = cycle_graph(5)
         out = list(seed_sets(all_probes(g), 5))
-        assert frozenset(range(5)) in out
+        assert 0b11111 in out
 
     def test_order_by_size_then_lex(self):
         g = path_graph(4)
         out = list(seed_sets(all_probes(g), 2))
-        sizes = [len(s) for s in out]
+        sizes = [s.bit_count() for s in out]
         assert sizes == sorted(sizes)
+        for size in set(sizes):
+            # ascending vertex lists in lexicographic order
+            lists = [
+                [v for v in range(4) if s >> v & 1]
+                for s in out if s.bit_count() == size
+            ]
+            assert lists == sorted(lists)
 
 
 class TestClassify:
@@ -79,7 +87,7 @@ class TestClassify:
 
     def test_profiles(self):
         ppg = self._three_k2_instance()
-        comps = connected_components(ppg.graph, range(6))
+        comps = connected_components(ppg.graph, 0b111111)
         tm = classify_nonprobe(ppg, comps)
         assert tm[6].tag == "A"
         assert tm[7].tag == "B" and tm[7].witness == 0
@@ -88,7 +96,7 @@ class TestClassify:
 
     def test_partition_property(self):
         ppg = self._three_k2_instance()
-        comps = connected_components(ppg.graph, range(6))
+        comps = connected_components(ppg.graph, 0b111111)
         tm = classify_nonprobe(ppg, comps)
         assert set(tm) == set(ppg.nonprobes)
         assert all(t.tag in "ABCD" for t in tm.values())
@@ -97,7 +105,7 @@ class TestClassify:
         g = build_graph(3, [(0, 1), (2, 0)])
         ppg = all_probes(g)
         with pytest.raises(WrongCase):
-            classify_nonprobe(ppg, connected_components(g, range(3)))
+            classify_nonprobe(ppg, connected_components(g, 0b111))
 
 
 class TestDominatingPair:
@@ -113,7 +121,7 @@ class TestDominatingPair:
 
     def test_pair_found(self):
         ppg = self._pair_instance()
-        comps = connected_components(ppg.graph, range(6))
+        comps = connected_components(ppg.graph, 0b111111)
         tm = classify_nonprobe(ppg, comps)
         assert find_p_dominating_pair(ppg, comps, tm) == (7, 6)
 
@@ -124,7 +132,7 @@ class TestDominatingPair:
         ppg = PartitionedProbeGraph(
             g, frozenset(range(6)), frozenset({6, 7, 8})
         )
-        comps = connected_components(g, range(6))
+        comps = connected_components(g, 0b111111)
         tm = classify_nonprobe(ppg, comps)
         assert find_p_dominating_pair(ppg, comps, tm) is None
 
@@ -132,7 +140,7 @@ class TestDominatingPair:
         edges = [(0, 1), (2, 3), (4, 5)] + [(6, v) for v in range(6)]
         g = build_graph(7, edges)
         ppg = PartitionedProbeGraph(g, frozenset(range(6)), frozenset({6}))
-        comps = connected_components(g, range(6))
+        comps = connected_components(g, 0b111111)
         tm = classify_nonprobe(ppg, comps)
         with pytest.raises(WrongCase):
             find_p_dominating_pair(ppg, comps, tm)
@@ -147,7 +155,7 @@ class TestDominatingPair:
         ppg = PartitionedProbeGraph(
             g, frozenset(range(8)), frozenset({8, 9, 10})
         )
-        comps = connected_components(g, range(8))
+        comps = connected_components(g, 0xff)
         tm = classify_nonprobe(ppg, comps)
         with pytest.raises(StructureViolation):
             find_p_dominating_pair(ppg, comps, tm)
@@ -398,12 +406,13 @@ class TestCertifiedStructure:
             ppg = _structured_instance(seed)
             if ppg is None:
                 continue
-            comps = connected_components(ppg.graph, sorted(ppg.probes))
-            if len(comps) < 3:
+            comp_masks = connected_components(
+                ppg.graph, sum(1 << v for v in ppg.probes)
+            )
+            if len(comp_masks) < 3:
                 continue
             checked += 1
-            comp_masks = [sum(1 << v for v in c) for c in comps]
-            typemap = classify_nonprobe(ppg, comps)
+            typemap = classify_nonprobe(ppg, comp_masks)
             for v, profile in typemap.items():
                 av = ppg.graph.adj_bits[v]
                 if profile.tag == "B":
@@ -548,18 +557,21 @@ class TestSmallClassPruning:
     def test_dropped_guesses_yield_no_leaves(self, seed, d):
         """Every subset that the degree bound drops is rejected by the first
         closure in both polarities, and the kept subsets keep their order."""
-        from probecut.solvers import _branch_leaves, _DcutSolver
+        from probecut.solvers import _branch_leaves, _DcutSolver, _subsets
 
         ppg, comps = _cograph_probe_instance(seed)
         if ppg is None:
             return
         solver = _DcutSolver(ppg, d)
-        parts = [solver.p_list] if len(comps) == 1 else comps
-        for part in parts:
-            part_mask = sum(1 << v for v in part)
-            for lo, hi in ((1, min(2 * d, len(part) - 1)), (0, 2 * d)):
-                every = list(solver._subset_masks(part, lo, hi))
-                kept = list(solver._small_classes(part, lo, hi))
+        parts = (
+            [solver.p_mask] if len(comps) == 1
+            else [sum(1 << v for v in comp) for comp in comps]
+        )
+        for part_mask in parts:
+            size = part_mask.bit_count()
+            for lo, hi in ((1, min(2 * d, size - 1)), (0, 2 * d)):
+                every = list(_subsets(part_mask, lo, hi))
+                kept = list(solver._small_classes(part_mask, lo, hi))
                 remaining = iter(every)
                 assert all(m in remaining for m in kept)
                 for xm in set(every) - set(kept):
@@ -581,7 +593,7 @@ class TestSmallClassPruning:
                             (4, 5), (0, 4), (0, 5), (1, 6)])
         ppg = PartitionedProbeGraph(g, frozenset(range(6)), frozenset({6}))
         solver = _DcutSolver(ppg, 2)
-        assert 0b1111 in solver._small_classes(solver.p_list, 1, 4)
+        assert 0b1111 in solver._small_classes(solver.p_mask, 1, 4)
         assert list(_branch_leaves(g, 0b1111, 0b110000, 1 << 6, 2))
 
     def test_dense_cotree_needs_few_closures(self, monkeypatch):
@@ -601,14 +613,14 @@ class TestSmallClassPruning:
                 if u not in nonprobes or v not in nonprobes
             ]
             g = build_graph(n, edges)
-            probes = sorted(frozenset(range(n)) - nonprobes)
+            probes = frozenset(range(n)) - nonprobes
             if not (0.48 <= g.edge_count() / (n * (n - 1) / 2) <= 0.60):
                 continue
             if not is_connected(g) or min(g.degree(v) for v in nonprobes) < 4:
                 continue
-            if len(connected_components(g, probes)) == 1:
+            if len(connected_components(g, sum(1 << v for v in probes))) == 1:
                 break
-        ppg = PartitionedProbeGraph(g, frozenset(probes), nonprobes)
+        ppg = PartitionedProbeGraph(g, probes, nonprobes)
         calls = [0]
         closure = solvers_mod.process_masks
 
