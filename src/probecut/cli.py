@@ -16,6 +16,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from math import comb
 from pathlib import Path
 from typing import Optional
 
@@ -38,7 +39,7 @@ from .graph import (
     verify_probe_certificate,
 )
 from .colouring import BLUE, RED, CutCertificate, validate_colouring
-from .oracles import brute_dcut, brute_mmc, brute_pmc
+from .oracles import _check_scale, brute_dcut, brute_mmc, brute_pmc
 from .reductions import (
     SatInstance,
     bipartite_to_split,
@@ -52,6 +53,10 @@ from .solvers import solve_dcut, solve_mmc, solve_pmc
 MAX_VERTICES = 100_000
 """Largest vertex count an instance may declare (or imply by its largest
 vertex id).  The parsers reject more before any graph is allocated."""
+
+MAX_OUTPUT_ITEMS = 1_000_000
+"""Largest number of edges plus certificate pairs a construction may
+emit; worked out from its input before anything is built."""
 
 
 @dataclass
@@ -389,12 +394,36 @@ def _bipartition_side(g: Graph, anchor: int) -> frozenset[int]:
     return frozenset(iter_bits(sides[0]))
 
 
+def _check_output(construction: str, vertices: int, edges: int, pairs: int):
+    """Refuse a construction whose output would not parse back (more than
+    MAX_VERTICES vertices) or would hold more than MAX_OUTPUT_ITEMS edges
+    plus certificate pairs."""
+    if vertices > MAX_VERTICES or edges + pairs > MAX_OUTPUT_ITEMS:
+        raise ParseError(
+            f"{construction} output would have {vertices} vertices, {edges}"
+            f" edges and {pairs} certificate pairs, over the output limit"
+            f" of {MAX_VERTICES} vertices and {MAX_OUTPUT_ITEMS} edges"
+            " plus pairs"
+        )
+
+
 def _run_construction(construction: str, opts) -> tuple:
     if construction == "sat4p1":
         if opts.input:
             inst = parse_sat(_read(opts.input))
         else:
             inst = random_sat_instance(opts.n_vars, opts.seed)
+        p, q = len(inst.positive_clauses), len(inst.negative_clauses)
+        pad = inst.n_vars * max(opts.d - 3, 0)  # padding per clique
+        _check_output(
+            "sat4p1",
+            p + q + 2 * pad + inst.n_vars,
+            # two cliques, clause and padding edges of the variables, and
+            # the cross edges between the clique cores
+            comb(p + pad, 2) + comb(q + pad, 2) + 3 * (p + q) + 2 * pad
+            + p * min(max(opts.d - 2, 0), q),
+            comb(inst.n_vars, 2),
+        )
         ppg, cert = sat_to_4p1(inst, opts.d)
         meta = {
             "family": "sat4p1",
@@ -404,14 +433,20 @@ def _run_construction(construction: str, opts) -> tuple:
         }
         return ppg, cert, meta
     g = _read_graph(opts.input)
+    m = g.edge_count()
     if construction == "moshi":
+        # the two intermediates of an edge share both ends, others at most one
+        pairs = sum(comb(2 * g.degree(u), 2) for u in range(g.n)) - m
+        _check_output("moshi", g.n + 2 * m, 4 * m, pairs)
         ppg, cert = moshi_double(g)
         return ppg, cert, {"family": "moshi"}
     if construction == "subdivide4":
+        _check_output("subdivide4", g.n + 4 * m, 5 * m, g.n)
         ppg, cert = subdivide4(g)
         return ppg, cert, {"family": "subdivide4"}
     if construction == "split":
         side = _bipartition_side(g, opts.side_of)
+        _check_output("split", g.n, m, comb(len(side), 2))
         ppg, cert = bipartite_to_split(g, side)
         return ppg, cert, {"family": "split", "side_of": str(opts.side_of)}
     raise ParseError(f"unknown construction {construction!r}")
@@ -449,6 +484,8 @@ def cmd_reduce(opts, argv) -> int:
 
 def cmd_crosscheck(opts, argv) -> int:
     started = time.perf_counter()
+    if opts.count < 0:
+        raise ParseError(f"--count must be >= 0, got {opts.count}")
     if opts.count == 0:
         print("warning: count=0, trivial pass", file=sys.stderr)
         return _emit_report(argv, True, started=started)
@@ -458,6 +495,7 @@ def cmd_crosscheck(opts, argv) -> int:
     agreed = skipped = 0
     for index in range(opts.count):
         n = rng.randint(4, max(4, opts.max_n))
+        _check_scale(n)  # the oracle would refuse the instance
         density = rng.choice([0.6, 0.75, 0.9])
         ppg = None
         for _ in range(50):

@@ -45,6 +45,13 @@ def _limit(default: int, override: Optional[int]) -> int:
     return default
 
 
+def _check_scale(n: int, max_n: Optional[int] = None) -> None:
+    """Refuse a colouring scan over more vertices than the oracle limit."""
+    limit = _limit(DEFAULT_COLOURING_LIMIT, max_n)
+    if n > limit:
+        raise OracleScaleExceeded(f"n={n} exceeds oracle limit {limit}")
+
+
 def _colourings(
     g: Graph, d: int, lo: int, max_n: Optional[int]
 ) -> Iterator[int]:
@@ -56,9 +63,7 @@ def _colourings(
     low-id vertices red and the scan order is deterministic.  The scale
     guard runs on the first step.
     """
-    limit = _limit(DEFAULT_COLOURING_LIMIT, max_n)
-    if g.n > limit:
-        raise OracleScaleExceeded(f"n={g.n} exceeds oracle limit {limit}")
+    _check_scale(g.n, max_n)
     adj = g.adj_bits
     n = g.n
     full = (1 << n) - 1

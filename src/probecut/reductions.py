@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (
     GenerationTimeout,
@@ -156,23 +157,19 @@ def moshi_double(g: Graph) -> tuple[PartitionedProbeGraph, ProbeCertificate]:
         raise NoEdges("edge doubling needs at least one edge")
     n = g.n
     new_edges: list[tuple[int, int]] = []
-    mids: list[tuple[int, int, tuple[int, int]]] = []  # (x1, x2, (u, v))
     for k, (u, v) in enumerate(edges):
         x1, x2 = n + 2 * k, n + 2 * k + 1
         new_edges += [(u, x1), (u, x2), (v, x1), (v, x2)]
-        mids.append((x1, x2, (u, v)))
     total = n + 2 * len(edges)
     gprime = build_graph(total, new_edges)
-    ends = {x: set(e) for x1, x2, e in mids for x in (x1, x2)}
-    intermediates = sorted(ends)
+    # two intermediates share an end u exactly when both neighbour u
     f_pairs = [
-        (a, b)
-        for i, a in enumerate(intermediates)
-        for b in intermediates[i + 1 :]
-        if ends[a] & ends[b]
+        pair
+        for u in range(n)
+        for pair in combinations(iter_bits(gprime.adj_bits[u]), 2)
     ]
     ppg = PartitionedProbeGraph(
-        gprime, frozenset(range(n)), frozenset(intermediates)
+        gprime, frozenset(range(n)), frozenset(range(n, total))
     )
     return ppg, ProbeCertificate.of(f_pairs)
 

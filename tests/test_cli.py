@@ -339,6 +339,33 @@ class TestCrosscheck:
         assert code == 0
         assert "trivial pass" in capsys.readouterr().err
 
+    def test_negative_count_is_parse_error(self, capsys):
+        code = main(["crosscheck", "--problem", "dcut", "--count", "-3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--count" in err
+
+    @pytest.mark.parametrize("env, max_n, limit", [
+        (None, "2000", 24), ("5", "8", 5),
+    ], ids=["default-limit", "env-limit"])
+    def test_oversized_draw_is_refused_before_generation(
+        self, capsys, monkeypatch, env, max_n, limit
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("generated an instance the oracle refuses")
+
+        monkeypatch.setattr("probecut.cli.random_probe_hfree", never)
+        if env is None:
+            monkeypatch.delenv("PROBECUT_ORACLE_MAX_N", raising=False)
+        else:
+            monkeypatch.setenv("PROBECUT_ORACLE_MAX_N", env)
+        code = main(["crosscheck", "--problem", "dcut", "--count", "1",
+                     "--max-n", max_n, "--seed", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n=")
+        assert f"exceeds oracle limit {limit}" in err
+
     def test_generation_failure_is_reported(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise GenerationTimeout("no instance")
@@ -362,7 +389,14 @@ _SPLIT = ["reduce", "--from", "graph", "--construction", "split",
           "--input", "inst"]
 _SAT4P1 = ["reduce", "--from", "sat", "--construction", "sat4p1",
            "--input", "inst"]
+_MOSHI = ["reduce", "--from", "graph", "--construction", "moshi",
+          "--input", "inst"]
 P4_JSON = '{"n":4,"edges":[[0,1],[1,2],[2,3]],"probes":[0,1,2,3]}'
+
+
+def _star_json(leaves):
+    return json.dumps({"n": leaves + 1,
+                       "edges": [[0, v] for v in range(1, leaves + 1)]})
 
 
 class TestExitCodes:
@@ -397,16 +431,25 @@ class TestExitCodes:
              [0, True, 2], [0, 2, 3], [1, 4, 5], [3, 4, 5]
          ]})},
          "bad SAT document"),
+        # constructions whose output is quadratic in the input
+        (_SAT4P1 + ["--d", "200"], {"inst": json.dumps(EXAMPLE_SAT)},
+         "output limit"),
+        (_SPLIT + ["--side-of", "1"], {"inst": _star_json(2000)},
+         "output limit"),
+        (_MOSHI, {"inst": _star_json(1000)}, "output limit"),
     ], ids=["metadata-list", "colouring-without-colours", "colours-not-list",
             "infinite-n", "infinite-vertex", "deep-instance", "deep-colouring",
             "side-of-above-n", "side-of-negative", "float-and-bool-instance",
-            "float-sat-n-vars", "bool-sat-variable"])
+            "float-sat-n-vars", "bool-sat-variable", "sat4p1-d200",
+            "split-star-2001", "moshi-star-1001"])
     def test_malformed_input_is_parse_error(
         self, tmp_path, capsys, argv, files, message
     ):
         argv = [_write(tmp_path, a, files[a]) if a in files else a
                 for a in argv]
+        began = time.perf_counter()
         assert main(argv) == 2
+        assert time.perf_counter() - began < 1.0
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
@@ -427,6 +470,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "size limit" in err
         assert str(cli.MAX_VERTICES) in err
+
+    def test_construction_below_output_limit_builds(self, tmp_path, capsys):
+        sat = _write(tmp_path, "inst.json", json.dumps(EXAMPLE_SAT))
+        assert main(_SAT4P1[:-1] + [sat, "--d", "50"]) == 0
+        doc = parse_instance(capsys.readouterr().out)
+        assert doc.n == 2 * (4 + 6 * 47) + 6
 
     def test_instance_at_size_limit_parses(self):
         # unmarked vertices are non-probes, so this is a valid instance

@@ -1,6 +1,7 @@
 """Reduction generators: shapes, certificates and oracle equivalences."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +122,16 @@ class TestMoshiDouble:
         assert (brute_dcut(g, 1) is not None) == (
             backtrack_dcut(ppg.graph, 1) is not None
         )
+
+    def test_long_path_is_linear(self):
+        # the certificate has a linear number of pairs, 19,991 here; an
+        # all-pairs scan over the 7,998 intermediates takes seconds
+        g = path_graph(4000)
+        began = time.perf_counter()
+        ppg, cert = moshi_double(g)
+        assert time.perf_counter() - began < 1.0
+        assert len(cert.f_edges) == 5 * 3999 - 4
+        assert ppg.nonprobes == frozenset(range(4000, 4000 + 2 * 3999))
 
     def test_requires_connected_with_edges(self):
         with pytest.raises(NotConnected):
