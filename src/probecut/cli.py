@@ -61,34 +61,12 @@ emit; worked out from its input before anything is built."""
 
 @dataclass
 class InstanceDocument:
-    """On-disk form of a partitioned probe instance."""
+    """A checked partitioned probe instance with its certificate, if any,
+    and string metadata: what an instance file holds."""
 
-    n: int
-    edges: list[tuple[int, int]]
-    probes: list[int]
-    nonprobes: list[int]
-    certificate_f: Optional[list[tuple[int, int]]] = None
+    ppg: PartitionedProbeGraph
+    certificate: Optional[ProbeCertificate] = None
     metadata: dict[str, str] = field(default_factory=dict)
-
-    def to_instance(self) -> tuple[PartitionedProbeGraph, Optional[ProbeCertificate]]:
-        try:
-            g = build_graph(self.n, self.edges)
-        except ProbeCutError as exc:
-            raise InvalidInstance(str(exc)) from exc
-        ppg = PartitionedProbeGraph(
-            g, frozenset(self.probes), frozenset(self.nonprobes)
-        )
-        cert = (
-            ProbeCertificate.of(self.certificate_f)
-            if self.certificate_f is not None
-            else None
-        )
-        return ppg, cert
-
-
-def _norm_edges(pairs) -> list[tuple[int, int]]:
-    uniq = {(min(u, v), max(u, v)) for u, v in pairs}
-    return sorted(uniq)
 
 
 def document_from(
@@ -96,41 +74,40 @@ def document_from(
     cert: Optional[ProbeCertificate],
     metadata: Optional[dict[str, str]] = None,
 ) -> InstanceDocument:
-    return InstanceDocument(
-        n=ppg.graph.n,
-        edges=_norm_edges(ppg.graph.edges()),
-        probes=sorted(ppg.probes),
-        nonprobes=sorted(ppg.nonprobes),
-        certificate_f=(
-            _norm_edges(cert.f_edges) if cert is not None else None
-        ),
-        metadata=dict(metadata or {}),
-    )
+    return InstanceDocument(ppg, cert, dict(metadata or {}))
+
+
+def _build_graph(n: int, edges) -> Graph:
+    """``build_graph`` with a bad edge reported as an invalid instance."""
+    try:
+        return build_graph(n, edges)
+    except ProbeCutError as exc:
+        raise InvalidInstance(str(exc)) from exc
 
 
 def parse_instance(text: str) -> InstanceDocument:
-    """Parse the JSON instance format or the line-oriented edge list."""
-    return _load_instance(text)[0]
-
-
-def _load_instance(
-    text: str,
-) -> tuple[InstanceDocument, PartitionedProbeGraph, Optional[ProbeCertificate]]:
-    """Parse an instance and build it once; returns the document with the
-    checked instance and certificate."""
-    doc = _parse_document(text)
-    ppg, cert = doc.to_instance()  # runs all invariant checks
-    if cert is not None:
+    """Parse the JSON instance format or the line-oriented edge list into
+    a checked instance: the graph is built once, the probe partition is
+    checked and every certificate pair must lie inside the non-probe
+    side."""
+    n, edges, probes, nonprobes, cert_pairs, metadata = _parse_fields(text)
+    ppg = PartitionedProbeGraph(
+        _build_graph(n, edges), frozenset(probes), frozenset(nonprobes)
+    )
+    cert = None
+    if cert_pairs is not None:
+        cert = ProbeCertificate.of(cert_pairs)
         for u, v in cert.f_edges:
             if u not in ppg.nonprobes or v not in ppg.nonprobes:
                 raise InvalidInstance(
                     f"certificate pair {(u, v)} leaves the non-probe side"
                 )
-    return doc, ppg, cert
+    return InstanceDocument(ppg, cert, metadata)
 
 
-def _parse_document(text: str) -> InstanceDocument:
-    """The JSON format if the text starts with ``{``, else the edge list."""
+def _parse_fields(text: str) -> tuple:
+    """(n, edges, probes, nonprobes, certificate pairs or None, metadata):
+    the JSON format if the text starts with ``{``, else the edge list."""
     if text.lstrip().startswith("{"):
         return _parse_json_instance(text)
     return _parse_text_instance(text)
@@ -160,29 +137,26 @@ def _int(value) -> int:
     return value
 
 
-def _parse_json_instance(text: str) -> InstanceDocument:
+def _parse_json_instance(text: str) -> tuple:
     raw = _load_json(text)
     try:
         n = _check_size(_int(raw["n"]))
-        edges = _norm_edges((_int(u), _int(v)) for u, v in raw.get("edges", []))
-        probes = sorted(_int(v) for v in raw.get("probes", []))
-        nonprobes = sorted(_int(v) for v in raw.get("nonprobes", []))
+        edges = [(_int(u), _int(v)) for u, v in raw.get("edges", [])]
+        probes = [_int(v) for v in raw.get("probes", [])]
+        nonprobes = [_int(v) for v in raw.get("nonprobes", [])]
         cert = raw.get("certificate_f")
-        cert_edges = (
-            _norm_edges((_int(u), _int(v)) for u, v in cert)
-            if cert is not None
-            else None
-        )
+        if cert is not None:
+            cert = [(_int(u), _int(v)) for u, v in cert]
         metadata = raw.get("metadata", {})
         if not isinstance(metadata, dict):
             raise TypeError("metadata must be an object")
         metadata = {str(k): str(v) for k, v in metadata.items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad instance document: {exc}") from exc
-    return InstanceDocument(n, edges, probes, nonprobes, cert_edges, metadata)
+    return n, edges, probes, nonprobes, cert, metadata
 
 
-def _parse_text_instance(text: str) -> InstanceDocument:
+def _parse_text_instance(text: str) -> tuple:
     n: Optional[int] = None
     edges: list[tuple[int, int]] = []
     probes: set[int] = set()
@@ -197,22 +171,14 @@ def _parse_text_instance(text: str) -> InstanceDocument:
         try:
             if kind == "n" and len(args) == 1:
                 n = int(args[0])
-            elif kind == "e" and len(args) == 2:
+            elif kind in ("e", "f") and len(args) == 2:
                 u, v = int(args[0]), int(args[1])
-                edges.append((u, v))
+                (edges if kind == "e" else cert).append((u, v))
                 seen_vertex = max(seen_vertex, u, v)
-            elif kind == "probe" and len(args) == 1:
+            elif kind in ("probe", "nonprobe") and len(args) == 1:
                 u = int(args[0])
-                probes.add(u)
+                (probes if kind == "probe" else nonprobes).add(u)
                 seen_vertex = max(seen_vertex, u)
-            elif kind == "nonprobe" and len(args) == 1:
-                u = int(args[0])
-                nonprobes.add(u)
-                seen_vertex = max(seen_vertex, u)
-            elif kind == "f" and len(args) == 2:
-                u, v = int(args[0]), int(args[1])
-                cert.append((u, v))
-                seen_vertex = max(seen_vertex, u, v)
             else:
                 raise ParseError(f"line {lineno}: cannot parse {line!r}")
         except ValueError as exc:
@@ -223,24 +189,19 @@ def _parse_text_instance(text: str) -> InstanceDocument:
     declared_non = set(range(n)) - probes  # unmarked vertices are non-probes
     if not nonprobes <= declared_non:
         raise InvalidInstance("nonprobe marking contradicts probe marking")
-    return InstanceDocument(
-        n,
-        _norm_edges(edges),
-        sorted(probes),
-        sorted(declared_non),
-        _norm_edges(cert) if cert else None,
-    )
+    return n, edges, probes, declared_non, cert or None, {}
 
 
 def serialize_instance(doc: InstanceDocument) -> str:
+    g = doc.ppg.graph
     payload = {
-        "n": doc.n,
-        "edges": [list(e) for e in _norm_edges(doc.edges)],
-        "probes": sorted(doc.probes),
-        "nonprobes": sorted(doc.nonprobes),
+        "n": g.n,
+        "edges": [list(e) for e in g.edges()],
+        "probes": sorted(doc.ppg.probes),
+        "nonprobes": sorted(doc.ppg.nonprobes),
     }
-    if doc.certificate_f is not None:
-        payload["certificate_f"] = [list(e) for e in _norm_edges(doc.certificate_f)]
+    if doc.certificate is not None:
+        payload["certificate_f"] = [list(e) for e in sorted(doc.certificate.f_edges)]
     if doc.metadata:
         payload["metadata"] = {k: doc.metadata[k] for k in sorted(doc.metadata)}
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
@@ -297,16 +258,13 @@ def _read(path: str) -> str:
 def _read_graph(path: str) -> Graph:
     """Read only the graph part of an instance file; reduction inputs are
     plain graphs, so the probe partition is neither required nor checked."""
-    doc = _parse_document(_read(path))
-    try:
-        return build_graph(doc.n, doc.edges)
-    except ProbeCutError as exc:
-        raise InvalidInstance(str(exc)) from exc
+    n, edges, *_ = _parse_fields(_read(path))
+    return _build_graph(n, edges)
 
 
 def cmd_solve(opts, argv) -> int:
     started = time.perf_counter()
-    _, ppg, _ = _load_instance(_read(opts.input))
+    ppg = parse_instance(_read(opts.input)).ppg
     problem, algo = opts.problem, opts.algo
     if algo == "poly":
         if problem == "dcut":
@@ -338,7 +296,8 @@ def cmd_solve(opts, argv) -> int:
 
 def cmd_verify(opts, argv) -> int:
     started = time.perf_counter()
-    _, ppg, cert = _load_instance(_read(opts.input))
+    doc = parse_instance(_read(opts.input))
+    ppg, cert = doc.ppg, doc.certificate
     if opts.pattern is not None:
         if cert is None:
             raise InvalidInstance("instance carries no certificate_f to verify")
@@ -407,49 +366,50 @@ def _check_output(construction: str, vertices: int, edges: int, pairs: int):
         )
 
 
-def _run_construction(construction: str, opts) -> tuple:
-    if construction == "sat4p1":
-        if opts.input:
-            inst = parse_sat(_read(opts.input))
-        else:
-            inst = random_sat_instance(opts.n_vars, opts.seed)
-        p, q = len(inst.positive_clauses), len(inst.negative_clauses)
-        pad = inst.n_vars * max(opts.d - 3, 0)  # padding per clique
-        _check_output(
-            "sat4p1",
-            p + q + 2 * pad + inst.n_vars,
-            # two cliques, clause and padding edges of the variables, and
-            # the cross edges between the clique cores
-            comb(p + pad, 2) + comb(q + pad, 2) + 3 * (p + q) + 2 * pad
-            + p * min(max(opts.d - 2, 0), q),
-            comb(inst.n_vars, 2),
-        )
-        ppg, cert = sat_to_4p1(inst, opts.d)
-        meta = {
-            "family": "sat4p1",
-            "d": str(opts.d),
-            "n_vars": str(inst.n_vars),
-            "brute_force_regime": str(len(inst.positive_clauses) < 5).lower(),
-        }
-        return ppg, cert, meta
+def _check_sat4p1(n_vars: int, p: int, q: int, d: int) -> None:
+    """Refuse a sat4p1 output over the limit, from the instance's shape."""
+    pad = n_vars * max(d - 3, 0)  # padding per clique
+    _check_output(
+        "sat4p1",
+        p + q + 2 * pad + n_vars,
+        # two cliques, clause and padding edges of the variables, and the
+        # cross edges between the clique cores
+        comb(p + pad, 2) + comb(q + pad, 2) + 3 * (p + q) + 2 * pad
+        + p * min(max(d - 2, 0), q),
+        comb(n_vars, 2),
+    )
+
+
+def _sat4p1(inst: SatInstance, d: int) -> tuple:
+    p, q = len(inst.positive_clauses), len(inst.negative_clauses)
+    _check_sat4p1(inst.n_vars, p, q, d)
+    ppg, cert = sat_to_4p1(inst, d)
+    meta = {
+        "family": "sat4p1",
+        "d": str(d),
+        "n_vars": str(inst.n_vars),
+        "brute_force_regime": str(p < 5).lower(),
+    }
+    return ppg, cert, meta
+
+
+def _graph_construction(opts) -> tuple:
     g = _read_graph(opts.input)
     m = g.edge_count()
-    if construction == "moshi":
+    if opts.construction == "moshi":
         # the two intermediates of an edge share both ends, others at most one
         pairs = sum(comb(2 * g.degree(u), 2) for u in range(g.n)) - m
         _check_output("moshi", g.n + 2 * m, 4 * m, pairs)
         ppg, cert = moshi_double(g)
         return ppg, cert, {"family": "moshi"}
-    if construction == "subdivide4":
+    if opts.construction == "subdivide4":
         _check_output("subdivide4", g.n + 4 * m, 5 * m, g.n)
         ppg, cert = subdivide4(g)
         return ppg, cert, {"family": "subdivide4"}
-    if construction == "split":
-        side = _bipartition_side(g, opts.side_of)
-        _check_output("split", g.n, m, comb(len(side), 2))
-        ppg, cert = bipartite_to_split(g, side)
-        return ppg, cert, {"family": "split", "side_of": str(opts.side_of)}
-    raise ParseError(f"unknown construction {construction!r}")
+    side = _bipartition_side(g, opts.side_of)
+    _check_output("split", g.n, m, comb(len(side), 2))
+    ppg, cert = bipartite_to_split(g, side)
+    return ppg, cert, {"family": "split", "side_of": str(opts.side_of)}
 
 
 def cmd_generate(opts, argv) -> int:
@@ -465,19 +425,25 @@ def cmd_generate(opts, argv) -> int:
             "seed": str(opts.seed),
         }
     else:
-        ppg, cert, meta = _run_construction(opts.family, opts)
-        if opts.seed is not None:
-            meta["seed"] = str(opts.seed)
+        # a sample has 2 n_vars / 3 clauses per sign: bound it before sampling
+        n_vars = max(opts.n_vars, 0)
+        _check_sat4p1(n_vars, 2 * n_vars // 3, 2 * n_vars // 3, opts.d)
+        inst = random_sat_instance(opts.n_vars, opts.seed)
+        ppg, cert, meta = _sat4p1(inst, opts.d)
+        meta["seed"] = str(opts.seed)
     sys.stdout.write(serialize_instance(document_from(ppg, cert, meta)))
     return 0
 
 
 def cmd_reduce(opts, argv) -> int:
-    if opts.source == "sat" and opts.construction != "sat4p1":
-        raise ParseError("--from sat only supports --construction sat4p1")
-    if opts.source == "graph" and opts.construction == "sat4p1":
+    if opts.source == "sat":
+        if opts.construction != "sat4p1":
+            raise ParseError("--from sat only supports --construction sat4p1")
+        ppg, cert, meta = _sat4p1(parse_sat(_read(opts.input)), opts.d)
+    elif opts.construction == "sat4p1":
         raise ParseError("--construction sat4p1 needs --from sat")
-    ppg, cert, meta = _run_construction(opts.construction, opts)
+    else:
+        ppg, cert, meta = _graph_construction(opts)
     sys.stdout.write(serialize_instance(document_from(ppg, cert, meta)))
     return 0
 
@@ -603,17 +569,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="emit a certified instance document")
     gen.add_argument("--family", required=True,
-                     choices=["random-probe-hfree", "moshi", "subdivide4",
-                              "split", "sat4p1"])
+                     choices=["random-probe-hfree", "sat4p1"])
     gen.add_argument("--n", type=int, default=8)
     gen.add_argument("--pattern", default="P1+P4")
     gen.add_argument("--density", type=float, default=0.5)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--input", default=None,
-                     help="source graph / SAT file for the reduction families")
     gen.add_argument("--d", type=int, default=2)
     gen.add_argument("--n-vars", dest="n_vars", type=int, default=6)
-    gen.add_argument("--side-of", dest="side_of", type=int, default=0)
 
     red = sub.add_parser("reduce", help="apply a hardness construction to an input")
     red.add_argument("--from", dest="source", required=True,
@@ -623,8 +585,6 @@ def _build_parser() -> argparse.ArgumentParser:
     red.add_argument("--input", required=True)
     red.add_argument("--d", type=int, default=2)
     red.add_argument("--side-of", dest="side_of", type=int, default=0)
-    red.add_argument("--n-vars", dest="n_vars", type=int, default=6)
-    red.add_argument("--seed", type=int, default=0)
 
     cross = sub.add_parser("crosscheck",
                            help="poly vs oracle agreement over random corpora")

@@ -73,15 +73,18 @@ def colouring_of(n: int, x: int, y: int) -> tuple[Colour, ...]:
     )
 
 
-def cut_edges(g: Graph, colouring: Colouring) -> frozenset[tuple[int, int]]:
-    """The bichromatic edges of a total colouring."""
-    _require_total(g, colouring)
-    x, y = masks_of(colouring)
+def _cut(g: Graph, x: int, y: int) -> frozenset[tuple[int, int]]:
     return frozenset(
         (min(u, v), max(u, v))
         for u in iter_bits(x)
         for v in iter_bits(g.adj_bits[u] & y)
     )
+
+
+def cut_edges(g: Graph, colouring: Colouring) -> frozenset[tuple[int, int]]:
+    """The bichromatic edges of a total colouring."""
+    _require_total(g, colouring)
+    return _cut(g, *masks_of(colouring))
 
 
 def validate_colouring(
@@ -111,7 +114,7 @@ def validate_colouring(
             )
     if x == 0 or y == 0:
         return Violation(None, "colouring is monochromatic")
-    cut = cut_edges(g, colouring)
+    cut = _cut(g, x, y)
     return CutCertificate(
         colouring=tuple(colouring),
         cut=cut,
@@ -119,6 +122,15 @@ def validate_colouring(
         perfect=require_perfect,
         size=len(cut),
     )
+
+
+def _certify(
+    g: Graph, x: int, y: int, d: int, perfect: bool = False
+) -> Optional[CutCertificate]:
+    """The certificate of the total colouring with red mask x and blue mask
+    y, or None when it is not a valid d-cut."""
+    result = validate_colouring(g, colouring_of(g.n, x, y), d, perfect)
+    return result if isinstance(result, CutCertificate) else None
 
 
 def process_masks(
@@ -284,8 +296,7 @@ def complete_independent_max_cut(
                 y |= 1 << u
             else:
                 x |= 1 << u
-    result = validate_colouring(g, colouring_of(g.n, x, y), 1, False)
-    return result if isinstance(result, CutCertificate) else None
+    return _certify(g, x, y, 1)
 
 
 def complete_independent_perfect(
@@ -323,5 +334,4 @@ def complete_independent_perfect(
             y |= 1 << u
         else:
             x |= 1 << u
-    result = validate_colouring(g, colouring_of(g.n, x, y), 1, True)
-    return result if isinstance(result, CutCertificate) else None
+    return _certify(g, x, y, 1, True)

@@ -23,11 +23,7 @@ from .graph import (
     find_induced,
     iter_bits,
 )
-from .colouring import (
-    CutCertificate,
-    colouring_of,
-    validate_colouring,
-)
+from .colouring import CutCertificate, _certify
 from .reductions import SatInstance
 
 DEFAULT_COLOURING_LIMIT = 24
@@ -80,11 +76,9 @@ def _colourings(
 
 
 def _certificate(g: Graph, blue: int, d: int, perfect: bool) -> CutCertificate:
-    result = validate_colouring(
-        g, colouring_of(g.n, ((1 << g.n) - 1) & ~blue, blue), d, perfect
-    )
-    assert isinstance(result, CutCertificate)
-    return result
+    cert = _certify(g, ((1 << g.n) - 1) & ~blue, blue, d, perfect)
+    assert cert is not None  # the scan yields only valid colourings
+    return cert
 
 
 def brute_dcut(
@@ -252,11 +246,9 @@ def backtrack_dcut(
         coloured = x | y
         uncoloured = full & ~coloured
         if not uncoloured:
-            result = validate_colouring(
-                g, colouring_of(n, x, y), d, require_perfect
-            )
-            if isinstance(result, CutCertificate):
-                return result
+            cert = _certify(g, x, y, d, require_perfect)
+            if cert:
+                return cert
             continue
         # branch on the uncoloured vertex with most coloured neighbours
         cand = reach & uncoloured or uncoloured & -uncoloured

@@ -31,12 +31,11 @@ from typing import Callable, Iterator, Optional
 from .errors import NotConnected, StructureViolation, UnsupportedD, WrongCase
 from .colouring import (
     CutCertificate,
-    colouring_of,
+    _certify,
     complete_independent_max_cut,
     complete_independent_perfect,
     local_masks_valid,
     process_masks,
-    validate_colouring,
 )
 from .graph import (
     Graph,
@@ -232,10 +231,7 @@ class _DcutSolver:
 
     def _validate_total(self, x: int, y: int) -> Optional[CutCertificate]:
         self.branches += 1
-        result = validate_colouring(
-            self.g, colouring_of(self.n, x, y), self.d
-        )
-        return result if isinstance(result, CutCertificate) else None
+        return _certify(self.g, x, y, self.d)
 
     def _search(
         self, x: int, y: int, frontier: int,

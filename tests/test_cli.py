@@ -16,7 +16,11 @@ from probecut import (
     GenerationTimeout,
     InvalidInstance,
     ParseError,
+    PartitionedProbeGraph,
+    ProbeCertificate,
     build_graph,
+    parse_pattern,
+    random_probe_hfree,
     validate_colouring,
 )
 from probecut import cli
@@ -44,16 +48,27 @@ probe 1
 """
 
 
+def _ppg(n, edges, probes):
+    """The instance on ``edges`` whose vertices outside ``probes`` are the
+    non-probes."""
+    return PartitionedProbeGraph(
+        build_graph(n, edges), frozenset(probes),
+        frozenset(range(n)) - frozenset(probes),
+    )
+
+
 class TestParseInstance:
     def test_json_k2(self):
         doc = parse_instance(K2_JSON)
-        assert doc.n == 2 and doc.edges == [(0, 1)]
-        assert doc.probes == [0, 1] and doc.nonprobes == []
+        assert doc.ppg.graph.n == 2 and doc.ppg.graph.edges() == [(0, 1)]
+        assert doc.ppg.probes == {0, 1} and doc.ppg.nonprobes == set()
+        assert doc.certificate is None and doc.metadata == {}
 
     def test_text_k2(self):
         doc = parse_instance(K2_TEXT)
-        assert doc.n == 2 and doc.edges == [(0, 1)]
-        assert doc.probes == [0, 1] and doc.nonprobes == []
+        assert doc.ppg.graph.n == 2 and doc.ppg.graph.edges() == [(0, 1)]
+        assert doc.ppg.probes == {0, 1} and doc.ppg.nonprobes == set()
+        assert doc.certificate is None and doc.metadata == {}
 
     def test_nonprobe_edge_rejected(self):
         bad = '{"n":2,"edges":[[0,1]],"probes":[],"nonprobes":[0,1]}'
@@ -70,11 +85,11 @@ class TestParseInstance:
 
     def test_duplicate_edges_collapse(self):
         doc = parse_instance('{"n":2,"edges":[[0,1],[1,0]],"probes":[0,1]}')
-        assert doc.edges == [(0, 1)]
+        assert doc.ppg.graph.edges() == [(0, 1)]
 
     def test_text_unmarked_vertices_are_nonprobes(self):
         doc = parse_instance("e 0 1\ne 1 2\nprobe 1\n")
-        assert doc.probes == [1] and doc.nonprobes == [0, 2]
+        assert doc.ppg.probes == {1} and doc.ppg.nonprobes == {0, 2}
 
     def test_round_trip(self):
         doc = parse_instance(K2_JSON)
@@ -82,30 +97,35 @@ class TestParseInstance:
         assert again == doc
 
     def test_round_trip_with_certificate(self):
-        doc = InstanceDocument(
-            n=3,
-            edges=[(0, 1), (1, 2)],
-            probes=[1],
-            nonprobes=[0, 2],
-            certificate_f=[(0, 2)],
-            metadata={"family": "test"},
-        )
-        assert parse_instance(serialize_instance(doc)) == doc
+        docs = [InstanceDocument(
+            _ppg(3, [(0, 1), (1, 2)], [1]),
+            ProbeCertificate.of([(2, 0)]),
+            {"family": "test"},
+        )]
+        pattern = parse_pattern("P1+P4")
+        for seed in range(12):
+            n = 6 + seed % 5
+            ppg, cert = random_probe_hfree(n, pattern, 0.5, seed)
+            docs.append(document_from(ppg, cert, {
+                "family": "random-probe-hfree", "seed": str(seed),
+            }))
+        assert sum(len(doc.certificate.f_edges) > 0 for doc in docs) >= 8
+        for doc in docs:
+            text = serialize_instance(doc)
+            again = parse_instance(text)
+            assert again == doc
+            assert serialize_instance(again) == text
 
     def test_serialization_sorts_edges(self):
-        doc = InstanceDocument(
-            n=3, edges=[(1, 2), (0, 1)], probes=[0, 1, 2], nonprobes=[]
-        )
+        doc = InstanceDocument(_ppg(3, [(1, 2), (0, 1)], [0, 1, 2]))
         assert json.loads(serialize_instance(doc))["edges"] == [[0, 1], [1, 2]]
 
     def test_serialization_byte_stable(self):
         doc = InstanceDocument(
-            n=3, edges=[(1, 2), (0, 1)], probes=[0, 2], nonprobes=[1],
-            metadata={"b": "2", "a": "1"},
+            _ppg(3, [(1, 2), (0, 1)], [0, 2]), None, {"b": "2", "a": "1"},
         )
         shuffled = InstanceDocument(
-            n=3, edges=[(0, 1), (2, 1)], probes=[2, 0], nonprobes=[1],
-            metadata={"a": "1", "b": "2"},
+            _ppg(3, [(0, 1), (2, 1)], [2, 0]), None, {"a": "1", "b": "2"},
         )
         assert serialize_instance(doc) == serialize_instance(shuffled)
 
@@ -249,17 +269,18 @@ class TestVerifyCommand:
 class TestGenerateCommands:
     def test_generate_moshi_from_k2(self, tmp_path, capsys):
         path = _write(tmp_path, "k2.json", K2_JSON)
-        assert main(["generate", "--family", "moshi", "--input", path]) == 0
+        assert main(["reduce", "--from", "graph", "--construction", "moshi",
+                     "--input", path]) == 0
         doc = parse_instance(capsys.readouterr().out)
-        assert doc.n == 4 and len(doc.certificate_f) == 1
+        assert doc.ppg.graph.n == 4 and len(doc.certificate.f_edges) == 1
 
     def test_generate_sat4p1_example_size(self, tmp_path, capsys):
         sat = _write(tmp_path, "inst.json", json.dumps(EXAMPLE_SAT))
-        code = main(["generate", "--family", "sat4p1", "--input", sat,
-                     "--d", "2"])
+        code = main(["reduce", "--from", "sat", "--construction", "sat4p1",
+                     "--input", sat, "--d", "2"])
         assert code == 0
         doc = parse_instance(capsys.readouterr().out)
-        assert doc.n == 14
+        assert doc.ppg.graph.n == 14
         assert doc.metadata["brute_force_regime"] == "true"
 
     def test_generate_random_verifies(self, tmp_path, capsys):
@@ -281,19 +302,20 @@ class TestGenerateCommands:
             "probes": [0, 1, 2, 3],
         })
         path = _write(tmp_path, "k4.json", k4)
-        assert main(["generate", "--family", "subdivide4",
-                     "--input", path]) == 0
+        assert main(["reduce", "--from", "graph", "--construction",
+                     "subdivide4", "--input", path]) == 0
         doc = parse_instance(capsys.readouterr().out)
-        assert doc.n == 28 and len(doc.certificate_f) == 4
+        assert doc.ppg.graph.n == 28 and len(doc.certificate.f_edges) == 4
 
     def test_generate_split(self, tmp_path, capsys):
         p3 = json.dumps({
             "n": 3, "edges": [[0, 1], [1, 2]], "probes": [0, 1, 2],
         })
         path = _write(tmp_path, "p3.json", p3)
-        assert main(["generate", "--family", "split", "--input", path]) == 0
+        assert main(["reduce", "--from", "graph", "--construction", "split",
+                     "--input", path]) == 0
         doc = parse_instance(capsys.readouterr().out)
-        assert doc.certificate_f == [(0, 2)]
+        assert doc.certificate == ProbeCertificate.of([(0, 2)])
 
     def test_generate_oversized_n_is_parse_error(self, capsys):
         began = time.perf_counter()
@@ -317,7 +339,7 @@ class TestGenerateCommands:
                      "--input", path, "--side-of", "1"])
         assert code == 0
         doc = parse_instance(capsys.readouterr().out)
-        assert sorted(doc.nonprobes) == [1, 3, 5]
+        assert doc.ppg.nonprobes == {1, 3, 5}
 
 
 class TestCrosscheck:
@@ -437,11 +459,14 @@ class TestExitCodes:
         (_SPLIT + ["--side-of", "1"], {"inst": _star_json(2000)},
          "output limit"),
         (_MOSHI, {"inst": _star_json(1000)}, "output limit"),
+        # bounded from --n-vars before any sampling
+        (["generate", "--family", "sat4p1", "--n-vars", "3000000"], {},
+         "output limit"),
     ], ids=["metadata-list", "colouring-without-colours", "colours-not-list",
             "infinite-n", "infinite-vertex", "deep-instance", "deep-colouring",
             "side-of-above-n", "side-of-negative", "float-and-bool-instance",
             "float-sat-n-vars", "bool-sat-variable", "sat4p1-d200",
-            "split-star-2001", "moshi-star-1001"])
+            "split-star-2001", "moshi-star-1001", "sat4p1-n-vars-3000000"])
     def test_malformed_input_is_parse_error(
         self, tmp_path, capsys, argv, files, message
     ):
@@ -452,6 +477,26 @@ class TestExitCodes:
         assert time.perf_counter() - began < 1.0
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--family", "moshi"], "invalid choice"),
+        (["generate", "--family", "random-probe-hfree", "--input", "inst"],
+         "unrecognized arguments: --input"),
+        (["generate", "--family", "sat4p1", "--side-of", "1"],
+         "unrecognized arguments: --side-of"),
+        (_MOSHI + ["--seed", "1"], "unrecognized arguments: --seed"),
+        (_MOSHI + ["--n-vars", "9"], "unrecognized arguments: --n-vars"),
+    ], ids=["generate-moshi", "generate-input", "generate-side-of",
+            "reduce-seed", "reduce-n-vars"])
+    def test_removed_option_is_usage_error(
+        self, tmp_path, capsys, argv, message
+    ):
+        # the constructions run from a file through reduce only
+        argv = [_write(tmp_path, a, P4_JSON) if a == "inst" else a
+                for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
 
     @pytest.mark.parametrize("name, instance", [
         ("huge.json", '{"n": 1000000000, "edges": [[0, 1]], "probes": [0, 1]}'),
@@ -475,12 +520,12 @@ class TestExitCodes:
         sat = _write(tmp_path, "inst.json", json.dumps(EXAMPLE_SAT))
         assert main(_SAT4P1[:-1] + [sat, "--d", "50"]) == 0
         doc = parse_instance(capsys.readouterr().out)
-        assert doc.n == 2 * (4 + 6 * 47) + 6
+        assert doc.ppg.graph.n == 2 * (4 + 6 * 47) + 6
 
     def test_instance_at_size_limit_parses(self):
         # unmarked vertices are non-probes, so this is a valid instance
         doc = parse_instance(f"n {cli.MAX_VERTICES}\nprobe 0\n")
-        assert doc.n == cli.MAX_VERTICES
+        assert doc.ppg.graph.n == cli.MAX_VERTICES
 
     def test_missing_file_is_usage_error(self):
         assert main(["solve", "--problem", "mc", "--algo", "brute",
