@@ -1,12 +1,17 @@
 """Exhaustive reference solvers.
 
-These stay deliberately simple: full enumeration over colourings,
-assignments or candidate edge sets, guarded by hard scale limits.  The one
-exception is :func:`backtrack_dcut`, an exhaustive depth-first decision
-procedure with forced-move propagation; it exists because the reduction
-outputs checked by the acceptance suite are far beyond the 2^(n-1)
-enumeration guard, and it is itself cross-validated against the plain
-enumerators on every input small enough for both.
+These stay deliberately simple: counter-order scans over colourings,
+assignments or candidate edge sets, guarded by hard scale limits.  The
+colouring and assignment scans jump over each block of counters that one
+failed vertex or clause test rules out (every counter in it agrees with
+the failing one on all bits that test reads), so they yield what full
+enumeration yields, in the same order: the first answer and the maximum
+kept on ties do not change.  The one exception is :func:`backtrack_dcut`,
+an exhaustive depth-first decision procedure with forced-move
+propagation; it exists because the reduction outputs checked by the
+acceptance suite are far beyond the 2^(n-1) enumeration guard, and it is
+itself cross-validated against the plain enumerators on every input small
+enough for both.
 """
 
 from __future__ import annotations
@@ -58,21 +63,44 @@ def _colourings(
     the counter holds vertex v's colour (set = blue), so low counters keep
     low-id vertices red and the scan order is deterministic.  The scale
     guard runs on the first step.
+
+    Instead of testing every counter, the scan skips blocks that cannot
+    yield.  Vertex v's test reads only the colours of N[v], whose lowest
+    varying counter bit is that of ``low``, the least vertex other than 0
+    in N[v].  When v fails, every counter up to ``counter | below`` agrees
+    with this one on bits ``low - 1`` and up, so v fails there too and the
+    scan jumps past them.  Only invalid colourings are skipped, so the
+    valid ones come in the same order as from the plain counter loop, and
+    the first one found (what ``brute_*`` return) stays the same.
+    Vertices are tested in descending ``low``, least id on ties, so the
+    first that fails allows the largest jump; a vertex that cannot fail
+    (lo = 0 and degree at most d) is not tested.
     """
     _check_scale(g.n, max_n)
     adj = g.adj_bits
     n = g.n
     full = (1 << n) - 1
-    for counter in range(1, 1 << max(n - 1, 0)):
+    order = []  # (-low, v, below) for each vertex that can fail
+    for v in range(n):
+        if lo > 0 or adj[v].bit_count() > d:
+            near = (adj[v] | 1 << v) & ~1  # vertex 0's colour never varies
+            low = (near & -near).bit_length() - 1 if near else n
+            order.append((-low, v, (1 << max(low - 1, 0)) - 1))
+    order.sort()
+    checks = [(adj[v], 1 << v, below) for _, v, below in order]
+    end = 1 << max(n - 1, 0)
+    counter = 1
+    while counter < end:
         blue = counter << 1
         red = full & ~blue
-        for v in range(n):
-            opposite = blue if (red >> v) & 1 else red
-            k = (adj[v] & opposite).bit_count()
+        for av, bit, below in checks:
+            k = (av & (blue if red & bit else red)).bit_count()
             if k > d or k < lo:
+                counter = (counter | below) + 1
                 break
         else:
             yield blue
+            counter += 1
 
 
 def _certificate(g: Graph, blue: int, d: int, perfect: bool) -> CutCertificate:
@@ -128,12 +156,29 @@ def brute_sat(
     n = inst.n_vars
     if n > limit:
         raise OracleScaleExceeded(f"{n} variables exceed oracle limit {limit}")
-    pos_masks = [sum(1 << v for v in c) for c in inst.positive_clauses]
-    neg_masks = [sum(1 << v for v in c) for c in inst.negative_clauses]
-    for assignment in range(1 << n):
-        if all(assignment & m for m in pos_masks) and all(
-            assignment & m != m for m in neg_masks
-        ):
+    # a clause fails when its variables read `bad`: all false for a
+    # positive clause, all true for a negative one; an empty clause always
+    # fails.  Assignments that agree with a failing one on the clause's
+    # variables (bits min(c) and up) fail too, so the loop jumps past them,
+    # testing clauses in descending least variable as _colourings does.
+    checks = []
+    for clauses, positive in (
+        (inst.positive_clauses, True),
+        (inst.negative_clauses, False),
+    ):
+        for c in clauses:
+            m = sum(1 << v for v in c)
+            low = min(c, default=n)
+            checks.append((-low, m, 0 if positive else m, (1 << low) - 1))
+    checks.sort(key=lambda t: t[0])
+    end = 1 << n
+    assignment = 0
+    while assignment < end:
+        for _, m, bad, below in checks:
+            if assignment & m == bad:
+                assignment = (assignment | below) + 1
+                break
+        else:
             return tuple(bool((assignment >> v) & 1) for v in range(n))
     return None
 

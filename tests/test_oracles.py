@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from probecut import (
     validate_colouring,
     verify_probe_certificate,
 )
+from probecut.oracles import _colourings
 
 from conftest import (
     complete_graph,
@@ -114,6 +116,120 @@ class TestBruteSat:
     def test_scale_guard(self):
         with pytest.raises(OracleScaleExceeded):
             brute_sat(SatInstance.of(30, [], []))
+
+
+def plain_colourings(g, d, lo):
+    """Reference: test every vertex on every counter, in counter order."""
+    adj = g.adj_bits
+    n = g.n
+    full = (1 << n) - 1
+    for counter in range(1, 1 << max(n - 1, 0)):
+        blue = counter << 1
+        red = full & ~blue
+        for v in range(n):
+            opposite = blue if (red >> v) & 1 else red
+            k = (adj[v] & opposite).bit_count()
+            if k > d or k < lo:
+                break
+        else:
+            yield blue
+
+
+def plain_sat(inst):
+    """Every assignment in counter order; the first satisfying one wins."""
+    n = inst.n_vars
+    pos_masks = [sum(1 << v for v in c) for c in inst.positive_clauses]
+    neg_masks = [sum(1 << v for v in c) for c in inst.negative_clauses]
+    for assignment in range(1 << n):
+        if all(assignment & m for m in pos_masks) and all(
+            assignment & m != m for m in neg_masks
+        ):
+            return tuple(bool((assignment >> v) & 1) for v in range(n))
+    return None
+
+
+@st.composite
+def scan_graphs(draw):
+    """Graphs on 0-12 vertices; a drawn subset, vertex 0 included at
+    times, is left isolated."""
+    n = draw(st.integers(0, 12))
+    isolated = draw(st.sets(st.integers(0, max(n - 1, 0)))) if n else set()
+    p = draw(st.sampled_from([0.2, 0.4, 0.6, 0.85]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if u not in isolated and v not in isolated and rng.random() < p
+    ]
+    return build_graph(n, edges)
+
+
+@st.composite
+def sat_instances(draw):
+    """Instances on 0-12 variables with empty, unit and longer clauses."""
+    n = draw(st.integers(0, 12))
+    clause = st.lists(
+        st.integers(0, n - 1), max_size=min(n, 4), unique=True
+    ) if n else st.just([])
+    positive = draw(st.lists(clause, max_size=8))
+    negative = draw(st.lists(clause, max_size=8))
+    return SatInstance.of(n, positive, negative)
+
+
+def mobius_ladder(r: int):
+    """C_{2r} plus the chords i - (i + r)."""
+    n = 2 * r
+    return build_graph(
+        n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + r) for i in range(r)]
+    )
+
+
+class TestColouringScan:
+    """The block-skipping scans yield exactly what the plain counter loops
+    yield, in the same order."""
+
+    @given(scan_graphs(), st.sampled_from(
+        [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
+    ))
+    @settings(max_examples=300)
+    def test_same_colourings_in_order(self, g, d_lo):
+        d, lo = d_lo
+        assert list(_colourings(g, d, lo, None)) == list(
+            plain_colourings(g, d, lo)
+        )
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_vertex_zero_isolated(self, n):
+        # vertex 0 alone, the rest a path: no test reads a varying bit for 0
+        g = build_graph(n, [(i, i + 1) for i in range(1, n - 1)])
+        for d, lo in [(0, 0), (1, 0), (1, 1), (2, 1)]:
+            assert list(_colourings(g, d, lo, None)) == list(
+                plain_colourings(g, d, lo)
+            )
+
+    @given(sat_instances())
+    @settings(max_examples=300)
+    def test_sat_same_first_assignment(self, inst):
+        assert brute_sat(inst) == plain_sat(inst)
+
+    def test_sat_empty_clause_unsatisfiable(self):
+        assert brute_sat(SatInstance.of(3, [()], [])) is None
+        assert brute_sat(SatInstance.of(3, [], [()])) is None
+        assert brute_sat(SatInstance.of(0, [], [])) == ()
+
+    def test_mobius_ladder_pmc_within_budget(self):
+        # the plain scan needs about two seconds here; block skipping
+        # needs milliseconds
+        g = mobius_ladder(12)
+        began = time.perf_counter()
+        cert = brute_pmc(g)
+        elapsed = time.perf_counter() - began
+        assert cert is not None and cert.perfect
+        assert isinstance(
+            validate_colouring(g, cert.colouring, 1, True), CutCertificate
+        )
+        assert elapsed < 0.25
 
 
 class TestBruteProbeCertificate:
