@@ -53,7 +53,6 @@ from .colouring import (
     Violation,
     complete_independent_max_cut,
     complete_independent_perfect,
-    cut_edges,
     max_bipartite_matching,
     validate_colouring,
 )
@@ -103,7 +102,7 @@ __all__ = [
     # colouring
     "BLUE", "RED", "Colouring", "CutCertificate", "Violation",
     "complete_independent_max_cut", "complete_independent_perfect",
-    "cut_edges", "max_bipartite_matching", "validate_colouring",
+    "max_bipartite_matching", "validate_colouring",
     # oracles
     "backtrack_dcut", "brute_dcut", "brute_mmc", "brute_pmc",
     "brute_probe_certificate", "brute_sat",

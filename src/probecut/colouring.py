@@ -44,16 +44,6 @@ class Violation:
     reason: str
 
 
-def _require_total(g: Graph, colouring: Colouring) -> None:
-    if len(colouring) != g.n:
-        raise PartialColouring(
-            f"colouring has {len(colouring)} entries for n={g.n}"
-        )
-    for v, c in enumerate(colouring):
-        if c not in (RED, BLUE):
-            raise PartialColouring(f"vertex {v} is uncoloured")
-
-
 def masks_of(colouring: Colouring) -> tuple[int, int]:
     """(red mask, blue mask) of a total colouring."""
     x = y = 0
@@ -73,18 +63,27 @@ def colouring_of(n: int, x: int, y: int) -> tuple[Colour, ...]:
     )
 
 
-def _cut(g: Graph, x: int, y: int) -> frozenset[tuple[int, int]]:
-    return frozenset(
-        (min(u, v), max(u, v))
-        for u in iter_bits(x)
-        for v in iter_bits(g.adj_bits[u] & y)
+def _certify(
+    g: Graph, x: int, y: int, d: int, perfect: bool = False
+) -> Optional[CutCertificate]:
+    """The certificate of the total colouring with red mask x and blue mask
+    y, or None when it is not a valid d-cut.  A vertex in neither mask
+    raises, red wins where they overlap, and only an accepted colouring
+    builds its tuple and cut."""
+    y &= ~x
+    unc = ((1 << g.n) - 1) & ~(x | y)
+    if unc:
+        v = (unc & -unc).bit_length() - 1
+        raise PartialColouring(f"vertex {v} is uncoloured")
+    adj = g.adj_bits
+    lo = d if perfect else 0
+    if not (x and y and _within_budget(adj, x, y, d, lo)
+            and _within_budget(adj, y, x, d, lo)):
+        return None
+    cut = frozenset(
+        (min(u, v), max(u, v)) for u in iter_bits(x) for v in iter_bits(adj[u] & y)
     )
-
-
-def cut_edges(g: Graph, colouring: Colouring) -> frozenset[tuple[int, int]]:
-    """The bichromatic edges of a total colouring."""
-    _require_total(g, colouring)
-    return _cut(g, *masks_of(colouring))
+    return CutCertificate(colouring_of(g.n, x, y), cut, d, perfect, len(cut))
 
 
 def validate_colouring(
@@ -93,48 +92,35 @@ def validate_colouring(
     """Check a total colouring against the d-cut conditions.
 
     Accepts iff every vertex has at most d (exactly d when perfect is
-    required) opposite-coloured neighbours and both colours occur.  On
-    failure the report names the first offending vertex in id order.
+    required) opposite-coloured neighbours and both colours occur, by
+    :func:`_certify`'s check on the masks.  On failure the report names
+    the first offending vertex in id order.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    _require_total(g, colouring)
+    if len(colouring) != g.n:
+        raise PartialColouring(
+            f"colouring has {len(colouring)} entries for n={g.n}"
+        )
     x, y = masks_of(colouring)
-    for v in range(g.n):
-        opposite = y if (x >> v) & 1 else x
-        k = (g.adj_bits[v] & opposite).bit_count()
+    cert = _certify(g, x, y, d, require_perfect)
+    if cert:
+        return cert
+    for v, av in enumerate(g.adj_bits):
+        k = (av & (y if (x >> v) & 1 else x)).bit_count()
         if k > d:
             return Violation(
                 v, f"vertex {v} has {k} opposite-coloured neighbours (max {d})"
             )
         if require_perfect and k != d:
             return Violation(
-                v,
-                f"vertex {v} has {k} != {d} opposite-coloured neighbours",
+                v, f"vertex {v} has {k} != {d} opposite-coloured neighbours"
             )
-    if x == 0 or y == 0:
-        return Violation(None, "colouring is monochromatic")
-    cut = _cut(g, x, y)
-    return CutCertificate(
-        colouring=tuple(colouring),
-        cut=cut,
-        d=d,
-        perfect=require_perfect,
-        size=len(cut),
-    )
-
-
-def _certify(
-    g: Graph, x: int, y: int, d: int, perfect: bool = False
-) -> Optional[CutCertificate]:
-    """The certificate of the total colouring with red mask x and blue mask
-    y, or None when it is not a valid d-cut."""
-    result = validate_colouring(g, colouring_of(g.n, x, y), d, perfect)
-    return result if isinstance(result, CutCertificate) else None
+    return Violation(None, "colouring is monochromatic")
 
 
 def process_masks(
-    adj_bits: Sequence[int], n: int, x: int, y: int, d: int
+    adj_bits: Sequence[int], n: int, x: int, y: int, d: int, dirty: int = -1
 ) -> Optional[tuple[int, int]]:
     """Grow red/blue masks to their forcing-rule closure; None means
     rejected.
@@ -146,45 +132,58 @@ def process_masks(
     makes the outcome independent of rule order.  The closure is
     inflationary and idempotent, and a total colouring is a valid extension
     of the input masks iff it is one of the closure.
+
+    Only ``dirty`` uncoloured vertices (all by default) are examined, each
+    vertex coloured dirties its neighbours, and the overload check visits
+    the coloured vertices ever dirtied.  By the order-independence argument
+    of :func:`probecut.oracles.backtrack_dcut` the result is the full
+    closure's whenever no vertex outside ``dirty`` is forced or overloaded.
     """
-    full = (1 << n) - 1
-    while True:
-        changed = False
-        m = full & ~(x | y)
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            av = adj_bits[v]
-            in_x = (av & x).bit_count() > d
-            in_y = (av & y).bit_count() > d
-            if in_x and in_y:
+    touched = dirty & ((1 << n) - 1)
+    dirty = touched & ~(x | y)
+    while dirty:
+        low = dirty & -dirty
+        dirty ^= low
+        av = adj_bits[low.bit_length() - 1]
+        if (av & x).bit_count() > d:
+            if (av & y).bit_count() > d:
                 return None
-            if in_x:
-                x |= 1 << v
-                changed = True
-            elif in_y:
-                y |= 1 << v
-                changed = True
-        if not changed:
-            break
-    for v in range(n):
-        av = adj_bits[v]
+            x |= low
+        elif (av & y).bit_count() > d:
+            y |= low
+        else:
+            continue
+        dirty |= av & ~(x | y)
+        touched |= av
+    # an uncoloured vertex was examined after its last count change
+    touched &= x | y
+    while touched:
+        low = touched & -touched
+        touched ^= low
+        av = adj_bits[low.bit_length() - 1]
         if (av & x).bit_count() > d and (av & y).bit_count() > d:
             return None
     return x, y
+
+
+def _within_budget(
+    adj_bits: Sequence[int], m: int, opposite: int, d: int, lo: int = 0
+) -> bool:
+    """Every vertex of m has lo to d neighbours in ``opposite``."""
+    while m:
+        low = m & -m
+        m ^= low
+        k = (adj_bits[low.bit_length() - 1] & opposite).bit_count()
+        if k > d or k < lo:
+            return False
+    return True
 
 
 def local_masks_valid(
     adj_bits: Sequence[int], x: int, y: int, d: int
 ) -> bool:
     """No coloured vertex exceeds d opposite neighbours among coloured ones."""
-    for v in iter_bits(x):
-        if (adj_bits[v] & y).bit_count() > d:
-            return False
-    for v in iter_bits(y):
-        if (adj_bits[v] & x).bit_count() > d:
-            return False
-    return True
+    return _within_budget(adj_bits, x, y, d) and _within_budget(adj_bits, y, x, d)
 
 
 def max_bipartite_matching(nbrs: dict[int, int]) -> dict[int, int]:

@@ -32,6 +32,7 @@ from .errors import NotConnected, StructureViolation, UnsupportedD, WrongCase
 from .colouring import (
     CutCertificate,
     _certify,
+    _within_budget,
     complete_independent_max_cut,
     complete_independent_perfect,
     local_masks_valid,
@@ -118,6 +119,13 @@ def _branch_leaves(
     coloured vertices, which removes exactly the assignments that can
     never validate.  Leaves are yielded as processed (red, blue) masks in
     ascending-vertex, red-before-blue order.
+
+    Only the start gets the full closure and check.  A step colours a
+    frontier vertex v of a closed, checked state and closes with v and its
+    neighbours dirty.  Only counts of v's colour grow, so every vertex it
+    forces takes that colour, and only their opposite-coloured neighbours'
+    budgets can break.  The explicit stack holds each child unclosed, so
+    the closures run in the recursive order.
     """
     adj = g.adj_bits
     n = g.n
@@ -125,20 +133,29 @@ def _branch_leaves(
     if start is None or not local_masks_valid(adj, start[0], start[1], d):
         return
     frontier = list(iter_bits(frontier_mask))
-
-    def rec(x: int, y: int, i: int) -> Iterator[tuple[int, int]]:
+    stack = [(start[0], start[1], 0, 0)]
+    while stack:
+        x, y, i, bit = stack.pop()
+        if bit:
+            old = (x | y) ^ bit
+            nxt = process_masks(adj, n, x, y, d, bit | adj[bit.bit_length() - 1])
+            if nxt is None:
+                continue
+            x, y = nxt
+            own, opposite = (x, y) if x & bit else (y, x)
+            gained = 0
+            for c in iter_bits(own & ~old):
+                gained |= adj[c]
+            if not _within_budget(adj, gained & opposite, own, d):
+                continue
         while i < len(frontier) and ((x | y) >> frontier[i]) & 1:
             i += 1
         if i == len(frontier):
             yield (x, y)
-            return
+            continue
         bit = 1 << frontier[i]
-        for nx, ny in ((x | bit, y), (x, y | bit)):
-            nxt = process_masks(adj, n, nx, ny, d)
-            if nxt is not None and local_masks_valid(adj, nxt[0], nxt[1], d):
-                yield from rec(nxt[0], nxt[1], i + 1)
-
-    yield from rec(start[0], start[1], 0)
+        stack.append((x, y | bit, i + 1, bit))
+        stack.append((x | bit, y, i + 1, bit))
 
 
 def classify_nonprobe(

@@ -3,6 +3,7 @@ bipartite matching and the two completion routines."""
 
 import itertools
 import random
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,26 +12,34 @@ from probecut import (
     BLUE,
     RED,
     CutCertificate,
+    Graph,
     PartialColouring,
     PreconditionViolation,
     Violation,
     build_graph,
     complete_independent_max_cut,
     complete_independent_perfect,
-    cut_edges,
     is_connected,
     max_bipartite_matching,
     validate_colouring,
 )
 from probecut.colouring import (
+    _certify,
     colouring_of,
     local_masks_valid,
     masks_of,
     process_masks,
 )
+from probecut.graph import iter_bits
 from probecut.solvers import _branch_leaves
 
-from conftest import complete_bipartite, cycle_graph, path_graph, random_graph
+from conftest import (
+    complete_bipartite,
+    cycle_graph,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 
 
 def _all_colourings(n):
@@ -100,20 +109,24 @@ class TestValidate:
 
 
 class TestCutEdges:
+    """The bichromatic edge set, as ``CutCertificate.cut``."""
+
     def test_monochromatic_empty(self):
-        assert cut_edges(path_graph(3), [RED, RED, RED]) == frozenset()
+        result = validate_colouring(path_graph(3), [RED, RED, RED], 1)
+        assert isinstance(result, Violation) and result.vertex is None
 
     def test_k2(self):
         g = build_graph(2, [(0, 1)])
-        assert cut_edges(g, [RED, BLUE]) == frozenset({(0, 1)})
+        assert validate_colouring(g, [RED, BLUE], 1).cut == frozenset({(0, 1)})
 
     def test_c4_alternating(self):
         g = cycle_graph(4)
-        assert cut_edges(g, [RED, BLUE, RED, BLUE]) == frozenset(g.edges())
+        cert = validate_colouring(g, [RED, BLUE, RED, BLUE], 2)
+        assert cert.cut == frozenset(g.edges())
 
     def test_partial_raises(self):
         with pytest.raises(PartialColouring):
-            cut_edges(path_graph(2), [RED, None])
+            validate_colouring(path_graph(2), [RED, None], 1)
 
 
 def _closure(g, x, y, d):
@@ -195,6 +208,128 @@ class TestEnumerateSeedColourings:
         out = list(_branch_leaves(g, _m({0}), 0, _m({0, 1}), 1))
         assert all(x & 1 for x, _ in out)
         assert len(out) == 2
+
+    def test_deep_frontier_needs_no_recursion(self):
+        # one branch level per frontier vertex, deeper than the default
+        # recursion limit; the first leaf colours every vertex red
+        g = star_graph(1499)
+        full = (1 << g.n) - 1
+        assert next(_branch_leaves(g, 0, 0, full, 1)) == (full, 0)
+
+
+def _recursive_leaves(
+    g: Graph, x0: int, y0: int, frontier_mask: int, d: int
+) -> Iterator[tuple[int, int]]:
+    """Reference: the recursive enumerator that ran the full closure and
+    the full budget check at every step."""
+    adj = g.adj_bits
+    n = g.n
+    start = process_masks(adj, n, x0, y0, d)
+    if start is None or not local_masks_valid(adj, start[0], start[1], d):
+        return
+    frontier = list(iter_bits(frontier_mask))
+
+    def rec(x: int, y: int, i: int) -> Iterator[tuple[int, int]]:
+        while i < len(frontier) and ((x | y) >> frontier[i]) & 1:
+            i += 1
+        if i == len(frontier):
+            yield (x, y)
+            return
+        bit = 1 << frontier[i]
+        for nx, ny in ((x | bit, y), (x, y | bit)):
+            nxt = process_masks(adj, n, nx, ny, d)
+            if nxt is not None and local_masks_valid(adj, nxt[0], nxt[1], d):
+                yield from rec(nxt[0], nxt[1], i + 1)
+
+    yield from rec(start[0], start[1], 0)
+
+
+def _random_masks(rng, n, share):
+    """Disjoint red/blue masks colouring about ``share`` of n vertices."""
+    x = y = 0
+    for v in range(n):
+        r = rng.random()
+        if r < share / 2:
+            x |= 1 << v
+        elif r < share:
+            y |= 1 << v
+    return x, y
+
+
+def _closed_state(g, d, rng):
+    """A closed, locally valid state with an uncoloured vertex, or None."""
+    full = (1 << g.n) - 1
+    for _ in range(20):
+        out = process_masks(g.adj_bits, g.n, *_random_masks(rng, g.n, 0.5), d)
+        if out and out[0] | out[1] != full and local_masks_valid(g.adj_bits, *out, d):
+            return out
+    return None
+
+
+class TestIncrementalClosure:
+    """The dirty-set closure, the branch step's budget check, the stack
+    enumeration and the mask-native leaf check against their full
+    counterparts."""
+
+    @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=300)
+    def test_step_equals_full_closure_and_check(self, seed, d):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        g = random_graph(n, rng.choice([0.3, 0.5, 0.7]), seed)
+        state = _closed_state(g, d, rng)
+        if state is None:
+            return
+        x, y = state
+        adj = g.adj_bits
+        v = rng.choice(list(iter_bits(((1 << n) - 1) & ~(x | y))))
+        bit = 1 << v
+        expected = []
+        for cx, cy in ((x | bit, y), (x, y | bit)):
+            full = process_masks(adj, n, cx, cy, d)
+            assert process_masks(adj, n, cx, cy, d, bit | adj[v]) == full
+            if full is not None and local_masks_valid(adj, *full, d):
+                expected.append(full)
+        assert list(_branch_leaves(g, x, y, bit, d)) == expected
+
+    @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=300)
+    def test_leaves_match_recursive_enumerator(self, seed, d):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), seed)
+        x0, y0 = _random_masks(rng, n, rng.choice([0.0, 0.2, 0.4]))
+        frontier = rng.randrange(1 << n)
+        assert list(_branch_leaves(g, x0, y0, frontier, d)) == list(
+            _recursive_leaves(g, x0, y0, frontier, d)
+        )
+
+    @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2, 3]), st.booleans())
+    @settings(max_examples=300)
+    def test_mask_check_matches_validate(self, seed, d, perfect):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), seed)
+        full = (1 << n) - 1
+        x = rng.randrange(1 << n)
+        # red wins where the masks overlap
+        y = (full & ~x) | (x & rng.randrange(1 << n))
+        result = validate_colouring(g, colouring_of(n, x, y), d, perfect)
+        expected = result if isinstance(result, CutCertificate) else None
+        assert _certify(g, x, y, d, perfect) == expected
+        y &= ~x
+        counts = [
+            (g.adj_bits[v] & (y if (x >> v) & 1 else x)).bit_count()
+            for v in range(n)
+        ]
+        accept = bool(x and y) and all(
+            k == d if perfect else k <= d for k in counts
+        )
+        assert (expected is not None) == accept
+
+    def test_mask_check_requires_total(self):
+        with pytest.raises(PartialColouring, match="vertex 1 is uncoloured"):
+            _certify(path_graph(3), _m({0}), _m({2}), 1)
 
 
 class TestMaxBipartiteMatching:
