@@ -267,6 +267,16 @@ def find_induced(g: Graph, h: Pattern) -> Optional[dict[int, int]]:
     placement that leaves one of them none is dropped at once.  Only dead
     branches are cut, so the first occurrence found is still the least.
 
+    The last three levels leave the stack.  Vertex k-3 runs as one loop
+    that builds, for each of its images, the candidate masks (Ca, Cb) of
+    the last two vertices a and b; a pair scan then takes the least x in
+    Ca that has a fitting partner in Cb (adjacent to x or not, as a and b
+    are) and its least partner y, which is the least completion.  Whether
+    (Ca, Cb) has a fitting pair depends only on the two masks, so pairs
+    shown to have none are kept for the rest of the call and not scanned
+    again: on pattern-free proofs such as the claw check of a
+    construction's output, many images of k-3 leave the same two masks.
+
     Twin pattern vertices (the same neighbours apart from each other, such
     as the leaves of a claw, the vertices of sP1 or the ends of each edge
     of 2P2) take increasing images: for twins i < j only candidates above
@@ -311,18 +321,68 @@ def _find_within(g: Graph, h: Pattern, within: int) -> Optional[dict[int, int]]:
         at_least[min(av.bit_count(), k)] |= 1 << v
     for t in range(k - 1, -1, -1):
         at_least[t] |= at_least[t + 1]
+    start = [at_least[a.bit_count()] & within for a in pat_adj]
+    if not all(start):
+        return None
+    if k == 1:
+        return {0: (start[0] & -start[0]).bit_length() - 1}
+    # the last two pattern vertices a = k-2 and b = k-1
+    ab_adjacent = plan[k - 2][0][1]
+
+    def pair(ca: int, cb: int) -> Optional[tuple[int, int]]:
+        """Least x in ``ca`` with a fitting partner in ``cb``, and its
+        least partner y, or None.  Twins a and b need no cut here: every
+        earlier vertex treats both alike, so ``ca == cb``, and a partner
+        y < x of x would have made y the least x."""
+        while ca:
+            low = ca & -ca
+            x = low.bit_length() - 1
+            m = cb & (adj[x] if ab_adjacent else ~adj[x] ^ low)
+            if m:
+                return x, (m & -m).bit_length() - 1
+            ca ^= low
+        return None
+
+    if k == 2:
+        found = pair(start[0], start[1])
+        return None if found is None else dict(enumerate(found))
+    c = k - 3
+    (_, ca_adjacent, ca_twin), (_, cb_adjacent, cb_twin) = plan[c][-2:]
+    dead = set()  # (Ca, Cb) pairs already shown to hold no fitting pair
     image = [0] * k
     # cands[j][l]: candidates for pattern vertex l >= j given images[:j];
     # left[j]: candidates for j not tried yet
-    cands = [[at_least[a.bit_count()] & within for a in pat_adj]] + [[]] * k
+    cands = [start] + [[]] * k
     left = [0] * k
-    left[0] = cands[0][0]
+    left[0] = start[0]
     j = 0
-    while True:
+    while j >= 0:
+        if j == c:
+            # level k-3 as one loop: build (Ca, Cb) for each image of c
+            mine = cands[c]
+            cc, ca0, cb0 = mine[c], mine[c + 1], mine[c + 2]
+            while cc:
+                low = cc & -cc
+                cc ^= low
+                w = low.bit_length() - 1
+                aw = adj[w]
+                ca = ca0 & (aw if ca_adjacent else ~aw ^ low)
+                if ca_twin:
+                    ca &= -2 << w
+                cb = cb0 & (aw if cb_adjacent else ~aw ^ low)
+                if cb_twin:
+                    cb &= -2 << w
+                if ca and cb and (ca, cb) not in dead:
+                    found = pair(ca, cb)
+                    if found is not None:
+                        image[c] = w
+                        image[c + 1 :] = found
+                        return dict(enumerate(image))
+                    dead.add((ca, cb))
+            j -= 1
+            continue
         cand = left[j]
         if not cand:
-            if j == 0:
-                return None
             j -= 1
             continue
         low = cand & -cand
@@ -340,11 +400,10 @@ def _find_within(g: Graph, h: Pattern, within: int) -> Optional[dict[int, int]]:
                 break
             nxt[l] = m
         else:
-            if j + 1 == k:
-                return {i: image[i] for i in range(k)}
             j += 1
             cands[j] = nxt
             left[j] = nxt[j]
+    return None
 
 
 def verify_probe_certificate(

@@ -2,11 +2,11 @@
 
 These stay deliberately simple: counter-order scans over colourings,
 assignments or candidate edge sets, guarded by hard scale limits.  The
-colouring and assignment scans jump over each block of counters that one
-failed vertex or clause test rules out (every counter in it agrees with
-the failing one on all bits that test reads), so they yield what full
-enumeration yields, in the same order: the first answer and the maximum
-kept on ties do not change.  The one exception is :func:`backtrack_dcut`,
+scans jump over each block of counters that one failed vertex, clause or
+pattern test rules out (every counter in it agrees with the failing one
+on all bits that test reads), so they yield what full enumeration
+yields, in the same order: the first answer and the maximum kept on ties
+do not change.  The one exception is :func:`backtrack_dcut`,
 an exhaustive depth-first decision procedure with forced-move
 propagation; it exists because the reduction outputs checked by the
 acceptance suite are far beyond the 2^(n-1) enumeration guard, and it is
@@ -17,6 +17,7 @@ enough for both.
 from __future__ import annotations
 
 import os
+from bisect import insort
 from typing import Iterator, Optional
 
 from .errors import OracleScaleExceeded
@@ -186,8 +187,24 @@ def brute_sat(
 def brute_probe_certificate(
     ppg: PartitionedProbeGraph, h: Pattern, *, max_n: Optional[int] = None
 ) -> Optional[ProbeCertificate]:
-    """Search all candidate edge sets inside the non-probe side for one
-    whose addition makes the graph pattern-free."""
+    """First candidate edge set inside the non-probe side, in counter
+    order, whose addition makes the graph pattern-free, or None.
+
+    Bit i of the counter chooses the i-th absent non-probe pair.  An
+    occurrence of the pattern on a vertex set S depends only on the pairs
+    inside S, so every counter that agrees with this one on their bits
+    fails too: a nogood.  Let i be its least bit.  If bit i is clear, the
+    scan jumps to ``(counter | ((1 << i) - 1)) + 1``, past every counter
+    that agrees with this one on bits i and up, and keeps the nogood's
+    other bits as ``why0[i]``, the reason the counters with bit i clear
+    failed.  If bit i is set, ``why0[i]`` ruled out those counters under
+    the same higher bits; joined, the two rule out both values of bit i
+    on their higher bits alone, and the scan goes on from the next least
+    bit.  A nogood with no bits left (S holds no candidate pair, or every
+    branch is ruled out) means no edge set works.  Nogoods found are
+    tested before each ``find_induced`` call, largest jump first.  Only
+    failing counters are skipped, so the result is the plain loop's.
+    """
     limit = _limit(DEFAULT_CERTIFICATE_LIMIT, max_n)
     nonprobes = sorted(ppg.nonprobes)
     if len(nonprobes) > limit:
@@ -201,12 +218,37 @@ def brute_probe_certificate(
         for v in nonprobes[i + 1 :]
         if not g.has_edge(u, v)
     ]
-    for counter in range(1 << len(pairs)):
-        chosen = [p for i, p in enumerate(pairs) if (counter >> i) & 1]
-        candidate = g.with_edges(chosen) if chosen else g
-        if find_induced(candidate, h) is None:
-            return ProbeCertificate.of(chosen)
-    return None
+    ends = [1 << u | 1 << v for u, v in pairs]
+    nogoods: list[tuple[int, int, int]] = []  # (-least bit, bits, values)
+    why0 = [0] * len(pairs)
+    counter = 0
+    while True:
+        for _, mask, values in nogoods:
+            if counter & mask == values:
+                break
+        else:
+            chosen = [p for i, p in enumerate(pairs) if (counter >> i) & 1]
+            candidate = g.with_edges(chosen) if chosen else g
+            occurrence = find_induced(candidate, h)
+            if occurrence is None:
+                return ProbeCertificate.of(chosen)
+            s = sum(1 << v for v in occurrence.values())
+            mask = sum(1 << i for i, m in enumerate(ends) if m & s == m)
+            least = (mask & -mask).bit_length()
+            insort(nogoods, (-least, mask, counter & mask))
+        # every counter that agrees with this one on the bits of mask fails
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            i = bit.bit_length() - 1
+            if counter & bit:
+                mask |= why0[i]
+            else:
+                why0[i] = mask
+                counter = (counter | (bit - 1)) + 1
+                break
+        else:
+            return None
 
 
 def backtrack_dcut(

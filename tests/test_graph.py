@@ -15,6 +15,7 @@ from probecut import (
     InvalidEdge,
     InvalidInstance,
     PartitionedProbeGraph,
+    Pattern,
     ProbeCertificate,
     UnsupportedPattern,
     build_graph,
@@ -35,6 +36,7 @@ from probecut import (
     two_p2_pattern,
     verify_probe_certificate,
 )
+from probecut.graph import _find_within
 from probecut.oracles import brute_probe_certificate
 
 from conftest import (
@@ -43,6 +45,7 @@ from conftest import (
     cycle_graph,
     exhaustive_induced,
     path_graph,
+    random_connected_graph,
     random_graph,
     star_graph,
 )
@@ -187,6 +190,73 @@ class TestFindInduced:
             found = find_induced(g, h)
             image = None if found is None else tuple(found[i] for i in range(k))
             assert image == least, name
+
+
+# every shape parse_pattern knows, from 0 to 8 vertices: the pair scan has
+# its own paths for patterns of one, two and three vertices
+PATTERN_NAMES = (
+    "P0", "P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8",
+    "C3", "C4", "C5", "C6", "C7", "C8",
+    "K1,1", "K1,2", "K1,3", "K1,4", "K1,5", "K1,6", "K1,7",
+    "0P1", "1P1", "2P1", "3P1", "4P1", "5P1", "8P1",
+    "2P2", "P1+P4", "2P1+P4", "3P1+P4", "4P1+P4", "diamond",
+)
+
+
+class TestPairScan:
+    """The search that decides the last two pattern vertices in one
+    memoised mask scan returns what the search with every level on the
+    stack returns: the same least occurrence, or None.  Besides every
+    named shape, a drawn pattern reaches pairs that are neither adjacent
+    nor twins, which no named shape has last."""
+
+    @given(
+        st.integers(0, 13), st.floats(0, 1), st.integers(0, 2**32), st.data()
+    )
+    @settings(max_examples=300)
+    def test_same_occurrence_as_stack_search(self, n, p, seed, data):
+        g = random_graph(n, p, seed)
+        full = (1 << n) - 1
+        within = data.draw(st.just(full) | st.integers(0, full))
+        k = data.draw(st.integers(0, 6))
+        drawn = random_graph(
+            k, data.draw(st.floats(0, 1)), data.draw(st.integers(0, 2**32))
+        )
+        pattern = Pattern("drawn", drawn)
+        for h in [parse_pattern(name) for name in PATTERN_NAMES] + [pattern]:
+            assert _find_within(g, h, within) == stack_find_within(
+                g, h, within
+            ), h
+
+    @given(
+        st.integers(2, 9), st.floats(0.2, 0.8), st.integers(0, 2**32),
+        st.data(),
+    )
+    @settings(max_examples=40)
+    def test_same_occurrence_on_construction_outputs(self, n, p, seed, data):
+        # larger sparse graphs, with and without the certificate edges,
+        # where many images of vertex k-3 leave the same candidate pair
+        ppg, cert = moshi_double(random_connected_graph(n, p, seed))
+        for g in (ppg.graph, ppg.graph.with_edges(cert.f_edges)):
+            full = (1 << g.n) - 1
+            within = data.draw(st.just(full) | st.integers(0, full))
+            for name in ("K1,3", "diamond", "4P1", "P1+P4", "2P2", "P4", "C5"):
+                h = parse_pattern(name)
+                assert _find_within(g, h, within) == stack_find_within(
+                    g, h, within
+                ), name
+
+    def test_moshi_claw_check_within_budget(self):
+        # a 762-vertex output: the stack search needs about 0.43 s, the
+        # pair scan about 0.08 s; best of three, as the host is shared
+        ppg, cert = moshi_double(random_connected_graph(60, 0.2, 0))
+        assert ppg.graph.n == 762
+        times = []
+        for _ in range(3):
+            began = time.perf_counter()
+            assert verify_probe_certificate(ppg, cert, star_pattern(3))
+            times.append(time.perf_counter() - began)
+        assert min(times) < 0.25
 
 
 class TestPatterns:
@@ -391,6 +461,75 @@ class TestCographMachinery:
         # without the edge 0-3 the bottom of the chain holds the P4 0-1-3-2
         broken = build_graph(n, [e for e in edges if e != (0, 3)])
         assert is_p4_free(broken) == (0, 1, 3, 2)
+
+
+def stack_find_within(g, h, within):
+    """Reference: the induced-pattern search with every pattern vertex on
+    the explicit stack and forward checking at each level."""
+    k = h.graph.n
+    if k > 8:
+        raise UnsupportedPattern(
+            f"pattern {h.name} has {k} > 8 vertices"
+        )
+    if k > within.bit_count():
+        return None
+    if k == 0:
+        return {}
+    pat_adj = h.graph.adj_bits
+    # plan[j]: (l, adjacent, twin) for each later pattern vertex l
+    plan = [
+        [
+            (
+                l,
+                (pat_adj[l] >> j) & 1,
+                pat_adj[j] & ~(1 << l) == pat_adj[l] & ~(1 << j),
+            )
+            for l in range(j + 1, k)
+        ]
+        for j in range(k)
+    ]
+    adj = g.adj_bits
+    # at_least[t]: vertices of degree >= t, for pattern degrees t < k; a
+    # degree in g bounds the degree inside ``within``, so this stays sound
+    at_least = [0] * (k + 1)
+    for v, av in enumerate(adj):
+        at_least[min(av.bit_count(), k)] |= 1 << v
+    for t in range(k - 1, -1, -1):
+        at_least[t] |= at_least[t + 1]
+    image = [0] * k
+    # cands[j][l]: candidates for pattern vertex l >= j given images[:j];
+    # left[j]: candidates for j not tried yet
+    cands = [[at_least[a.bit_count()] & within for a in pat_adj]] + [[]] * k
+    left = [0] * k
+    left[0] = cands[0][0]
+    j = 0
+    while True:
+        cand = left[j]
+        if not cand:
+            if j == 0:
+                return None
+            j -= 1
+            continue
+        low = cand & -cand
+        left[j] = cand ^ low
+        w = low.bit_length() - 1
+        image[j] = w
+        mine = cands[j]
+        nxt = mine[:]
+        aw = adj[w]
+        for l, adjacent, twin in plan[j]:
+            m = mine[l] & ~low & (aw if adjacent else ~aw)
+            if twin:
+                m &= -2 << w
+            if not m:
+                break
+            nxt[l] = m
+        else:
+            if j + 1 == k:
+                return {i: image[i] for i in range(k)}
+            j += 1
+            cands[j] = nxt
+            left[j] = nxt[j]
 
 
 def _bits(mask: int) -> list[int]:

@@ -13,6 +13,7 @@ from probecut import (
     CutCertificate,
     OracleScaleExceeded,
     PartitionedProbeGraph,
+    ProbeCertificate,
     SatInstance,
     backtrack_dcut,
     brute_dcut,
@@ -21,12 +22,16 @@ from probecut import (
     brute_probe_certificate,
     brute_sat,
     build_graph,
+    find_induced,
+    parse_pattern,
+    path_pattern,
     random_probe_hfree,
     sp1_p4_pattern,
     two_p2_pattern,
     validate_colouring,
     verify_probe_certificate,
 )
+import probecut.oracles as oracles
 from probecut.oracles import _colourings
 
 from conftest import (
@@ -148,6 +153,45 @@ def plain_sat(inst):
     return None
 
 
+def plain_certificate(ppg, h):
+    """Reference: every candidate edge set in counter order."""
+    nonprobes = sorted(ppg.nonprobes)
+    g = ppg.graph
+    pairs = [
+        (u, v)
+        for i, u in enumerate(nonprobes)
+        for v in nonprobes[i + 1 :]
+        if not g.has_edge(u, v)
+    ]
+    for counter in range(1 << len(pairs)):
+        chosen = [p for i, p in enumerate(pairs) if (counter >> i) & 1]
+        candidate = g.with_edges(chosen) if chosen else g
+        if find_induced(candidate, h) is None:
+            return ProbeCertificate.of(chosen)
+    return None
+
+
+@st.composite
+def probe_instances(draw):
+    """Partitioned probe graphs with 0-5 probes and 0-5 non-probes (at
+    most 10 candidate pairs), the non-probes after the probes."""
+    probes = draw(st.integers(0, 5))
+    n = probes + draw(st.integers(0, 5))
+    p = draw(st.sampled_from([0.2, 0.4, 0.6, 0.85]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if u < probes and rng.random() < p
+    ]
+    return PartitionedProbeGraph(
+        build_graph(n, edges),
+        frozenset(range(probes)),
+        frozenset(range(probes, n)),
+    )
+
+
 @st.composite
 def scan_graphs(draw):
     """Graphs on 0-12 vertices; a drawn subset, vertex 0 included at
@@ -218,6 +262,31 @@ class TestColouringScan:
         assert brute_sat(SatInstance.of(3, [], [()])) is None
         assert brute_sat(SatInstance.of(0, [], [])) == ()
 
+    @given(probe_instances(), st.sampled_from(
+        ["P1+P4", "2P1+P4", "K1,3", "K1,4", "4P1", "3P1", "2P2", "P4", "P5",
+         "C4", "C5", "diamond"]
+    ))
+    @settings(max_examples=300)
+    def test_certificate_search_same_first(self, ppg, name):
+        h = parse_pattern(name)
+        assert brute_probe_certificate(ppg, h) == plain_certificate(ppg, h)
+
+    @pytest.mark.parametrize("n, probes, edges, name", [
+        (9, 4, [(0, 2), (0, 3), (0, 6), (1, 2), (1, 7), (2, 5)], "2P1+P4"),
+        (8, 2, [(0, 3), (0, 6), (1, 3), (1, 5), (1, 6)], "P1+P4"),
+    ])
+    def test_certificate_search_joins_both_reasons(
+        self, n, probes, edges, name
+    ):
+        # joining two nogoods without the bits of the one that ruled out
+        # the clear branch skips the plain loop's answer on these
+        ppg = PartitionedProbeGraph(
+            build_graph(n, edges), frozenset(range(probes)),
+            frozenset(range(probes, n)),
+        )
+        h = parse_pattern(name)
+        assert brute_probe_certificate(ppg, h) == plain_certificate(ppg, h)
+
     def test_mobius_ladder_pmc_within_budget(self):
         # the plain scan needs about two seconds here; block skipping
         # needs milliseconds
@@ -253,6 +322,52 @@ class TestBruteProbeCertificate:
             ppg, _ = random_probe_hfree(7, sp1_p4_pattern(1), 0.55, seed=seed)
             found = brute_probe_certificate(ppg, sp1_p4_pattern(1))
             assert found is not None
+
+    def test_occurrence_without_candidate_pair_ends_search(self, monkeypatch):
+        # an induced P4 on the probes survives every edge set inside the
+        # eight isolated non-probes: one search call, not 2^28
+        g = build_graph(12, [(0, 1), (1, 2), (2, 3)])
+        ppg = PartitionedProbeGraph(
+            g, frozenset(range(4)), frozenset(range(4, 12))
+        )
+        calls = []
+
+        def counted(graph, h):
+            calls.append(h)
+            return find_induced(graph, h)
+
+        monkeypatch.setattr(oracles, "find_induced", counted)
+        assert brute_probe_certificate(ppg, path_pattern(4)) is None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("host, name, certified", [
+        ("C16", "P1+P4", False),
+        ("C16", "2P2", True),
+        ("C16", "P5", True),
+        ("C16", "P6", True),
+        ("P17", "2P2", True),
+        ("P17", "P5", True),
+    ])
+    def test_eight_nonprobes_within_budget(self, host, name, certified):
+        # every other vertex a non-probe: 28 candidate pairs.  The plain
+        # loop makes 2^28 find_induced calls on the P1+P4 "no" instance,
+        # and as many to reach the 2P2 and P5 certificates, which hold all
+        # 28 pairs (the last counter).  Jumping on each nogood alone needs
+        # about a minute for C16 and P1+P4; testing the kept nogoods in
+        # the order they come, not largest jump first, about 80 s for P17
+        # and 2P2
+        g = cycle_graph(16) if host == "C16" else path_graph(17)
+        ppg = PartitionedProbeGraph(
+            g, frozenset(range(0, g.n, 2)), frozenset(range(1, g.n, 2))
+        )
+        h = parse_pattern(name)
+        began = time.perf_counter()
+        cert = brute_probe_certificate(ppg, h)
+        elapsed = time.perf_counter() - began
+        assert (cert is not None) == certified
+        if certified:
+            assert verify_probe_certificate(ppg, cert, h)
+        assert elapsed < 2.0
 
     def test_scale_guard(self):
         g = build_graph(9, [])
