@@ -415,7 +415,12 @@ def _graph_construction(opts) -> tuple:
 def cmd_generate(opts, argv) -> int:
     if opts.family == "random-probe-hfree":
         pattern = parse_pattern(opts.pattern)
-        _check_size(opts.n)  # the sampler draws n(n-1)/2 numbers per attempt
+        _check_size(opts.n)
+        if comb(max(opts.n, 0), 2) > MAX_OUTPUT_ITEMS:
+            raise ParseError(
+                f"random-probe-hfree at n={opts.n} draws more vertex pairs per"
+                f" attempt than the output limit of {MAX_OUTPUT_ITEMS}"
+            )
         ppg, cert = random_probe_hfree(opts.n, pattern, opts.density, opts.seed)
         meta = {
             "family": "random-probe-hfree",

@@ -15,6 +15,7 @@ and :func:`is_p4_free` (a worklist, so no recursion) all run on it.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -284,6 +285,10 @@ def find_induced(g: Graph, h: Pattern) -> Optional[dict[int, int]]:
     another occurrence, which is lexicographically smaller when
     ``image[j] < image[i]``; so the least occurrence meets every such
     constraint, and the search only skips reordered copies of occurrences.
+
+    The per-pattern plan (adjacency and twin flags, degrees) is cached on
+    the pattern's rows.  Candidates start as the vertices of at least the
+    pattern vertex's degree, a filter skipped when it would keep them all.
     """
     return _find_within(g, h, (1 << g.n) - 1)
 
@@ -300,28 +305,19 @@ def _find_within(g: Graph, h: Pattern, within: int) -> Optional[dict[int, int]]:
         return None
     if k == 0:
         return {}
-    pat_adj = h.graph.adj_bits
-    # plan[j]: (l, adjacent, twin) for each later pattern vertex l
-    plan = [
-        [
-            (
-                l,
-                (pat_adj[l] >> j) & 1,
-                pat_adj[j] & ~(1 << l) == pat_adj[l] & ~(1 << j),
-            )
-            for l in range(j + 1, k)
-        ]
-        for j in range(k)
-    ]
+    plan, degrees, top = _pattern_plan(h.graph.adj_bits)
     adj = g.adj_bits
-    # at_least[t]: vertices of degree >= t, for pattern degrees t < k; a
-    # degree in g bounds the degree inside ``within``, so this stays sound
-    at_least = [0] * (k + 1)
-    for v, av in enumerate(adj):
-        at_least[min(av.bit_count(), k)] |= 1 << v
-    for t in range(k - 1, -1, -1):
-        at_least[t] |= at_least[t + 1]
-    start = [at_least[a.bit_count()] & within for a in pat_adj]
+    if min(map(int.bit_count, adj)) >= top:
+        start = [within] * k
+    else:
+        # at_least[t]: vertices of degree >= t, for pattern degrees t < k; a
+        # degree in g bounds the degree inside ``within``, so this is sound
+        at_least = [0] * (k + 1)
+        for v, av in enumerate(adj):
+            at_least[min(av.bit_count(), k)] |= 1 << v
+        for t in range(k - 1, -1, -1):
+            at_least[t] |= at_least[t + 1]
+        start = [at_least[t] & within for t in degrees]
     if not all(start):
         return None
     if k == 1:
@@ -404,6 +400,26 @@ def _find_within(g: Graph, h: Pattern, within: int) -> Optional[dict[int, int]]:
             cands[j] = nxt
             left[j] = nxt[j]
     return None
+
+
+@functools.lru_cache(maxsize=256)
+def _pattern_plan(pat_adj: tuple[int, ...]) -> tuple:
+    """``plan[j]``, (l, adjacent, twin) for each later pattern vertex l,
+    the pattern degrees and the largest, for :func:`_find_within`."""
+    k = len(pat_adj)
+    plan = tuple(
+        tuple(
+            (
+                l,
+                (pat_adj[l] >> j) & 1,
+                pat_adj[j] & ~(1 << l) == pat_adj[l] & ~(1 << j),
+            )
+            for l in range(j + 1, k)
+        )
+        for j in range(k)
+    )
+    degrees = tuple(a.bit_count() for a in pat_adj)
+    return plan, degrees, max(degrees)
 
 
 def verify_probe_certificate(
@@ -503,32 +519,38 @@ def random_probe_hfree(
     Rejection-samples a pattern-free graph with the given edge probability,
     removes the edges inside a random vertex subset to form the non-probe
     side, and retries until the remaining graph is connected.  The deleted
-    edges are returned as the certificate.  Deterministic in ``seed``.
+    edges are returned as the certificate.  Deterministic in ``seed``:
+    each attempt draws one number per pair u < v in lexicographic order
+    into adjacency masks, then, only if they are pattern-free, one per
+    vertex in order to pick the non-probes.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be a probability")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     for _ in range(attempts):
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < density
-        ]
-        gstar = build_graph(n, edges)
-        if find_induced(gstar, h) is not None:
+        rows = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if draw() < density:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        if find_induced(Graph(n, tuple(rows)), h) is not None:
             continue
-        nprime = frozenset(v for v in range(n) if rng.random() < 0.5)
-        deleted = {(u, v) for (u, v) in edges if u in nprime and v in nprime}
-        kept = [e for e in edges if e not in deleted]
-        g = build_graph(n, kept)
+        non = sum(1 << v for v in range(n) if draw() < 0.5)
+        g = Graph(n, tuple(
+            row & ~non if non >> u & 1 else row for u, row in enumerate(rows)
+        ))
         if not is_connected(g):
             continue
-        ppg = PartitionedProbeGraph(
-            g, frozenset(range(n)) - nprime, nprime
-        )
+        nprime = frozenset(iter_bits(non))
+        deleted = [
+            (u, v)
+            for u in iter_bits(non)
+            for v in iter_bits(rows[u] & non & (-2 << u))
+        ]
+        ppg = PartitionedProbeGraph(g, frozenset(range(n)) - nprime, nprime)
         return ppg, ProbeCertificate.of(deleted)
     raise GenerationTimeout(
         f"no connected {h.name}-free instance in {attempts} attempts"

@@ -462,11 +462,17 @@ class TestExitCodes:
         # bounded from --n-vars before any sampling
         (["generate", "--family", "sat4p1", "--n-vars", "3000000"], {},
          "output limit"),
+        # bounded from --n before the first attempt draws its pairs
+        (["generate", "--family", "random-probe-hfree", "--n", "1415"], {},
+         "output limit of 1000000"),
+        (["generate", "--family", "random-probe-hfree", "--n", "100000"], {},
+         "output limit of 1000000"),
     ], ids=["metadata-list", "colouring-without-colours", "colours-not-list",
             "infinite-n", "infinite-vertex", "deep-instance", "deep-colouring",
             "side-of-above-n", "side-of-negative", "float-and-bool-instance",
             "float-sat-n-vars", "bool-sat-variable", "sat4p1-d200",
-            "split-star-2001", "moshi-star-1001", "sat4p1-n-vars-3000000"])
+            "split-star-2001", "moshi-star-1001", "sat4p1-n-vars-3000000",
+            "random-n-1415", "random-n-100000"])
     def test_malformed_input_is_parse_error(
         self, tmp_path, capsys, argv, files, message
     ):

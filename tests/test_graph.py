@@ -246,6 +246,59 @@ class TestPairScan:
                     g, h, within
                 ), name
 
+    @given(
+        st.integers(9, 14), st.integers(0, 2**32), st.booleans(), st.data()
+    )
+    @settings(max_examples=60)
+    def test_same_occurrence_when_every_vertex_meets_pattern_degrees(
+        self, n, seed, full_mask, data
+    ):
+        # K_n minus a random matching: every degree is at least n - 2 >= 7,
+        # the largest degree of any pattern on at most 8 vertices, so the
+        # degree filter is skipped for every pattern
+        rng = random.Random(seed)
+        order = rng.sample(range(n), n)
+        matching = {
+            tuple(sorted(order[2 * i : 2 * i + 2]))
+            for i in range(rng.randrange(n // 2 + 1))
+        }
+        g = build_graph(n, [
+            e for e in itertools.combinations(range(n), 2)
+            if e not in matching
+        ])
+        assert min(map(g.degree, range(n))) >= 7
+        full = (1 << n) - 1
+        within = full if full_mask else data.draw(st.integers(0, full))
+        for h in [parse_pattern(name) for name in PATTERN_NAMES]:
+            assert _find_within(g, h, within) == stack_find_within(
+                g, h, within
+            ), h.name
+
+    def test_alternating_patterns_of_one_size(self):
+        # K1,3 and P4 (and 2P2 and C4) share their vertex count, and here
+        # their name too: a plan cached on either would answer for the
+        # other pattern
+        pairs = [
+            (star_pattern(3), sp1_p4_pattern(0)),
+            (two_p2_pattern(), cycle_pattern(4)),
+        ]
+        graphs = [
+            path_graph(4), star_graph(3), cycle_graph(4), cycle_graph(5),
+            build_graph(4, [(0, 1), (2, 3)]), complete_graph(4),
+        ] + [random_graph(9, 0.5, seed) for seed in range(20)]
+        for first, second in pairs:
+            patterns = [Pattern("H", first.graph), Pattern("H", second.graph)]
+            differ = False
+            for _ in range(3):
+                for g in graphs:
+                    found = [find_induced(g, h) for h in patterns]
+                    assert found == [
+                        stack_find_within(g, h, (1 << g.n) - 1)
+                        for h in patterns
+                    ]
+                    differ |= found[0] != found[1]
+            assert differ
+
     def test_moshi_claw_check_within_budget(self):
         # a 762-vertex output: the stack search needs about 0.43 s, the
         # pair scan about 0.08 s; best of three, as the host is shared
@@ -616,6 +669,73 @@ def _random_connected_cograph(seed: int):
     edges = grow(labels[:k]) + grow(labels[k:])
     edges += [(u, v) for u in labels[:k] for v in labels[k:]]
     return build_graph(n, edges)
+
+
+def edge_list_random_probe_hfree(
+    n: int,
+    h: Pattern,
+    density: float,
+    seed: int,
+    attempts: int = 10_000,
+) -> tuple[PartitionedProbeGraph, ProbeCertificate]:
+    """Reference: the generator that builds an edge list per attempt."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError("density must be a probability")
+    rng = random.Random(seed)
+    for _ in range(attempts):
+        edges = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        ]
+        gstar = build_graph(n, edges)
+        if find_induced(gstar, h) is not None:
+            continue
+        nprime = frozenset(v for v in range(n) if rng.random() < 0.5)
+        deleted = {(u, v) for (u, v) in edges if u in nprime and v in nprime}
+        kept = [e for e in edges if e not in deleted]
+        g = build_graph(n, kept)
+        if not is_connected(g):
+            continue
+        ppg = PartitionedProbeGraph(
+            g, frozenset(range(n)) - nprime, nprime
+        )
+        return ppg, ProbeCertificate.of(deleted)
+    raise GenerationTimeout(
+        f"no connected {h.name}-free instance in {attempts} attempts"
+    )
+
+
+def _generated(generate, *args):
+    """The parts of a generator result that must match, or the error."""
+    try:
+        ppg, cert = generate(*args)
+    except GenerationTimeout as exc:
+        return type(exc), str(exc)
+    return ppg.graph.adj_bits, ppg.probes, ppg.nonprobes, cert.f_edges
+
+
+class TestGeneratorEquivalence:
+    """The generator that draws each attempt into adjacency masks returns
+    exactly what the edge-list generator returns, draw for draw."""
+
+    @given(
+        st.integers(2, 16),
+        st.sampled_from([0.0, 0.3, 0.5, 0.75, 0.9, 1.0]) | st.floats(0, 1),
+        st.sampled_from(PATTERN_NAMES),
+        st.integers(0, 2**32),
+        st.integers(1, 50),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_instance_or_error(self, n, density, name, seed, attempts):
+        h = parse_pattern(name)
+        args = (n, h, density, seed, attempts)
+        assert _generated(random_probe_hfree, *args) == _generated(
+            edge_list_random_probe_hfree, *args
+        )
 
 
 class TestRandomProbeHfree:
