@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import (
+    GenerationTimeout,
     InvalidInstance,
     NotBipartite,
     ParseError,
@@ -30,6 +31,7 @@ from .graph import (
     Graph,
     PartitionedProbeGraph,
     ProbeCertificate,
+    _check_pattern_size,
     build_graph,
     iter_bits,
     parse_pattern,
@@ -457,6 +459,10 @@ def cmd_crosscheck(opts, argv) -> int:
     started = time.perf_counter()
     if opts.count < 0:
         raise ParseError(f"--count must be >= 0, got {opts.count}")
+    if opts.s < 0:
+        raise ParseError(f"--s must be >= 0, got {opts.s}")
+    # the pattern is sP1+P4: refuse it by size before building it
+    _check_pattern_size(f"{opts.s}P1+P4", opts.s + 4)
     if opts.count == 0:
         print("warning: count=0, trivial pass", file=sys.stderr)
         return _emit_report(argv, True, started=started)
@@ -475,7 +481,7 @@ def cmd_crosscheck(opts, argv) -> int:
                     n, pattern, density, rng.randrange(1 << 30)
                 )
                 break
-            except ProbeCutError:
+            except GenerationTimeout:
                 density = min(1.0, density + 0.1)
         if ppg is None:
             skipped += 1

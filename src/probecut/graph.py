@@ -30,6 +30,10 @@ from .errors import (
 )
 
 
+_MAX_PATTERN_VERTICES = 8
+"""Largest pattern the induced-pattern search accepts."""
+
+
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``; bit u of
     ``adj_bits[v]`` is set iff uv is an edge."""
@@ -192,7 +196,10 @@ def split_forbidden_patterns() -> tuple[Pattern, Pattern, Pattern]:
 
 
 def parse_pattern(name: str) -> Pattern:
-    """Parse a pattern name such as P4, C5, K1,3, 2P2, 4P1, 2P1+P4, diamond."""
+    """Parse a pattern name such as P4, C5, K1,3, 2P2, 4P1, 2P1+P4, diamond.
+
+    The vertex count is read off the name and checked against the pattern
+    search's limit before any graph is built."""
     text = name.strip()
     if text == "diamond":
         return diamond_pattern()
@@ -201,22 +208,29 @@ def parse_pattern(name: str) -> Pattern:
     m = re.fullmatch(r"(?:(\d*)P1\+)?P4", text)
     if m:
         digits = m.group(1)
-        if digits is None:
-            return sp1_p4_pattern(0)
-        return sp1_p4_pattern(int(digits) if digits else 1)
-    m = re.fullmatch(r"P(\d+)", text)
-    if m:
-        return path_pattern(int(m.group(1)))
-    m = re.fullmatch(r"C(\d+)", text)
-    if m:
-        return cycle_pattern(int(m.group(1)))
-    m = re.fullmatch(r"K1,(\d+)", text)
-    if m:
-        return star_pattern(int(m.group(1)))
-    m = re.fullmatch(r"(\d+)P1", text)
-    if m:
-        return independent_pattern(int(m.group(1)))
+        s = 0 if digits is None else int(digits) if digits else 1
+        _check_pattern_size(text, s + 4)
+        return sp1_p4_pattern(s)
+    for form, build, extra in (
+        (r"P(\d+)", path_pattern, 0),
+        (r"C(\d+)", cycle_pattern, 0),
+        (r"K1,(\d+)", star_pattern, 1),
+        (r"(\d+)P1", independent_pattern, 0),
+    ):
+        m = re.fullmatch(form, text)
+        if m:
+            size = int(m.group(1))
+            _check_pattern_size(text, size + extra)
+            return build(size)
     raise UnsupportedPattern(f"unknown pattern name {name!r}")
+
+
+def _check_pattern_size(name: str, k: int) -> None:
+    """Refuse a pattern on more vertices than the pattern search handles."""
+    if k > _MAX_PATTERN_VERTICES:
+        raise UnsupportedPattern(
+            f"pattern {name} has {k} > {_MAX_PATTERN_VERTICES} vertices"
+        )
 
 
 def _parts(adj: tuple[int, ...], mask: int, flip: int) -> list[int]:
@@ -297,10 +311,7 @@ def _find_within(g: Graph, h: Pattern, within: int) -> Optional[dict[int, int]]:
     """:func:`find_induced` inside the vertex mask ``within``, in the ids
     of ``g``: every candidate set is cut down to the mask."""
     k = h.graph.n
-    if k > 8:
-        raise UnsupportedPattern(
-            f"pattern {h.name} has {k} > 8 vertices"
-        )
+    _check_pattern_size(h.name, k)
     if k > within.bit_count():
         return None
     if k == 0:

@@ -12,6 +12,12 @@ propagation; it exists because the reduction outputs checked by the
 acceptance suite are far beyond the 2^(n-1) enumeration guard, and it is
 itself cross-validated against the plain enumerators on every input small
 enough for both.
+
+A vertex of the colouring scan with more than d opposite neighbours
+rules out more than the bits it reads: every counter that keeps its own
+bit and those of d+1 of those neighbours fails too, vertex 0 (whose
+colour never varies) counted first and then the highest.  So the block
+it rules out starts at the lowest of those bits.
 """
 
 from __future__ import annotations
@@ -70,33 +76,67 @@ def _colourings(
     varying counter bit is that of ``low``, the least vertex other than 0
     in N[v].  When v fails, every counter up to ``counter | below`` agrees
     with this one on bits ``low - 1`` and up, so v fails there too and the
-    scan jumps past them.  Only invalid colourings are skipped, so the
-    valid ones come in the same order as from the plain counter loop, and
-    the first one found (what ``brute_*`` return) stays the same.
-    Vertices are tested in descending ``low``, least id on ties, so the
-    first that fails allows the largest jump; a vertex that cannot fail
-    (lo = 0 and degree at most d) is not tested.
+    scan jumps past them.
+
+    A vertex with too many opposite neighbours (k > d) allows a longer
+    jump.  It fails on every counter that keeps its own colour and d+1 of
+    those neighbours opposite, so only the bits of v and of d+1 of them
+    need to stay.  Vertex 0 never varies, so it is one of the d+1 for free
+    whenever it is opposite; the rest are the highest, which puts p, the
+    lowest bit kept, as high as it goes.  The scan jumps to
+    ``(counter | ((1 << p) - 1)) + 1``: every counter skipped agrees with
+    this one on bits p and up.  All those bits belong to N[v] - {0}, so p
+    is never below ``low - 1`` and no jump gets shorter.  p can beat
+    ``low - 1`` only when v is not the least vertex of N[v] - {0}, so only
+    those vertices do the extra bit work.  A vertex with too few
+    (k < lo) keeps the block jump: its test reads every bit of N[v].
+
+    Only invalid colourings are skipped, so the valid ones come in the
+    same order as from the plain counter loop, and the first one found
+    (what ``brute_*`` return) stays the same.  Vertices are tested in
+    descending ``low``, least id on ties, and the first that fails sets
+    the jump; a vertex that cannot fail (lo = 0 and degree at most d) is
+    not tested.
     """
     _check_scale(g.n, max_n)
     adj = g.adj_bits
     n = g.n
     full = (1 << n) - 1
-    order = []  # (-low, v, below) for each vertex that can fail
+    end = 1 << max(n - 1, 0)
+    order = []  # (-low, v, below, own) for each vertex that can fail
     for v in range(n):
         if lo > 0 or adj[v].bit_count() > d:
             near = (adj[v] | 1 << v) & ~1  # vertex 0's colour never varies
             low = (near & -near).bit_length() - 1 if near else n
-            order.append((-low, v, (1 << max(low - 1, 0)) - 1))
+            # own: v's counter bit (for vertex 0, one above them all), or
+            # 0 when v is the least of N[v] - {0}: the block jump is as far
+            own = 0 if low == v else 1 << v >> 1 if v else end
+            order.append((-low, v, (1 << max(low - 1, 0)) - 1, own))
     order.sort()
-    checks = [(adj[v], 1 << v, below) for _, v, below in order]
-    end = 1 << max(n - 1, 0)
+    checks = [(adj[v], 1 << v, below, own) for _, v, below, own in order]
+    d1 = d + 1
     counter = 1
     while counter < end:
         blue = counter << 1
         red = full & ~blue
-        for av, bit, below in checks:
-            k = (av & (blue if red & bit else red)).bit_count()
-            if k > d or k < lo:
+        for av, bit, below, own in checks:
+            opp = av & (blue if red & bit else red)
+            k = opp.bit_count()
+            if k > d:
+                if own:
+                    # keep v's bit and d+1 opposite neighbours: vertex 0
+                    # (bit 0 of opp, no counter bit) if opposite, then the
+                    # highest; so strip the k - d - 1 lowest of the rest
+                    # and p is the least of their lowest and v's own bit
+                    top = opp >> 1
+                    while k > d1:
+                        top &= top - 1
+                        k -= 1
+                    keep = top & -top  # 0 if vertex 0 alone is kept
+                    below = (keep if 0 < keep < own else own) - 1
+                counter = (counter | below) + 1
+                break
+            if k < lo:
                 counter = (counter | below) + 1
                 break
         else:

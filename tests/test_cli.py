@@ -20,6 +20,7 @@ from probecut import (
     ProbeCertificate,
     build_graph,
     parse_pattern,
+    UnsupportedPattern,
     random_probe_hfree,
     validate_colouring,
 )
@@ -387,6 +388,49 @@ class TestCrosscheck:
         err = capsys.readouterr().err
         assert err.startswith("error: n=")
         assert f"exceeds oracle limit {limit}" in err
+
+    def test_unsupported_pattern_is_named(self, capsys, monkeypatch):
+        # 5P1+P4 has 9 vertices: refused once, before any generation,
+        # not counted as three skipped instances
+        def never(*args, **kwargs):
+            raise AssertionError("generated for a pattern over the limit")
+
+        monkeypatch.setattr("probecut.cli.random_probe_hfree", never)
+        code = main(["crosscheck", "--problem", "dcut", "--s", "5",
+                     "--count", "3", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: pattern 5P1+P4 has 9 > 8 vertices\n"
+        assert captured.out == ""
+
+    def test_huge_s_refused_before_building(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("built a pattern over the limit")
+
+        monkeypatch.setattr("probecut.graph.build_graph", never)
+        code = main(["crosscheck", "--problem", "mmc", "--s", "100000",
+                     "--count", "1"])
+        assert code == 2
+        assert "100004 > 8 vertices" in capsys.readouterr().err
+
+    def test_negative_s_is_parse_error(self, capsys):
+        code = main(["crosscheck", "--problem", "mmc", "--s", "-1",
+                     "--count", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --s must be >= 0, got -1\n"
+
+    def test_only_generation_timeouts_are_retried(self, capsys, monkeypatch):
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(args)
+            raise UnsupportedPattern("pattern search refused")
+
+        monkeypatch.setattr("probecut.cli.random_probe_hfree", broken)
+        code = main(["crosscheck", "--problem", "dcut", "--count", "2",
+                     "--max-n", "6", "--seed", "1"])
+        assert code == 2 and len(calls) == 1
+        assert capsys.readouterr().err == "error: pattern search refused\n"
 
     def test_generation_failure_is_reported(self, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -321,6 +321,26 @@ class TestPatterns:
         with pytest.raises(UnsupportedPattern):
             parse_pattern("H17")
 
+    @pytest.mark.parametrize("name, k", [
+        ("100000P1", 100000), ("P100000", 100000), ("C100000", 100000),
+        ("K1,99999", 100000), ("99996P1+P4", 100000), ("9P1", 9),
+        ("5P1+P4", 9), ("K1,8", 9),
+    ])
+    def test_oversized_name_refused_before_building(
+        self, monkeypatch, name, k
+    ):
+        # the size comes from the name; nothing is allocated for it
+        def never(*args, **kwargs):
+            raise AssertionError("built a pattern over the limit")
+
+        monkeypatch.setattr("probecut.graph.build_graph", never)
+        with pytest.raises(UnsupportedPattern, match=f"has {k} > 8 vertices"):
+            parse_pattern(name)
+
+    @pytest.mark.parametrize("name", ["P8", "C8", "K1,7", "8P1", "4P1+P4"])
+    def test_largest_names_parse(self, name):
+        assert parse_pattern(name).graph.n == 8
+
     def test_diamond_is_k4_minus_edge(self):
         d = diamond_pattern().graph
         assert d.edge_count() == 5 and not d.has_edge(2, 3)

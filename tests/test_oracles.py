@@ -1,5 +1,6 @@
 """Brute-force oracle behaviour, scale guards and cross-oracle invariants."""
 
+import inspect
 import random
 import sys
 import time
@@ -192,13 +193,84 @@ def probe_instances(draw):
     )
 
 
+def model_visits(g, d, lo):
+    """Reference for the counters the colouring scan tests, with lists.
+
+    The first vertex to fail, in descending least vertex of N[v] - {0}
+    (least id on ties), sets the jump.  One with more than d opposite
+    neighbours keeps its own bit and those of d+1 of them, vertex 0 first
+    (it has no bit) and then the highest; one with fewer than lo keeps
+    every bit of N[v] - {0}.  The scan goes on past every counter that
+    agrees with this one on the lowest bit kept and above."""
+    n = g.n
+    nbrs = [[u for u in range(n) if g.has_edge(v, u)] for v in range(n)]
+    low = [min([u for u in nbrs[v] + [v] if u], default=n) for v in range(n)]
+    order = sorted(
+        (v for v in range(n) if lo > 0 or len(nbrs[v]) > d),
+        key=lambda v: (-low[v], v),
+    )
+    visits = []
+    counter = 1
+    while counter < 1 << max(n - 1, 0):
+        visits.append(counter)
+        colour = [0] + [(counter >> (u - 1)) & 1 for u in range(1, n)]
+        for v in order:
+            opposite = [u for u in nbrs[v] if colour[u] != colour[v]]
+            if len(opposite) > d:
+                rest = [u for u in opposite if u]
+                need = d + 1 - (0 in opposite)
+                kept = [v] + rest[len(rest) - need:]
+                p = min(u - 1 for u in kept if u)
+                break
+            if len(opposite) < lo:
+                p = max(low[v] - 1, 0)
+                break
+        else:
+            counter += 1
+            continue
+        counter = (counter | ((1 << p) - 1)) + 1
+    return visits
+
+
+def scan_visits(g, d, lo):
+    """The counters ``_colourings`` tests, read off its loop by a line
+    trace on ``blue = counter << 1``."""
+    code = _colourings.__code__
+    lines, first = inspect.getsourcelines(_colourings)
+    marks = [i for i, text in enumerate(lines)
+             if text.strip() == "blue = counter << 1"]
+    assert len(marks) == 1, "the scan's loop head has moved"
+    head = first + marks[0]
+    visits = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == head:
+            visits.append(frame.f_locals["counter"])
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code
+                 else None)
+    try:
+        for _ in _colourings(g, d, lo, None):
+            pass
+    finally:
+        sys.settrace(previous)
+    return visits
+
+
+# every (d, lo) the scan tests run: d = 0 up to 3, with and without a lower
+# bound (lo = 1 with d = 1 is the perfect matching cut)
+SCAN_D_LO = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
+
+
 @st.composite
 def scan_graphs(draw):
     """Graphs on 0-12 vertices; a drawn subset, vertex 0 included at
     times, is left isolated."""
     n = draw(st.integers(0, 12))
     isolated = draw(st.sets(st.integers(0, max(n - 1, 0)))) if n else set()
-    p = draw(st.sampled_from([0.2, 0.4, 0.6, 0.85]))
+    p = draw(st.sampled_from([0.2, 0.4, 0.6, 0.85, 0.95]))
     rng = random.Random(draw(st.integers(0, 10 ** 6)))
     edges = [
         (u, v)
@@ -233,9 +305,7 @@ class TestColouringScan:
     """The block-skipping scans yield exactly what the plain counter loops
     yield, in the same order."""
 
-    @given(scan_graphs(), st.sampled_from(
-        [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
-    ))
+    @given(scan_graphs(), st.sampled_from(SCAN_D_LO))
     @settings(max_examples=300)
     def test_same_colourings_in_order(self, g, d_lo):
         d, lo = d_lo
@@ -251,6 +321,53 @@ class TestColouringScan:
             assert list(_colourings(g, d, lo, None)) == list(
                 plain_colourings(g, d, lo)
             )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_dense_graphs_same_colourings_and_jumps(self, seed):
+        # on dense graphs most failing vertices have a low neighbour, and
+        # the jump past d+1 high opposite neighbours carries the scan; a
+        # jump one bit too short stays exact but slower, and only the
+        # counters visited show it
+        n = 8 + seed % 4
+        g = random_graph(n, (0.6, 0.75, 0.85, 0.95)[seed % 4], seed)
+        for d, lo in SCAN_D_LO:
+            assert list(_colourings(g, d, lo, None)) == list(
+                plain_colourings(g, d, lo)
+            )
+            assert scan_visits(g, d, lo) == model_visits(g, d, lo)
+
+    @pytest.mark.parametrize("g", [
+        # vertex 0 among the opposite neighbours of every other vertex
+        complete_graph(10),
+        build_graph(11, [(v, 10) for v in range(10)]
+                    + [(v, v + 1) for v in range(9)]),
+        # vertex 0 alone makes up the d+1 kept at d = 0: the jump is then
+        # the failing vertex's own bit
+        build_graph(9, [(0, 8), (3, 8), (5, 8), (1, 2), (2, 3)]),
+        build_graph(6, [(0, 5), (1, 5), (0, 4), (2, 4)]),
+        # the failing vertex is 0 itself, which has no counter bit
+        star_graph(11),
+        build_graph(10, [(0, v) for v in range(4, 10)] + [(1, 2), (2, 3)]),
+    ], ids=["K10", "hub-path", "zero-alone", "zero-alone-small",
+            "star-at-0", "star-at-0-plus-path"])
+    def test_edge_cases_same_colourings_and_jumps(self, g):
+        for d, lo in SCAN_D_LO:
+            assert list(_colourings(g, d, lo, None)) == list(
+                plain_colourings(g, d, lo)
+            )
+            assert scan_visits(g, d, lo) == model_visits(g, d, lo)
+
+    def test_star_mmc_within_budget(self):
+        # K1,23 centred at 0: every colouring with two blue leaves fails at
+        # vertex 0, whose least neighbour is 1, so the block jump is one
+        # counter and the scan took seconds; keeping only the two highest
+        # blue leaves skips all but a few hundred counters
+        g = star_graph(23)
+        began = time.perf_counter()
+        size, cert = brute_mmc(g)
+        elapsed = time.perf_counter() - began
+        assert size == 1 and cert.size == 1
+        assert elapsed < 0.1
 
     @given(sat_instances())
     @settings(max_examples=300)
