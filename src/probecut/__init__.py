@@ -17,10 +17,8 @@ from .errors import (
     PartialColouring,
     PreconditionViolation,
     ProbeCutError,
-    StructureViolation,
     UnsupportedD,
     UnsupportedPattern,
-    WrongCase,
 )
 from .graph import (
     Graph,
@@ -74,10 +72,7 @@ from .reductions import (
     validate_sat_shape,
 )
 from .solvers import (
-    NonProbeType,
     SolveReport,
-    classify_nonprobe,
-    find_p_dominating_pair,
     seed_sets,
     solve_dcut,
     solve_mmc,
@@ -90,7 +85,7 @@ __all__ = [
     "InvalidInstance", "InvalidSatInstance", "NoEdges", "NotBipartite",
     "NotConnected", "NotCubic", "OracleScaleExceeded",
     "ParseError", "PartialColouring", "PreconditionViolation", "ProbeCutError",
-    "StructureViolation", "UnsupportedD", "UnsupportedPattern", "WrongCase",
+    "UnsupportedD", "UnsupportedPattern",
     # graph
     "Graph", "Pattern", "PartitionedProbeGraph", "ProbeCertificate",
     "build_graph", "cograph_split", "connected_components", "cycle_pattern",
@@ -110,7 +105,5 @@ __all__ = [
     "SatInstance", "bipartite_to_split", "moshi_double", "random_sat_instance",
     "sat_to_4p1", "subdivide4", "validate_sat_shape",
     # solvers
-    "NonProbeType", "SolveReport", "classify_nonprobe",
-    "find_p_dominating_pair", "seed_sets", "solve_dcut", "solve_mmc",
-    "solve_pmc",
+    "SolveReport", "seed_sets", "solve_dcut", "solve_mmc", "solve_pmc",
 ]

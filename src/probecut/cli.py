@@ -264,32 +264,35 @@ def _read_graph(path: str) -> Graph:
     return _build_graph(n, edges)
 
 
+# problem -> (poly solver, oracle): the solver takes the instance and the
+# options and returns a SolveReport, the oracle takes the graph and the
+# options and returns a certificate or None.  Both look the functions up by
+# module name when called, so a wrapped or patched attribute takes effect.
+_PROBLEMS = {
+    "dcut": (lambda ppg, o: solve_dcut(ppg, o.d),
+             lambda g, o: brute_dcut(g, o.d)),
+    "mc": (lambda ppg, o: solve_mmc(ppg, o.s),
+           lambda g, o: brute_dcut(g, 1)),
+    "mmc": (lambda ppg, o: solve_mmc(ppg, o.s),
+            lambda g, o: (brute_mmc(g) or (0, None))[1]),
+    "pmc": (lambda ppg, o: solve_pmc(ppg, o.s),
+            lambda g, o: brute_pmc(g)),
+}
+
+
 def cmd_solve(opts, argv) -> int:
     started = time.perf_counter()
     ppg = parse_instance(_read(opts.input)).ppg
-    problem, algo = opts.problem, opts.algo
-    if algo == "poly":
-        if problem == "dcut":
-            report = solve_dcut(ppg, opts.d)
-        elif problem in ("mc", "mmc"):
-            report = solve_mmc(ppg, opts.s)
-        else:
-            report = solve_pmc(ppg, opts.s)
+    poly, oracle = _PROBLEMS[opts.problem]
+    if opts.algo == "poly":
+        report = poly(ppg, opts)
         return _emit_report(
             argv, report.answer, certificate=report.certificate,
             branches=report.branches_explored, trace=report.case_trace,
             started=started,
         )
     # brute dispatch is explicit; scale guards surface as errors
-    if problem == "dcut":
-        cert = brute_dcut(ppg.graph, opts.d)
-    elif problem == "mc":
-        cert = brute_dcut(ppg.graph, 1)
-    elif problem == "pmc":
-        cert = brute_pmc(ppg.graph)
-    else:
-        found = brute_mmc(ppg.graph)
-        cert = found[1] if found else None
+    cert = oracle(ppg.graph, opts)
     return _emit_report(
         argv, cert is not None, certificate=cert, trace=["oracle"],
         started=started,
@@ -523,21 +526,14 @@ def cmd_crosscheck(opts, argv) -> int:
 
 
 def _crosscheck_run(opts, ppg) -> tuple[str, str]:
-    g = ppg.graph
-    if opts.problem == "mmc":
-        poly = solve_mmc(ppg, opts.s)
-        brute = brute_mmc(g)
-        return (
-            f"size={poly.certificate.size}" if poly.answer else "no",
-            f"size={brute[0]}" if brute is not None else "no",
-        )
-    if opts.problem == "dcut":
-        poly, brute = solve_dcut(ppg, opts.d), brute_dcut(g, opts.d)
-    elif opts.problem == "mc":
-        poly, brute = solve_mmc(ppg, opts.s), brute_dcut(g, 1)
-    else:
-        poly, brute = solve_pmc(ppg, opts.s), brute_pmc(g)
-    return "yes" if poly.answer else "no", "yes" if brute is not None else "no"
+    """The poly and oracle answers, described as ``size=k`` for mmc and as
+    ``yes`` otherwise, or ``no`` without a certificate."""
+    poly, oracle = _PROBLEMS[opts.problem]
+    return tuple(
+        "no" if cert is None
+        else f"size={cert.size}" if opts.problem == "mmc" else "yes"
+        for cert in (poly(ppg, opts).certificate, oracle(ppg.graph, opts))
+    )
 
 
 @functools.lru_cache(maxsize=None)

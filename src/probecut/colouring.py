@@ -194,23 +194,35 @@ def max_bipartite_matching(nbrs: dict[int, int]) -> dict[int, int]:
     vertices tried in ascending order, so the result is deterministic.  A
     left vertex that fails to augment in its turn stays unmatched: later
     augmenting paths only pass through matched left vertices.
+
+    The depth-first augmenting search runs on an explicit stack of
+    [left vertex, untried rights, right taken], so a path of any length
+    needs no recursion; on reaching a free right vertex every entry takes
+    its right.
     """
     match_left: dict[int, int] = {}
     match_right: dict[int, int] = {}
-
-    def augment(u: int, visited: set[int]) -> bool:
-        for w in iter_bits(nbrs[u]):
-            if w in visited:
+    for root in nbrs:
+        visited = 0
+        stack = [[root, nbrs[root], 0]]
+        while stack:
+            top = stack[-1]
+            untried = top[1] & ~visited
+            if not untried:
+                stack.pop()
                 continue
-            visited.add(w)
-            if w not in match_right or augment(match_right[w], visited):
+            low = untried & -untried
+            visited |= low
+            w = low.bit_length() - 1
+            top[1], top[2] = untried ^ low, w
+            if w in match_right:
+                u = match_right[w]
+                stack.append([u, nbrs[u], 0])
+                continue
+            for u, _, w in stack:
                 match_left[u] = w
                 match_right[w] = u
-                return True
-        return False
-
-    for u in nbrs:
-        augment(u, set())
+            break
     return match_left
 
 

@@ -53,14 +53,6 @@ class UnsupportedD(ProbeCutError):
     """The requested d is outside the solver's range."""
 
 
-class WrongCase(ProbeCutError):
-    """Non-probe classification requires at least three probe components."""
-
-
-class StructureViolation(ProbeCutError):
-    """The instance lacks structure promised by its declared class."""
-
-
 class OracleScaleExceeded(ProbeCutError):
     """Input is above the brute-force oracle's scale guard."""
 

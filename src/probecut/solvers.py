@@ -28,7 +28,7 @@ from functools import partial
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
-from .errors import NotConnected, StructureViolation, UnsupportedD, WrongCase
+from .errors import NotConnected, UnsupportedD
 from .colouring import (
     CutCertificate,
     _certify,
@@ -46,21 +46,6 @@ from .graph import (
     is_p4_free,
     iter_bits,
 )
-
-
-@dataclass(frozen=True)
-class NonProbeType:
-    """Adjacency profile of a non-probe against the probe components.
-
-    Tags: ``A`` complete to the whole probe side; ``B`` a neighbour in
-    every component but not complete (witness: the non-complete
-    component); ``C`` anti-complete to some component with neighbours in
-    at least two (witness: the components it is complete to); ``D``
-    neighbours in exactly one component (witness: that component).
-    """
-
-    tag: str
-    witness: object = None
 
 
 @dataclass
@@ -158,73 +143,10 @@ def _branch_leaves(
         stack.append((x | bit, y, i + 1, bit))
 
 
-def classify_nonprobe(
-    ppg: PartitionedProbeGraph, components: list[int]
-) -> dict[int, NonProbeType]:
-    """Classify every non-probe by its profile against the probe
-    component masks; requires at least three components."""
-    if len(components) < 3:
-        raise WrongCase("classification needs >= 3 probe components")
-    adj = ppg.graph.adj_bits
-    p_mask = sum(components)  # the components are disjoint
-    result: dict[int, NonProbeType] = {}
-    for v in sorted(ppg.nonprobes):
-        av = adj[v]
-        if av & p_mask == p_mask:
-            result[v] = NonProbeType("A")
-            continue
-        touched = [i for i, cm in enumerate(components) if av & cm]
-        complete = [i for i, cm in enumerate(components) if av & cm == cm]
-        if len(touched) == len(components):
-            missing = [i for i in touched if i not in complete]
-            result[v] = NonProbeType("B", missing[0])
-        elif len(touched) >= 2:
-            result[v] = NonProbeType("C", tuple(complete))
-        else:
-            result[v] = NonProbeType("D", touched[0] if touched else None)
-    return result
-
-
-def find_p_dominating_pair(
-    ppg: PartitionedProbeGraph,
-    components: list[int],
-    typemap: dict[int, NonProbeType],
-) -> Optional[tuple[int, int]]:
-    """A pair of type-C non-probes with every probe component complete to
-    at least one of them.
-
-    The anchor v is a maximum type-C vertex (complete to the most
-    components, ties by id); its partner u is the first type-C vertex
-    complete to a component v misses, sharing a complete component with v,
-    and closing the domination condition.  Returns None when there are no
-    type-C vertices at all; raises :class:`StructureViolation` when type-C
-    vertices exist but no pair works, which cannot happen for a genuinely
-    probe (P1+P4)-free instance.
-    """
-    if any(t.tag in ("A", "B") for t in typemap.values()):
-        raise WrongCase("dominating pair search assumes no type-A/B vertices")
-    cs = [v for v in sorted(typemap) if typemap[v].tag == "C"]
-    if not cs:
-        return None
-    complete_of = {v: set(typemap[v].witness) for v in cs}
-    v_anchor = max(cs, key=lambda v: (len(complete_of[v]), -v))
-    all_comps = set(range(len(components)))
-    for u in cs:
-        if u == v_anchor:
-            continue
-        cu, cv = complete_of[u], complete_of[v_anchor]
-        if (cu - cv) and (cu & cv) and cu | cv == all_comps:
-            return (u, v_anchor)
-    raise StructureViolation(
-        "no P-dominating type-C pair; instance breaks its class promise"
-    )
-
-
 class _DcutSolver:
     """One d-cut run; holds the shared masks and the branch counter."""
 
     def __init__(self, ppg: PartitionedProbeGraph, d: int):
-        self.ppg = ppg
         self.g = ppg.graph
         self.d = d
         self.n = self.g.n
@@ -435,14 +357,33 @@ class _DcutSolver:
         return self._nbhd(cm) & self.n_mask
 
     def _many_components(self, comps: list[int]) -> Optional[CutCertificate]:
-        typemap = classify_nonprobe(self.ppg, comps)
-        for v, t in typemap.items():
-            if t.tag == "A":
+        """Three or more probe components: sort the non-probes by the bit
+        sets of the components they touch and are complete to.  Type A is
+        complete to every component, type B touches every component
+        without being type A, type C touches two or more but not all, and
+        type D (never used) touches at most one.  Branch on the least
+        type-A vertex, else the least type-B vertex, else a dominating
+        pair of type-C vertices."""
+        every = (1 << len(comps)) - 1
+        b_mask = 0
+        c_complete: dict[int, int] = {}
+        for v in iter_bits(self.n_mask):
+            av = self.adj_bits[v]
+            touched = complete = 0
+            for i, cm in enumerate(comps):
+                if av & cm:
+                    touched |= 1 << i
+                    if av & cm == cm:
+                        complete |= 1 << i
+            if complete == every:
                 return self._type_a_case(v)
-        for v, t in typemap.items():
-            if t.tag == "B":
-                return self._type_b_case(v, typemap, comps)
-        return self._dominating_pair_case(typemap, comps)
+            if touched == every:
+                b_mask |= 1 << v
+            elif touched & (touched - 1):
+                c_complete[v] = complete
+        if b_mask:
+            return self._type_b_case(b_mask, comps)
+        return self._dominating_pair_case(c_complete, comps)
 
     def _type_a_case(self, v: int) -> Optional[CutCertificate]:
         """A non-probe complete to the probe side sees every probe, so its
@@ -457,14 +398,16 @@ class _DcutSolver:
                 return cert
         return None
 
-    def _type_b_case(self, v, typemap, comps) -> Optional[CutCertificate]:
-        """A type-B non-probe is complete to all components but one; its
-        neighbourhood guess colours everything except part of that
-        component, which the bounded-class guess covers."""
+    def _type_b_case(self, b_mask: int, comps: list[int]) -> Optional[CutCertificate]:
+        """The least type-B non-probe v is complete to all components but
+        one (the first it is not complete to); its neighbourhood guess
+        colours everything except part of that component, which the
+        bounded-class guess covers."""
         self.trace.append("multi-comp/type-b")
-        c1m = comps[typemap[v].witness]
+        v = (b_mask & -b_mask).bit_length() - 1
         nv = self.adj_bits[v]
-        second = partial(self._type_b_round, typemap, comps, c1m)
+        c1m = next(cm for cm in comps if nv & cm != cm)
+        second = partial(self._type_b_round, b_mask, comps, c1m)
         for xvm in _subsets(nv, 0, self.d):
             y0 = (1 << v) | (nv & ~xvm)
             for pol_red in (True, False):
@@ -483,28 +426,42 @@ class _DcutSolver:
                         return cert
         return None
 
-    def _type_b_round(self, typemap, comps, c1m, unc) -> int:
+    def _type_b_round(self, b_mask, comps, c1m, unc) -> int:
         """Frontier for the vertices the type-B guesses left uncoloured:
         the neighbourhood of the components complete to the first
         uncoloured type-B non-probe, or of the exceptional component."""
-        for b in iter_bits(unc & self.n_mask):
-            if typemap[b].tag == "B":
-                ab = self.adj_bits[b]
-                ym = sum(cm for cm in comps if ab & cm == cm)
-                return self._nbhd(ym) & self.n_mask
+        left = unc & b_mask
+        if left:
+            ab = self.adj_bits[(left & -left).bit_length() - 1]
+            ym = sum(cm for cm in comps if ab & cm == cm)
+            return self._nbhd(ym) & self.n_mask
         return self._nbhd(c1m) & self.n_mask
 
-    def _dominating_pair_case(self, typemap, comps) -> Optional[CutCertificate]:
+    def _dominating_pair_case(
+        self, c_complete: dict[int, int], comps: list[int]
+    ) -> Optional[CutCertificate]:
         """Only type-C and type-D non-probes remain; a pair of type-C
-        vertices jointly complete to every component drives the guesses."""
+        vertices jointly complete to every component drives the guesses.
+
+        ``c_complete`` maps each type-C vertex to the bits of the
+        components it is complete to.  The anchor v is complete to the
+        most components (least id on ties); its partner u is the least
+        type-C vertex complete to a component v misses, sharing a complete
+        component with v, and closing the domination condition.  A probe
+        (P1+P4)-free instance with type-C vertices always has such a pair.
+        """
         self.trace.append("multi-comp/dominating-pair")
-        try:
-            pair = find_p_dominating_pair(self.ppg, comps, typemap)
-        except StructureViolation:
-            return None  # class promise broken; nothing sound to report
-        if pair is None:
+        if not c_complete:
             return None
-        u, v = pair
+        every = (1 << len(comps)) - 1
+        v = max(c_complete, key=lambda w: (c_complete[w].bit_count(), -w))
+        cv = c_complete[v]
+        u = next((
+            w for w, cw in c_complete.items()
+            if cw & ~cv and cw & cv and cw | cv == every
+        ), None)
+        if u is None:
+            return None  # class promise broken; nothing sound to report
         bu, bv = 1 << u, 1 << v
         # both endpoints alike (blue): the red probes number at most 2d
         cert = self._probe_class(True, bu | bv)

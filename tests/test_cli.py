@@ -356,6 +356,39 @@ class TestCrosscheck:
                      "--count", "5", "--max-n", "8", "--seed", "3"])
         assert code == 0
 
+    @pytest.mark.parametrize("problem", ["mc", "pmc"])
+    def test_mc_and_pmc_runs(self, capsys, problem):
+        code = main(["crosscheck", "--problem", problem, "--s", "1",
+                     "--count", "4", "--max-n", "8", "--seed", "3"])
+        assert code == 0
+        assert f"4/4 agree on problem={problem}" in capsys.readouterr().err
+
+    def test_mismatch_is_dumped(self, capsys, monkeypatch, tmp_path):
+        # an oracle that answers the opposite of the real one disagrees
+        # with the solver on every instance
+        real = cli.brute_dcut
+
+        def flipped(g, d):
+            return None if real(g, d) is not None else "flipped"
+
+        monkeypatch.setattr(cli, "brute_dcut", flipped)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        code = main(["crosscheck", "--problem", "dcut", "--d", "2",
+                     "--count", "2", "--max-n", "8", "--seed", "7"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out)["violation"] == "2 mismatches"
+        dumps = [
+            line.removeprefix("mismatch dumped: ")
+            for line in captured.err.splitlines()
+            if line.startswith("mismatch dumped: ")
+        ]
+        assert len(dumps) == 2
+        for path in map(Path, dumps):
+            assert tmp_path in path.parents
+            meta = parse_instance(path.read_text()).metadata
+            assert {meta["poly"], meta["brute"]} == {"yes", "no"}
+
     def test_count_zero_warns(self, capsys):
         code = main(["crosscheck", "--problem", "pmc", "--count", "0",
                      "--max-n", "6", "--seed", "1"])

@@ -375,6 +375,74 @@ class TestMaxBipartiteMatching:
                 break
         assert len(m) == best
 
+    def test_matches_recursive_reference(self):
+        """The stack-based matcher returns the recursive matcher's dict,
+        insertion order included, with left vertices given in any order."""
+        rng = random.Random(20)
+        for _ in range(3000):
+            nl, nr = rng.randint(0, 9), rng.randint(1, 9)
+            p = rng.choice([0.2, 0.4, 0.7])
+            lefts = rng.sample(range(20), nl)
+            nbrs = {
+                u: _m(r for r in range(nr) if rng.random() < p)
+                for u in lefts
+            }
+            got = max_bipartite_matching(nbrs)
+            want = _recursive_matching(nbrs)
+            assert list(got.items()) == list(want.items()), nbrs
+
+    def test_long_augmenting_path_needs_no_recursion(self):
+        # u_i takes {i - 1, i}; u_3001 takes {0} and must shift all 3,000
+        nbrs = {i: _m({i - 1, i}) for i in range(1, 3001)}
+        nbrs[3001] = _m({0})
+        m = max_bipartite_matching(nbrs)
+        assert len(m) == 3001
+        assert m[3001] == 0 and all(m[i] == i for i in range(1, 3001))
+
+    def test_completions_on_long_augmenting_path(self):
+        """Hubs 0 (red) and 1 (blue), a_0..a_1200 alternating red and blue
+        and joined to the hub of their colour, uncoloured u_i joined to
+        a_(i-1) and a_i, and one more uncoloured vertex joined to a_0: the
+        last vertex's augmenting path runs through every u_i."""
+        k = 1201
+        n = 2 + k + (k - 1) + 1
+        edges, x, y = [], _m({0}), _m({1})
+        for j in range(k):
+            edges.append((j % 2, 2 + j))
+            if j % 2:
+                y |= 1 << (2 + j)
+            else:
+                x |= 1 << (2 + j)
+        for i in range(1, k):
+            edges += [(1 + k + i, 1 + j) for j in (i, i + 1)]
+        edges.append((n - 1, 2))
+        g = build_graph(n, edges)
+        cert = complete_independent_max_cut(g, x, y)
+        assert cert is not None and cert.size == k
+        # hub 0 has no blue neighbour, so no perfect cut exists
+        assert complete_independent_perfect(g, x, y) is None
+
+
+def _recursive_matching(nbrs):
+    """The recursive augmenting-path matcher, kept as the reference."""
+    match_left: dict[int, int] = {}
+    match_right: dict[int, int] = {}
+
+    def augment(u: int, visited: set[int]) -> bool:
+        for w in iter_bits(nbrs[u]):
+            if w in visited:
+                continue
+            visited.add(w)
+            if w not in match_right or augment(match_right[w], visited):
+                match_left[u] = w
+                match_right[w] = u
+                return True
+        return False
+
+    for u in nbrs:
+        augment(u, set())
+    return match_left
+
 
 def _brute_best_extension(g, x, y, perfect=False):
     """Reference: try all extensions over the uncoloured set."""

@@ -10,17 +10,13 @@ from probecut import (
     CutCertificate,
     NotConnected,
     PartitionedProbeGraph,
-    StructureViolation,
     UnsupportedD,
-    WrongCase,
     brute_dcut,
     brute_mmc,
     brute_pmc,
     brute_probe_certificate,
     build_graph,
-    classify_nonprobe,
     connected_components,
-    find_p_dominating_pair,
     is_connected,
     random_probe_hfree,
     seed_sets,
@@ -30,6 +26,7 @@ from probecut import (
     sp1_p4_pattern,
     validate_colouring,
 )
+from probecut.solvers import _DcutSolver
 
 from conftest import (
     all_probes,
@@ -72,40 +69,75 @@ class TestSeedSets:
             assert lists == sorted(lists)
 
 
+def _many_components_run(ppg, d=2):
+    """Run the three-or-more-component case of ``solve_dcut`` directly.
+
+    Returns its case trace, its certificate and the number of colourings
+    it validated, plus the answer it gives together with the
+    lone-non-probe step that every case relies on."""
+    solver = _DcutSolver(ppg, d)
+    comps = connected_components(ppg.graph, solver.p_mask)
+    assert len(comps) >= 3
+    cert = solver._many_components(comps)
+    trace, branches = list(solver.trace), solver.branches
+    if cert is not None:
+        check = validate_colouring(ppg.graph, list(cert.colouring), d)
+        assert isinstance(check, CutCertificate)
+    answer = cert is not None or solver._lone_nonprobe_step() is not None
+    return trace, cert, branches, answer
+
+
+def _assert_parity_on_promise(ppg, answer, d=2):
+    """Where the instance is connected and probe (P1+P4)-free, the case
+    must agree with the oracle."""
+    if not is_connected(ppg.graph):
+        return
+    if brute_probe_certificate(ppg, sp1_p4_pattern(1)) is None:
+        return
+    assert answer == (brute_dcut(ppg.graph, d) is not None)
+
+
 class TestClassify:
-    def _three_k2_instance(self):
-        # probe side: three disjoint edges; four non-probes of each profile
+    _NBRS = {
+        6: range(6),            # type-A
+        7: (0, 2, 3, 4, 5),     # type-B (misses 1)
+        8: (0, 1, 2, 3),        # type-C
+        9: (4,),                # type-D
+    }
+
+    def _three_k2_instance(self, keep=(6, 7, 8, 9)):
+        # probe side: three disjoint edges; the kept non-probe profiles
+        # are numbered from 6 in the order given
         edges = [(0, 1), (2, 3), (4, 5)]
-        edges += [(6, v) for v in range(6)]            # type-A
-        edges += [(7, v) for v in (0, 2, 3, 4, 5)]     # type-B (misses 1)
-        edges += [(8, v) for v in (0, 1, 2, 3)]        # type-C
-        edges += [(9, 4)]                              # type-D
-        g = build_graph(10, edges)
+        for w, v in enumerate(keep, 6):
+            edges += [(w, u) for u in self._NBRS[v]]
+        n = 6 + len(keep)
         return PartitionedProbeGraph(
-            g, frozenset(range(6)), frozenset(range(6, 10))
+            build_graph(n, edges), frozenset(range(6)), frozenset(range(6, n))
         )
 
     def test_profiles(self):
         ppg = self._three_k2_instance()
-        comps = connected_components(ppg.graph, 0b111111)
-        tm = classify_nonprobe(ppg, comps)
-        assert tm[6].tag == "A"
-        assert tm[7].tag == "B" and tm[7].witness == 0
-        assert tm[8].tag == "C" and tm[8].witness == (0, 1)
-        assert tm[9].tag == "D" and tm[9].witness == 2
+        for d in (2, 3):
+            trace, _, _, answer = _many_components_run(ppg, d)
+            assert trace == ["multi-comp/type-a"]
+            _assert_parity_on_promise(ppg, answer, d)
 
     def test_partition_property(self):
-        ppg = self._three_k2_instance()
-        comps = connected_components(ppg.graph, 0b111111)
-        tm = classify_nonprobe(ppg, comps)
-        assert set(tm) == set(ppg.nonprobes)
-        assert all(t.tag in "ABCD" for t in tm.values())
-
-    def test_needs_three_components(self):
-        g = build_graph(3, [(0, 1), (2, 0)])
-        ppg = all_probes(g)
-        with pytest.raises(WrongCase):
-            classify_nonprobe(ppg, connected_components(g, 0b111))
+        """Type A goes before type B, which goes before the dominating
+        pair; type D never picks the case."""
+        for keep, label in [
+            ((6, 7, 8, 9), "multi-comp/type-a"),
+            ((6, 9), "multi-comp/type-a"),
+            ((7, 8, 9), "multi-comp/type-b"),
+            ((7,), "multi-comp/type-b"),
+            ((8, 9), "multi-comp/dominating-pair"),
+            ((9,), "multi-comp/dominating-pair"),
+        ]:
+            ppg = self._three_k2_instance(keep)
+            trace, _, _, answer = _many_components_run(ppg)
+            assert trace == [label], keep
+            _assert_parity_on_promise(ppg, answer)
 
 
 class TestDominatingPair:
@@ -121,29 +153,22 @@ class TestDominatingPair:
 
     def test_pair_found(self):
         ppg = self._pair_instance()
-        comps = connected_components(ppg.graph, 0b111111)
-        tm = classify_nonprobe(ppg, comps)
-        assert find_p_dominating_pair(ppg, comps, tm) == (7, 6)
+        for d in (2, 3):
+            trace, _, branches, answer = _many_components_run(ppg, d)
+            assert trace == ["multi-comp/dominating-pair"]
+            assert branches > 0  # the pair (7, 6) drove the guesses
+            _assert_parity_on_promise(ppg, answer, d)
 
     def test_no_type_c_returns_none(self):
         edges = [(0, 1), (2, 3), (4, 5), (6, 0), (7, 2), (7, 3), (8, 4)]
         g = build_graph(9, edges)
-        # disconnected overall is fine for the classifier itself
+        # disconnected overall is fine for the case itself
         ppg = PartitionedProbeGraph(
             g, frozenset(range(6)), frozenset({6, 7, 8})
         )
-        comps = connected_components(g, 0b111111)
-        tm = classify_nonprobe(ppg, comps)
-        assert find_p_dominating_pair(ppg, comps, tm) is None
-
-    def test_wrong_case_with_type_a(self):
-        edges = [(0, 1), (2, 3), (4, 5)] + [(6, v) for v in range(6)]
-        g = build_graph(7, edges)
-        ppg = PartitionedProbeGraph(g, frozenset(range(6)), frozenset({6}))
-        comps = connected_components(g, 0b111111)
-        tm = classify_nonprobe(ppg, comps)
-        with pytest.raises(WrongCase):
-            find_p_dominating_pair(ppg, comps, tm)
+        trace, cert, branches, _ = _many_components_run(ppg)
+        assert trace == ["multi-comp/dominating-pair"]
+        assert cert is None and branches == 0
 
     def test_structure_violation_when_uncoverable(self):
         # two type-C vertices whose complete sets cannot cover component 3
@@ -155,10 +180,11 @@ class TestDominatingPair:
         ppg = PartitionedProbeGraph(
             g, frozenset(range(8)), frozenset({8, 9, 10})
         )
-        comps = connected_components(g, 0xff)
-        tm = classify_nonprobe(ppg, comps)
-        with pytest.raises(StructureViolation):
-            find_p_dominating_pair(ppg, comps, tm)
+        assert brute_probe_certificate(ppg, sp1_p4_pattern(1)) is None
+        trace, cert, branches, _ = _many_components_run(ppg)
+        # the broken promise ends the case without a guess
+        assert trace == ["multi-comp/dominating-pair"]
+        assert cert is None and branches == 0
 
 
 class TestSolveMmc:
@@ -183,6 +209,13 @@ class TestSolveMmc:
     def test_degenerate_single_vertex(self):
         report = solve_mmc(all_probes(build_graph(1, [])), 0)
         assert not report.answer
+
+    def test_no_seed_report(self):
+        # no four vertices of P18 leave an independent set uncovered
+        report = solve_mmc(all_probes(path_graph(18)), 0)
+        assert not report.answer and report.certificate is None
+        assert report.branches_explored == 0
+        assert report.case_trace == ["no-seed"]
 
 
 class TestSolvePmc:
@@ -412,15 +445,13 @@ class TestCertifiedStructure:
             if len(comp_masks) < 3:
                 continue
             checked += 1
-            typemap = classify_nonprobe(ppg, comp_masks)
-            for v, profile in typemap.items():
+            for v in ppg.nonprobes:
                 av = ppg.graph.adj_bits[v]
-                if profile.tag == "B":
-                    incomplete = [
-                        i for i, cm in enumerate(comp_masks) if av & cm != cm
-                    ]
-                    assert incomplete == [profile.witness]
-                elif profile.tag == "C":
+                touched = sum(1 for cm in comp_masks if av & cm)
+                incomplete = sum(1 for cm in comp_masks if av & cm != cm)
+                if touched == len(comp_masks) and incomplete:  # type B
+                    assert incomplete == 1
+                elif touched >= 2 and touched < len(comp_masks):  # type C
                     for cm in comp_masks:
                         assert av & cm in (0, cm)
         assert checked >= 10
