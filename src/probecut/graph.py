@@ -523,7 +523,7 @@ def random_probe_hfree(
     h: Pattern,
     density: float,
     seed: int,
-    attempts: int = 10_000,
+    attempts: Optional[int] = None,
 ) -> tuple[PartitionedProbeGraph, ProbeCertificate]:
     """Generate a certified partitioned probe pattern-free instance.
 
@@ -534,11 +534,16 @@ def random_probe_hfree(
     each attempt draws one number per pair u < v in lexicographic order
     into adjacency masks, then, only if they are pattern-free, one per
     vertex in order to pick the non-probes.
+
+    By default it makes 10,000 attempts, and above n = 63 only as many as
+    fit in the 19,530,000 pair draws of 10,000 attempts at n = 63.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be a probability")
+    if attempts is None:
+        attempts = max(1, min(10_000, 19_530_000 // (n * (n - 1) // 2)))
     draw = random.Random(seed).random
     for _ in range(attempts):
         rows = [0] * n

@@ -213,23 +213,58 @@ class _DcutSolver:
         return None
 
     def _small_classes(self, part_mask: int, lo: int, hi: int) -> Iterator[int]:
-        """Guesses for a colour class of at most ``hi`` vertices inside
+        """Guesses for a colour class of lo to ``hi`` vertices inside
         ``part_mask`` while the rest of the part takes the other colour.
 
-        A class member has fewer than ``hi`` neighbours in its class and at
-        most d in the rest of the part, so its degree inside the part is at
-        most d + hi - 1.  A subset holding a vertex above that bound gives
-        it more than d opposite-coloured neighbours among the pre-coloured
-        vertices, which the first closure rejects; dropping those vertices
-        from the pool skips exactly those subsets and keeps the order of
-        the rest.
+        Exactly the subsets S that :func:`_subsets` yields, in its order,
+        whose masks ``(S, part_mask & ~S)`` pass ``local_masks_valid``;
+        the others put some vertex over budget among the pre-coloured
+        vertices, which the first closure rejects.
+
+        Each size k is enumerated depth-first on an explicit stack.  A
+        class member has at most k - 1 neighbours in its class and d in
+        the rest, so only vertices of part-degree at most d + k - 1 form
+        the pool.  A part vertex is fixed outside S once it is outside the
+        pool or below the prefix's last vertex; its count of neighbours in
+        S only grows, so a prefix is dropped once a fixed vertex exceeds
+        d, and the neighbours of a fixed vertex at exactly d are banned.
+        A finished guess then needs one check on its members and on the
+        pool vertices above its last vertex.
         """
-        cap = self.d + hi - 1
-        pool = 0
-        for v in iter_bits(part_mask):
-            if (self.adj_bits[v] & part_mask).bit_count() <= cap:
-                pool |= 1 << v
-        return _subsets(pool, lo, hi)
+        adj, d = self.adj_bits, self.d
+        deg = [(v, (adj[v] & part_mask).bit_count()) for v in iter_bits(part_mask)]
+        for k in range(lo, min(hi, len(deg)) + 1):
+            pool = sum(1 << v for v, dv in deg if dv < d + k)
+            # (prefix, pool vertices above its last, banned vertices)
+            stack = [(0, pool, 0)]
+            while stack:
+                s, above, banned = stack.pop()
+                need = k - s.bit_count()
+                if not need:
+                    if (_within_budget(adj, s, part_mask & ~s, d)
+                            and _within_budget(adj, above, s, d)):
+                        yield s
+                    continue
+                while (above & ~banned).bit_count() >= need:
+                    low = above & -above
+                    above ^= low
+                    av = adj[low.bit_length() - 1]
+                    out = (av & s).bit_count()  # its count when left out
+                    if not low & banned:
+                        inner, ban = s | low, banned
+                        # fixed neighbours of low that reach d in inner
+                        for w in iter_bits(av & part_mask & ~(inner | above)):
+                            if (adj[w] & inner).bit_count() == d:
+                                ban |= adj[w]
+                        if out <= d:
+                            left = banned | av if out == d else banned
+                            stack.append((s, above, left))
+                        stack.append((inner, above, ban))
+                        break
+                    if out > d:
+                        break
+                    if out == d:
+                        banned |= av
 
     # -- main flow --------------------------------------------------------
 
@@ -281,17 +316,18 @@ class _DcutSolver:
 
     def _one_component(self) -> Optional[CutCertificate]:
         """Connected cograph probe side: some colour class inside it has
-        at most hi = min(2d, |P| - 1) vertices, so guess it (both
-        polarities), branch its non-probe neighbourhood and fill the rest.
-        A member of that class has probe-degree at most d + hi - 1, so only
-        such probes are guessed."""
+        at most min(2d, |P| - 1) vertices, so guess it (both polarities),
+        branch its non-probe neighbourhood and fill the rest.  Only guesses
+        that keep every probe within budget among the probes are made."""
         self.trace.append("cograph-1comp")
         return self._probe_class(True) or self._probe_class(False)
 
     def _probe_class(self, red: bool, blue: int = 0) -> Optional[CutCertificate]:
         """Guess a class of 1 to min(2d, |P| - 1) probes, red or blue as
         ``red`` says, with the other probes and ``blue`` in the other
-        colour, and search the class's non-probe neighbourhood."""
+        colour, and search the class's non-probe neighbourhood.  The
+        guesses come from :meth:`_small_classes`, so none puts a probe over
+        budget among the probes."""
         hi = min(2 * self.d, self.p_mask.bit_count() - 1)
         for xm in self._small_classes(self.p_mask, 1, hi):
             rest = self.p_mask & ~xm
@@ -305,13 +341,18 @@ class _DcutSolver:
         """Guess a bounded class in each component.  With both guessed
         sets red every remaining non-probe only has blue neighbours and
         the fill closes the colouring; otherwise a second round covers the
-        non-probes left uncoloured."""
+        non-probes left uncoloured.
+
+        The components share no edges, so each guess is pruned against its
+        own component alone, and the guesses in c2, which do not depend on
+        the guess in c1, are listed once."""
         self.trace.append("cograph-2comp")
         cap = 2 * self.d
         second = partial(self._two_component_round, c1m, c2m)
+        inner = list(self._small_classes(c2m, 0, cap))
         for x1m in self._small_classes(c1m, 0, cap):
             for pol2_red in (True, False):
-                for x2m in self._small_classes(c2m, 0, cap):
+                for x2m in inner:
                     rest2 = c2m & ~x2m
                     add_x, add_y = (x2m, rest2) if pol2_red else (rest2, x2m)
                     px, py = x1m | add_x, (c1m & ~x1m) | add_y
@@ -402,16 +443,18 @@ class _DcutSolver:
         """The least type-B non-probe v is complete to all components but
         one (the first it is not complete to); its neighbourhood guess
         colours everything except part of that component, which the
-        bounded-class guess covers."""
+        bounded-class guess covers; those guesses do not depend on the
+        neighbourhood guess, so they are listed once."""
         self.trace.append("multi-comp/type-b")
         v = (b_mask & -b_mask).bit_length() - 1
         nv = self.adj_bits[v]
         c1m = next(cm for cm in comps if nv & cm != cm)
         second = partial(self._type_b_round, b_mask, comps, c1m)
+        classes = list(self._small_classes(c1m, 0, 2 * self.d))
         for xvm in _subsets(nv, 0, self.d):
             y0 = (1 << v) | (nv & ~xvm)
             for pol_red in (True, False):
-                for xm in self._small_classes(c1m, 0, 2 * self.d):
+                for xm in classes:
                     rest = c1m & ~xm
                     add_x, add_y = (xm, rest) if pol_red else (rest, xm)
                     x1, y1 = xvm | add_x, y0 | add_y

@@ -784,6 +784,15 @@ class TestRandomProbeHfree:
         assert a[0].nonprobes == b[0].nonprobes
         assert a[1] == b[1]
 
+    def test_default_attempts_shrink_with_pair_count(self):
+        """Above n = 63 the default cap is the pair draws of 10,000 attempts
+        at n = 63, so a hopeless request at n = 1,414 gives up after 19
+        attempts instead of running for most of an hour."""
+        start = time.perf_counter()
+        with pytest.raises(GenerationTimeout, match=" in 19 attempts$"):
+            random_probe_hfree(1414, sp1_p4_pattern(1), 0.5, seed=1)
+        assert time.perf_counter() - start < 10
+
     def test_timeout_when_impossible(self):
         # a 2P1-free graph is complete; density 0.3 never produces one at n=10
         with pytest.raises(GenerationTimeout):

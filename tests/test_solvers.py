@@ -2,6 +2,7 @@
 the brute-force oracles across every dispatch path."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -582,7 +583,60 @@ def _cograph_probe_instance(seed):
     ), comps
 
 
+def _star_instance(stars, m):
+    """``stars`` copies of the star K1,m as the probe side (centres first)
+    plus two non-probes complete to it; a cograph probe side, "no" at
+    d = 2."""
+    n = stars * (m + 1) + 2
+    probes = range(n - 2)
+    edges = [(c, c + i) for c in range(0, n - 2, m + 1) for i in range(1, m + 1)]
+    edges += [(u, v) for u in probes for v in (n - 2, n - 1)]
+    g = build_graph(n, edges)
+    return PartitionedProbeGraph(g, frozenset(probes), frozenset({n - 2, n - 1}))
+
+
 class TestSmallClassPruning:
+    @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
+    @settings(max_examples=200)
+    def test_matches_filtered_subsets(self, seed, d):
+        """The pruned enumerator yields exactly the subsets that pass the
+        start check, in the order of ``_subsets``, on the whole probe side
+        (one to three components) and on each of its components."""
+        from probecut.colouring import local_masks_valid
+        from probecut.solvers import _subsets
+
+        ppg, comps = _cograph_probe_instance(seed)
+        if ppg is None:
+            return
+        solver = _DcutSolver(ppg, d)
+        adj = ppg.graph.adj_bits
+        parts = [solver.p_mask]
+        if len(comps) > 1:
+            parts += [sum(1 << v for v in comp) for comp in comps]
+        for part in parts:
+            for lo, hi in ((1, min(2 * d, part.bit_count() - 1)), (0, 2 * d)):
+                assert list(solver._small_classes(part, lo, hi)) == [
+                    s for s in _subsets(part, lo, hi)
+                    if local_masks_valid(adj, s, part & ~s, d)
+                ]
+
+    @pytest.mark.parametrize("stars, m, case, budget", [
+        (1, 80, "cograph-1comp", 1.0),
+        (2, 20, "cograph-2comp", 2.0),
+    ])
+    def test_star_probe_sides(self, stars, m, case, budget):
+        """One star K1,80 (n = 83) or two stars K1,20 (n = 44): the centres
+        cap every class at d leaves, so the guesses stay quadratic instead
+        of growing as n^(2d)."""
+        ppg = _star_instance(stars, m)
+        start = time.perf_counter()
+        report = solve_dcut(ppg, 2)
+        elapsed = time.perf_counter() - start
+        assert not report.answer
+        assert report.branches_explored == 4
+        assert report.case_trace == ["mono-probe", case]
+        assert elapsed < budget
+
     @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
     @settings(max_examples=40)
     def test_dropped_guesses_yield_no_leaves(self, seed, d):
@@ -615,7 +669,7 @@ class TestSmallClassPruning:
 
     def test_vertex_at_the_bound_stays_guessable(self):
         """The bound is tight: probe 0 of the class {0, 1, 2, 3} has
-        probe-degree d + hi - 1 = 5 for d = 2, hi = 4, and that guess
+        probe-degree d + k - 1 = 5 for d = 2 and size k = 4, and that guess
         passes the first closure."""
         from probecut.solvers import _branch_leaves, _DcutSolver
 
