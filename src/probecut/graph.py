@@ -518,12 +518,11 @@ def is_p4_free(g: Graph, mask: Optional[int] = None):
     return True
 
 
+_ATTEMPTS = 10_000
+
+
 def random_probe_hfree(
-    n: int,
-    h: Pattern,
-    density: float,
-    seed: int,
-    attempts: Optional[int] = None,
+    n: int, h: Pattern, density: float, seed: int
 ) -> tuple[PartitionedProbeGraph, ProbeCertificate]:
     """Generate a certified partitioned probe pattern-free instance.
 
@@ -535,15 +534,15 @@ def random_probe_hfree(
     into adjacency masks, then, only if they are pattern-free, one per
     vertex in order to pick the non-probes.
 
-    By default it makes 10,000 attempts, and above n = 63 only as many as
-    fit in the 19,530,000 pair draws of 10,000 attempts at n = 63.
+    It makes ``_ATTEMPTS`` = 10,000 attempts, and above n = 63 only as
+    many as fit in the pair draws of 10,000 attempts at n = 63 (1,953
+    pairs each), before it raises ``GenerationTimeout``.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be a probability")
-    if attempts is None:
-        attempts = max(1, min(10_000, 19_530_000 // (n * (n - 1) // 2)))
+    attempts = max(1, min(_ATTEMPTS, _ATTEMPTS * 1953 // (n * (n - 1) // 2)))
     draw = random.Random(seed).random
     for _ in range(attempts):
         rows = [0] * n

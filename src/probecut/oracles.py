@@ -44,20 +44,25 @@ DEFAULT_CERTIFICATE_LIMIT = 8
 _ENV_LIMIT = "PROBECUT_ORACLE_MAX_N"
 
 
-def _limit(default: int, override: Optional[int]) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(_ENV_LIMIT)
-    if env:
-        return int(env)
-    return default
-
-
-def _check_scale(n: int, max_n: Optional[int] = None) -> None:
-    """Refuse a colouring scan over more vertices than the oracle limit."""
-    limit = _limit(DEFAULT_COLOURING_LIMIT, max_n)
-    if n > limit:
-        raise OracleScaleExceeded(f"n={n} exceeds oracle limit {limit}")
+def _check_scale(
+    size: int,
+    label: str = "n",
+    default: int = DEFAULT_COLOURING_LIMIT,
+    max_n: Optional[int] = None,
+) -> None:
+    """Refuse an oracle input whose ``label`` count exceeds the limit:
+    ``max_n`` if given, else the environment override, else ``default``.
+    An override that is not a non-negative integer is a ValueError."""
+    limit = max_n
+    if limit is None:
+        env = os.environ.get(_ENV_LIMIT)
+        if env and not env.isdecimal():
+            raise ValueError(
+                f"{_ENV_LIMIT} must be a non-negative integer, got {env!r}"
+            )
+        limit = int(env) if env else default
+    if size > limit:
+        raise OracleScaleExceeded(f"{label}={size} exceeds oracle limit {limit}")
 
 
 def _colourings(
@@ -98,7 +103,7 @@ def _colourings(
     the jump; a vertex that cannot fail (lo = 0 and degree at most d) is
     not tested.
     """
-    _check_scale(g.n, max_n)
+    _check_scale(g.n, max_n=max_n)
     adj = g.adj_bits
     n = g.n
     full = (1 << n) - 1
@@ -193,10 +198,8 @@ def brute_sat(
     A positive clause needs a true member, a negative clause a false one.
     Shape conditions are not checked here; any clause sizes are accepted.
     """
-    limit = _limit(DEFAULT_COLOURING_LIMIT, max_n)
     n = inst.n_vars
-    if n > limit:
-        raise OracleScaleExceeded(f"{n} variables exceed oracle limit {limit}")
+    _check_scale(n, "n_vars", max_n=max_n)
     # a clause fails when its variables read `bad`: all false for a
     # positive clause, all true for a negative one; an empty clause always
     # fails.  Assignments that agree with a failing one on the clause's
@@ -245,12 +248,8 @@ def brute_probe_certificate(
     tested before each ``find_induced`` call, largest jump first.  Only
     failing counters are skipped, so the result is the plain loop's.
     """
-    limit = _limit(DEFAULT_CERTIFICATE_LIMIT, max_n)
     nonprobes = sorted(ppg.nonprobes)
-    if len(nonprobes) > limit:
-        raise OracleScaleExceeded(
-            f"|N|={len(nonprobes)} exceeds certificate search limit {limit}"
-        )
+    _check_scale(len(nonprobes), "|N|", DEFAULT_CERTIFICATE_LIMIT, max_n)
     g = ppg.graph
     pairs = [
         (u, v)

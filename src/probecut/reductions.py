@@ -99,15 +99,17 @@ def validate_sat_shape(inst: SatInstance) -> tuple[bool, list[str]]:
     return (not violations, violations)
 
 
-def random_sat_instance(
-    n_vars: int, seed: int, attempts: int = 10_000
-) -> SatInstance:
+_SAT_ATTEMPTS = 10_000
+
+
+def random_sat_instance(n_vars: int, seed: int) -> SatInstance:
     """Random instance meeting the restricted shape, deterministic in seed.
 
     Configuration-model sampling: two stubs per variable per polarity are
     shuffled and cut into clause triples; draws with a repeated variable in
-    a clause are rejected.  n_vars must be a multiple of 3 so the clause
-    counts come out integral.
+    a clause are rejected, and ``GenerationTimeout`` is raised after
+    ``_SAT_ATTEMPTS`` = 10,000 draws.  n_vars must be a multiple of 3 so
+    the clause counts come out integral.
     """
     if n_vars <= 0 or n_vars % 3 != 0:
         raise InvalidSatInstance("n_vars must be a positive multiple of 3")
@@ -124,7 +126,7 @@ def random_sat_instance(
             clauses.append(tuple(sorted(triple)))
         return clauses
 
-    for _ in range(attempts):
+    for _ in range(_SAT_ATTEMPTS):
         pos = draw()
         if pos is None:
             continue
@@ -136,7 +138,8 @@ def random_sat_instance(
         if ok:
             return inst
     raise GenerationTimeout(
-        f"no valid-shape SAT instance with {n_vars} variables in {attempts} draws"
+        f"no valid-shape SAT instance with {n_vars} variables"
+        f" in {_SAT_ATTEMPTS} draws"
     )
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import NotConnected, UnsupportedD
 from .colouring import (
@@ -165,9 +165,6 @@ class _DcutSolver:
             out |= self.adj_bits[v]
         return out
 
-    def _leaves(self, x: int, y: int, frontier: int):
-        return _branch_leaves(self.g, x, y, frontier & ~(x | y), self.d)
-
     def _validate_total(self, x: int, y: int) -> Optional[CutCertificate]:
         self.branches += 1
         return _certify(self.g, x, y, self.d)
@@ -194,7 +191,7 @@ class _DcutSolver:
         off-promise).
         """
         adj = self.adj_bits
-        for lx, ly in self._leaves(x, y, frontier):
+        for lx, ly in _branch_leaves(self.g, x, y, frontier, self.d):
             unc = self.full & ~(lx | ly)
             for v in iter_bits(unc):
                 av = adj[v]
@@ -210,6 +207,37 @@ class _DcutSolver:
                 cert = self._validate_total(lx, ly | unc)
             if cert:
                 return cert
+        return None
+
+    def _guess(
+        self, x: int, y: int, guessed: int,
+        second: Optional[Callable[[int], int]] = None,
+    ) -> Optional[CutCertificate]:
+        """Search from the masks (x, y), branching the non-probe
+        neighbourhood of the ``guessed`` vertices.  Masks that overlap or
+        leave the probe side in one colour are skipped: the lone-non-probe
+        step covers a monochromatic probe side."""
+        if x & y or not (x & self.p_mask and y & self.p_mask):
+            return None
+        return self._search(x, y, self._nbhd(guessed) & self.n_mask, second)
+
+    def _classes(
+        self, outer: Iterable[tuple[int, int, int]], part: int, lo: int,
+        hi: int, second: Optional[Callable[[int], int]] = None,
+    ) -> Optional[CutCertificate]:
+        """For each outer guess (x, y, guessed), guess a class of ``part``
+        from :meth:`_small_classes`, red and then blue, with the rest of
+        the part in the other colour, and pass the joint guess to
+        :meth:`_guess`.  The classes do not depend on the outer guess, so
+        they are listed once."""
+        classes = list(self._small_classes(part, lo, hi))
+        for x0, y0, g0 in outer:
+            for red in (True, False):
+                for xm in classes:
+                    x, y = (xm, part & ~xm) if red else (part & ~xm, xm)
+                    cert = self._guess(x0 | x, y0 | y, g0 | xm, second)
+                    if cert:
+                        return cert
         return None
 
     def _small_classes(self, part_mask: int, lo: int, hi: int) -> Iterator[int]:
@@ -286,12 +314,9 @@ class _DcutSolver:
         a single oddly-coloured non-probe does, so test each non-probe as
         the lone red and the lone blue vertex."""
         self.trace.append("mono-probe")
-        for v in iter_bits(self.n_mask):
-            cert = self._validate_total(1 << v, self.full & ~(1 << v))
-            if cert:
-                return cert
-        for v in iter_bits(self.n_mask):
-            cert = self._validate_total(self.full & ~(1 << v), 1 << v)
+        lone = [1 << v for v in iter_bits(self.n_mask)]
+        for x in lone + [self.full & ~b for b in lone]:
+            cert = self._validate_total(x, self.full & ~x)
             if cert:
                 return cert
         return None
@@ -320,51 +345,24 @@ class _DcutSolver:
         branch its non-probe neighbourhood and fill the rest.  Only guesses
         that keep every probe within budget among the probes are made."""
         self.trace.append("cograph-1comp")
-        return self._probe_class(True) or self._probe_class(False)
-
-    def _probe_class(self, red: bool, blue: int = 0) -> Optional[CutCertificate]:
-        """Guess a class of 1 to min(2d, |P| - 1) probes, red or blue as
-        ``red`` says, with the other probes and ``blue`` in the other
-        colour, and search the class's non-probe neighbourhood.  The
-        guesses come from :meth:`_small_classes`, so none puts a probe over
-        budget among the probes."""
         hi = min(2 * self.d, self.p_mask.bit_count() - 1)
-        for xm in self._small_classes(self.p_mask, 1, hi):
-            rest = self.p_mask & ~xm
-            x0, y0 = (xm, rest | blue) if red else (rest, xm)
-            cert = self._search(x0, y0, self._nbhd(xm) & self.n_mask)
-            if cert:
-                return cert
-        return None
+        return self._classes([(0, 0, 0)], self.p_mask, 1, hi)
 
     def _two_components(self, c1m: int, c2m: int) -> Optional[CutCertificate]:
-        """Guess a bounded class in each component.  With both guessed
-        sets red every remaining non-probe only has blue neighbours and
-        the fill closes the colouring; otherwise a second round covers the
-        non-probes left uncoloured.
-
-        The components share no edges, so each guess is pruned against its
-        own component alone, and the guesses in c2, which do not depend on
-        the guess in c1, are listed once."""
+        """Guess a bounded red class x1 in c1 and a bounded class in c2,
+        each pruned against its own component alone (the components share
+        no edges), and let a second round cover the non-probes left
+        uncoloured.  That round never runs when both classes are red: the
+        non-probes are independent, so a non-probe the branching left
+        uncoloured has only blue probe neighbours and the fill colours it
+        blue."""
         self.trace.append("cograph-2comp")
         cap = 2 * self.d
+        outer = (
+            (x1m, c1m & ~x1m, x1m) for x1m in self._small_classes(c1m, 0, cap)
+        )
         second = partial(self._two_component_round, c1m, c2m)
-        inner = list(self._small_classes(c2m, 0, cap))
-        for x1m in self._small_classes(c1m, 0, cap):
-            for pol2_red in (True, False):
-                for x2m in inner:
-                    rest2 = c2m & ~x2m
-                    add_x, add_y = (x2m, rest2) if pol2_red else (rest2, x2m)
-                    px, py = x1m | add_x, (c1m & ~x1m) | add_y
-                    if px == 0 or py == 0:
-                        continue  # monochromatic probe side: pre-step covers it
-                    cert = self._search(
-                        px, py, self._nbhd(x1m | x2m) & self.n_mask,
-                        None if pol2_red else second,
-                    )
-                    if cert:
-                        return cert
-        return None
+        return self._classes(outer, c2m, 0, cap, second)
 
     def _mixed_edge(self, b: int, cm: int) -> int:
         """Mask of an edge of the component with exactly one end adjacent
@@ -430,11 +428,8 @@ class _DcutSolver:
         """A non-probe complete to the probe side sees every probe, so its
         neighbourhood colouring bounds the red probes by d."""
         self.trace.append("multi-comp/type-a")
-        for x, y in self._leaves(0, 1 << v, self.p_mask):
-            qm = x & self.p_mask
-            if qm == 0 or qm == self.p_mask:
-                continue  # monochromatic probe side: pre-step covers it
-            cert = self._search(x, y, self._nbhd(qm) & self.n_mask)
+        for x, y in _branch_leaves(self.g, 0, 1 << v, self.p_mask, self.d):
+            cert = self._guess(x, y, x & self.p_mask)
             if cert:
                 return cert
         return None
@@ -443,31 +438,16 @@ class _DcutSolver:
         """The least type-B non-probe v is complete to all components but
         one (the first it is not complete to); its neighbourhood guess
         colours everything except part of that component, which the
-        bounded-class guess covers; those guesses do not depend on the
-        neighbourhood guess, so they are listed once."""
+        bounded-class guess covers."""
         self.trace.append("multi-comp/type-b")
         v = (b_mask & -b_mask).bit_length() - 1
         nv = self.adj_bits[v]
         c1m = next(cm for cm in comps if nv & cm != cm)
+        outer = (
+            (xvm, (1 << v) | (nv & ~xvm), xvm) for xvm in _subsets(nv, 0, self.d)
+        )
         second = partial(self._type_b_round, b_mask, comps, c1m)
-        classes = list(self._small_classes(c1m, 0, 2 * self.d))
-        for xvm in _subsets(nv, 0, self.d):
-            y0 = (1 << v) | (nv & ~xvm)
-            for pol_red in (True, False):
-                for xm in classes:
-                    rest = c1m & ~xm
-                    add_x, add_y = (xm, rest) if pol_red else (rest, xm)
-                    x1, y1 = xvm | add_x, y0 | add_y
-                    if x1 & y1:
-                        continue  # conflicts with the neighbourhood guess
-                    if (x1 & self.p_mask) == 0 or (y1 & self.p_mask) == 0:
-                        continue
-                    cert = self._search(
-                        x1, y1, self._nbhd(xvm | xm) & self.n_mask, second
-                    )
-                    if cert:
-                        return cert
-        return None
+        return self._classes(outer, c1m, 0, 2 * self.d, second)
 
     def _type_b_round(self, b_mask, comps, c1m, unc) -> int:
         """Frontier for the vertices the type-B guesses left uncoloured:
@@ -507,9 +487,11 @@ class _DcutSolver:
             return None  # class promise broken; nothing sound to report
         bu, bv = 1 << u, 1 << v
         # both endpoints alike (blue): the red probes number at most 2d
-        cert = self._probe_class(True, bu | bv)
-        if cert:
-            return cert
+        hi = min(2 * self.d, self.p_mask.bit_count() - 1)
+        for xm in self._small_classes(self.p_mask, 1, hi):
+            cert = self._guess(xm, (self.p_mask & ~xm) | bu | bv, xm)
+            if cert:
+                return cert
         # opposite colours: u red, v blue (the swapped case is the mirror
         # image and yields the swapped certificates)
         nu, nv = self.adj_bits[u], self.adj_bits[v]
@@ -536,7 +518,7 @@ class _DcutSolver:
                     extra |= self.adj_bits[(cm & -cm).bit_length() - 1]
                     break
         frontier = self._nbhd(guess_mask) & self.n_mask
-        for x, y in self._leaves(x0, y0, frontier):
+        for x, y in _branch_leaves(self.g, x0, y0, frontier, self.d):
             cert = self._search(x, y, extra & self.n_mask)
             if cert:
                 return cert

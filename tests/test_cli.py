@@ -422,6 +422,17 @@ class TestCrosscheck:
         assert err.startswith("error: n=")
         assert f"exceeds oracle limit {limit}" in err
 
+    @pytest.mark.parametrize("value", ["abc", " ", "1e3", "-1"])
+    def test_bad_oracle_limit_is_named(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PROBECUT_ORACLE_MAX_N", value)
+        code = main(["crosscheck", "--problem", "dcut", "--count", "1",
+                     "--max-n", "8", "--seed", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: PROBECUT_ORACLE_MAX_N must be a non-negative integer,"
+            f" got {value!r}\n"
+        )
+
     def test_unsupported_pattern_is_named(self, capsys, monkeypatch):
         # 5P1+P4 has 9 vertices: refused once, before any generation,
         # not counted as three skipped instances

@@ -5,6 +5,7 @@ import itertools
 import random
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,7 @@ from probecut import (
     two_p2_pattern,
     verify_probe_certificate,
 )
+import probecut.graph as graph_module
 from probecut.graph import _find_within
 from probecut.oracles import brute_probe_certificate
 
@@ -752,10 +754,12 @@ class TestGeneratorEquivalence:
     @settings(max_examples=300, deadline=None)
     def test_same_instance_or_error(self, n, density, name, seed, attempts):
         h = parse_pattern(name)
-        args = (n, h, density, seed, attempts)
-        assert _generated(random_probe_hfree, *args) == _generated(
-            edge_list_random_probe_hfree, *args
-        )
+        args = (n, h, density, seed)
+        # n <= 16, so the budget is the attempt constant
+        with mock.patch.object(graph_module, "_ATTEMPTS", attempts):
+            assert _generated(random_probe_hfree, *args) == _generated(
+                edge_list_random_probe_hfree, *args, attempts
+            )
 
 
 class TestRandomProbeHfree:
@@ -796,6 +800,4 @@ class TestRandomProbeHfree:
     def test_timeout_when_impossible(self):
         # a 2P1-free graph is complete; density 0.3 never produces one at n=10
         with pytest.raises(GenerationTimeout):
-            random_probe_hfree(
-                10, independent_pattern(2), 0.3, seed=0, attempts=50
-            )
+            random_probe_hfree(10, independent_pattern(2), 0.3, seed=0)

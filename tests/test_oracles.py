@@ -73,6 +73,17 @@ class TestBruteDcut:
         monkeypatch.setenv("PROBECUT_ORACLE_MAX_N", "6")
         assert brute_dcut(path_graph(5), 1) is not None
 
+    @pytest.mark.parametrize("value", ["abc", " ", "1e3", "-1"])
+    def test_bad_env_override_is_named(self, monkeypatch, value):
+        """An override that is not a non-negative integer is refused with
+        the variable and the value, not read as a limit."""
+        monkeypatch.setenv("PROBECUT_ORACLE_MAX_N", value)
+        with pytest.raises(ValueError) as exc:
+            brute_dcut(path_graph(5), 1)
+        assert str(exc.value) == (
+            f"PROBECUT_ORACLE_MAX_N must be a non-negative integer, got {value!r}"
+        )
+
     def test_explicit_limit_wins(self):
         assert brute_dcut(path_graph(5), 1, max_n=5) is not None
 
@@ -120,7 +131,9 @@ class TestBruteSat:
         assert brute_sat(inst) is None
 
     def test_scale_guard(self):
-        with pytest.raises(OracleScaleExceeded):
+        with pytest.raises(
+            OracleScaleExceeded, match="^n_vars=30 exceeds oracle limit 24$"
+        ):
             brute_sat(SatInstance.of(30, [], []))
 
 
@@ -488,7 +501,9 @@ class TestBruteProbeCertificate:
 
     def test_scale_guard(self):
         g = build_graph(9, [])
-        with pytest.raises(OracleScaleExceeded):
+        with pytest.raises(
+            OracleScaleExceeded, match=r"^\|N\|=9 exceeds oracle limit 8$"
+        ):
             brute_probe_certificate(
                 PartitionedProbeGraph(g, frozenset(), frozenset(range(9))),
                 two_p2_pattern(),

@@ -583,6 +583,42 @@ def _cograph_probe_instance(seed):
     ), comps
 
 
+class TestGuessStep:
+    @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
+    @settings(max_examples=200)
+    def test_all_red_class_pairs_need_no_second_round(self, seed, d):
+        """With a red class guessed in each of two probe components, every
+        non-probe the branching leaves uncoloured has only blue neighbours,
+        so the fill colours it and the second round is never asked for; on
+        every leaf, not only up to the first certificate."""
+        from probecut.solvers import _branch_leaves
+
+        ppg, comps = _cograph_probe_instance(seed)
+        if ppg is None or len(comps) != 2:
+            return
+        solver = _DcutSolver(ppg, d)
+        solver._dispatch()
+        assert solver.trace == ["cograph-2comp"]
+
+        def second(unc):
+            raise AssertionError(f"second round asked for {unc:b}")
+
+        c1m, c2m = (sum(1 << v for v in comp) for comp in comps)
+        inner = list(solver._small_classes(c2m, 0, 2 * d))
+        for x1m in solver._small_classes(c1m, 0, 2 * d):
+            for x2m in inner:
+                x, y = x1m | x2m, solver.p_mask & ~(x1m | x2m)
+                frontier = solver._nbhd(x) & solver.n_mask
+                solver._search(x, y, frontier, second)
+                for lx, ly in _branch_leaves(ppg.graph, x, y, frontier, d):
+                    unc = solver.full & ~(lx | ly)
+                    assert unc & solver.p_mask == 0
+                    assert all(
+                        solver.adj_bits[v] & lx == 0 for v in range(ppg.graph.n)
+                        if unc >> v & 1
+                    )
+
+
 def _star_instance(stars, m):
     """``stars`` copies of the star K1,m as the probe side (centres first)
     plus two non-probes complete to it; a cograph probe side, "no" at
