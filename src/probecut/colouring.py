@@ -10,7 +10,7 @@ requires exactly d opposite-coloured neighbours everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from .errors import PartialColouring, PreconditionViolation
@@ -226,9 +226,21 @@ def max_bipartite_matching(nbrs: dict[int, int]) -> dict[int, int]:
     return match_left
 
 
-def _completion_setup(g: Graph, x: int, y: int) -> int:
-    """Shared precondition checks for the completion routines; returns the
-    uncoloured mask."""
+def complete_independent_max_cut(
+    g: Graph, x: int, y: int
+) -> Optional[CutCertificate]:
+    """Extend processed red/blue masks over an independent uncoloured set,
+    maximising the number of bichromatic edges (d=1).
+
+    Every uncoloured vertex has at most one red and at most one blue
+    neighbour, all coloured.  Giving it the colour opposite to a neighbour
+    gains one cut edge and consumes that neighbour's unit budget, so the
+    optimum is a maximum matching between uncoloured vertices and the
+    coloured neighbours whose budget is still free.  Vertices seeing both
+    colours gain one edge either way and must be matched; they are
+    augmented first, and if they cannot all be matched no valid extension
+    exists.  Returns None when no extension passes validation.
+    """
     if x & y:
         raise PreconditionViolation("red and blue masks must be disjoint")
     u_mask = ((1 << g.n) - 1) & ~(x | y)
@@ -245,40 +257,10 @@ def _completion_setup(g: Graph, x: int, y: int) -> int:
             )
     if not is_connected(g):
         raise PreconditionViolation("graph must be connected")
-    return u_mask
-
-
-def _budget_free(adj: Sequence[int], x: int, y: int) -> int:
-    """Coloured vertices with no opposite-coloured neighbour yet, i.e. whose
-    unit (d=1) budget is still open."""
     free = 0
-    for w in iter_bits(x):
-        if not adj[w] & y:
+    for w in iter_bits(x | y):
+        if not adj[w] & (y if (x >> w) & 1 else x):
             free |= 1 << w
-    for w in iter_bits(y):
-        if not adj[w] & x:
-            free |= 1 << w
-    return free
-
-
-def complete_independent_max_cut(
-    g: Graph, x: int, y: int
-) -> Optional[CutCertificate]:
-    """Extend processed red/blue masks over an independent uncoloured set,
-    maximising the number of bichromatic edges (d=1).
-
-    Every uncoloured vertex has at most one red and at most one blue
-    neighbour, all coloured.  Giving it the colour opposite to a neighbour
-    gains one cut edge and consumes that neighbour's unit budget, so the
-    optimum is a maximum matching between uncoloured vertices and the
-    coloured neighbours whose budget is still free.  Vertices seeing both
-    colours gain one edge either way and must be matched; they are
-    augmented first, and if they cannot all be matched no valid extension
-    exists.  Returns None when no extension passes validation.
-    """
-    u_mask = _completion_setup(g, x, y)
-    adj = g.adj_bits
-    free = _budget_free(adj, x, y)
     forced: list[int] = []
     optional: list[int] = []
     for u in iter_bits(u_mask):
@@ -316,33 +298,13 @@ def complete_independent_perfect(
     """Extend processed red/blue masks over an independent uncoloured set
     to a perfect cut (every vertex exactly one opposite neighbour), or None.
 
-    Uncoloured vertices with a single neighbour are forced to the opposite
-    colour first.  Each remaining one sees exactly one red and one blue
-    neighbour and must hand its single cut edge to a neighbour that still
-    needs one, so a matching of the remainder, in ascending order, into the
-    budget-free neighbours decides the branch; the final validation is the
-    only acceptance test.
+    That is the maximum completion when it has n/2 edges.  A perfect
+    extension is a matching-cut extension with n/2 edges and no matching
+    cut has more, so the maximum reaches n/2.  Conversely, a valid 1-cut
+    gives each vertex at most one cut edge, and n/2 edges have n ends, so
+    every vertex has exactly one opposite neighbour.
     """
-    u_mask = _completion_setup(g, x, y)
-    adj = g.adj_bits
-    for u in iter_bits(u_mask):
-        coloured = adj[u] & (x | y)
-        if coloured.bit_count() == 1:
-            w = coloured.bit_length() - 1
-            if (x >> w) & 1:
-                y |= 1 << u
-            else:
-                x |= 1 << u
-            u_mask &= ~(1 << u)
-    if not local_masks_valid(adj, x, y, 1):
+    cert = complete_independent_max_cut(g, x, y)
+    if cert is None or 2 * cert.size != g.n:
         return None
-    free = _budget_free(adj, x, y)
-    matched = max_bipartite_matching({u: adj[u] & free for u in iter_bits(u_mask)})
-    if len(matched) != u_mask.bit_count():
-        return None
-    for u, w in matched.items():
-        if (x >> w) & 1:
-            y |= 1 << u
-        else:
-            x |= 1 << u
-    return _certify(g, x, y, 1, True)
+    return replace(cert, perfect=True)

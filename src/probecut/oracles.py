@@ -45,29 +45,22 @@ _ENV_LIMIT = "PROBECUT_ORACLE_MAX_N"
 
 
 def _check_scale(
-    size: int,
-    label: str = "n",
-    default: int = DEFAULT_COLOURING_LIMIT,
-    max_n: Optional[int] = None,
+    size: int, label: str = "n", default: int = DEFAULT_COLOURING_LIMIT
 ) -> None:
-    """Refuse an oracle input whose ``label`` count exceeds the limit:
-    ``max_n`` if given, else the environment override, else ``default``.
-    An override that is not a non-negative integer is a ValueError."""
-    limit = max_n
-    if limit is None:
-        env = os.environ.get(_ENV_LIMIT)
-        if env and not env.isdecimal():
-            raise ValueError(
-                f"{_ENV_LIMIT} must be a non-negative integer, got {env!r}"
-            )
-        limit = int(env) if env else default
+    """Refuse an oracle input whose ``label`` count exceeds the limit: the
+    environment override if set, else ``default``.  An override that is
+    not a non-negative integer is a ValueError."""
+    env = os.environ.get(_ENV_LIMIT)
+    if env and not env.isdecimal():
+        raise ValueError(
+            f"{_ENV_LIMIT} must be a non-negative integer, got {env!r}"
+        )
+    limit = int(env) if env else default
     if size > limit:
         raise OracleScaleExceeded(f"{label}={size} exceeds oracle limit {limit}")
 
 
-def _colourings(
-    g: Graph, d: int, lo: int, max_n: Optional[int]
-) -> Iterator[int]:
+def _colourings(g: Graph, d: int, lo: int) -> Iterator[int]:
     """Blue masks of the colourings in which every vertex has between lo
     and d opposite-coloured neighbours, in counter order.
 
@@ -103,7 +96,7 @@ def _colourings(
     the jump; a vertex that cannot fail (lo = 0 and degree at most d) is
     not tested.
     """
-    _check_scale(g.n, max_n=max_n)
+    _check_scale(g.n)
     adj = g.adj_bits
     n = g.n
     full = (1 << n) - 1
@@ -155,30 +148,26 @@ def _certificate(g: Graph, blue: int, d: int, perfect: bool) -> CutCertificate:
     return cert
 
 
-def brute_dcut(
-    g: Graph, d: int, *, max_n: Optional[int] = None
-) -> Optional[CutCertificate]:
+def brute_dcut(g: Graph, d: int) -> Optional[CutCertificate]:
     """First red-blue d-colouring in counter order, or None."""
-    blue = next(_colourings(g, d, 0, max_n), None)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    blue = next(_colourings(g, d, 0), None)
     return None if blue is None else _certificate(g, blue, d, False)
 
 
-def brute_pmc(
-    g: Graph, *, max_n: Optional[int] = None
-) -> Optional[CutCertificate]:
+def brute_pmc(g: Graph) -> Optional[CutCertificate]:
     """First perfect matching cut (perfect 1-colouring) in counter order."""
-    blue = next(_colourings(g, 1, 1, max_n), None)
+    blue = next(_colourings(g, 1, 1), None)
     return None if blue is None else _certificate(g, blue, 1, True)
 
 
-def brute_mmc(
-    g: Graph, *, max_n: Optional[int] = None
-) -> Optional[tuple[int, CutCertificate]]:
+def brute_mmc(g: Graph) -> Optional[tuple[int, CutCertificate]]:
     """Maximum matching cut size with a witness, or None if no matching
     cut; the first maximum in counter order wins."""
     adj = g.adj_bits
     best: Optional[tuple[int, int]] = None  # (size, blue mask)
-    for blue in _colourings(g, 1, 0, max_n):
+    for blue in _colourings(g, 1, 0):
         size = sum((adj[v] & ~blue).bit_count() for v in iter_bits(blue))
         if best is None or size > best[0]:
             best = (size, blue)
@@ -190,16 +179,14 @@ def brute_mmc(
     return size, result
 
 
-def brute_sat(
-    inst: SatInstance, *, max_n: Optional[int] = None
-) -> Optional[tuple[bool, ...]]:
+def brute_sat(inst: SatInstance) -> Optional[tuple[bool, ...]]:
     """First satisfying assignment in counter order, or None.
 
     A positive clause needs a true member, a negative clause a false one.
     Shape conditions are not checked here; any clause sizes are accepted.
     """
     n = inst.n_vars
-    _check_scale(n, "n_vars", max_n=max_n)
+    _check_scale(n, "n_vars")
     # a clause fails when its variables read `bad`: all false for a
     # positive clause, all true for a negative one; an empty clause always
     # fails.  Assignments that agree with a failing one on the clause's
@@ -228,7 +215,7 @@ def brute_sat(
 
 
 def brute_probe_certificate(
-    ppg: PartitionedProbeGraph, h: Pattern, *, max_n: Optional[int] = None
+    ppg: PartitionedProbeGraph, h: Pattern
 ) -> Optional[ProbeCertificate]:
     """First candidate edge set inside the non-probe side, in counter
     order, whose addition makes the graph pattern-free, or None.
@@ -249,7 +236,7 @@ def brute_probe_certificate(
     failing counters are skipped, so the result is the plain loop's.
     """
     nonprobes = sorted(ppg.nonprobes)
-    _check_scale(len(nonprobes), "|N|", DEFAULT_CERTIFICATE_LIMIT, max_n)
+    _check_scale(len(nonprobes), "|N|", DEFAULT_CERTIFICATE_LIMIT)
     g = ppg.graph
     pairs = [
         (u, v)
@@ -321,6 +308,8 @@ def backtrack_dcut(
     first: the first valid leaf is that of the red-first depth-first
     search.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     n = g.n
     if n < 2:
         return None

@@ -167,6 +167,18 @@ class TestSolveCommand:
                      "--algo", "poly", "--input", path])
         assert code == 2
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_dcut_brute_d_below_one_is_usage_error(self, tmp_path, capsys, d):
+        """The oracle refuses d < 1 as the poly path does, instead of
+        answering no."""
+        path = _write(tmp_path, "k2.json", K2_JSON)
+        code = main(["solve", "--problem", "dcut", "--d", d,
+                     "--algo", "brute", "--input", path])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: d must be >= 1\n"
+
     def test_pmc_brute_p4(self, tmp_path, capsys):
         path = _write(
             tmp_path, "p4.json",

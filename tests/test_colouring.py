@@ -533,6 +533,73 @@ def _random_completion_input(seed):
         return g, x, y
 
 
+def _reference_perfect(g, x, y):
+    """The perfect completion with its own forcing and matching, kept as
+    the reference.  Its precondition checks are left out: the planted
+    states below meet them."""
+    u_mask = ((1 << g.n) - 1) & ~(x | y)
+    adj = g.adj_bits
+    for u in iter_bits(u_mask):
+        coloured = adj[u] & (x | y)
+        if coloured.bit_count() == 1:
+            w = coloured.bit_length() - 1
+            if (x >> w) & 1:
+                y |= 1 << u
+            else:
+                x |= 1 << u
+            u_mask &= ~(1 << u)
+    if not local_masks_valid(adj, x, y, 1):
+        return None
+    free = 0
+    for w in iter_bits(x):
+        if not adj[w] & y:
+            free |= 1 << w
+    for w in iter_bits(y):
+        if not adj[w] & x:
+            free |= 1 << w
+    matched = max_bipartite_matching({u: adj[u] & free for u in iter_bits(u_mask)})
+    if len(matched) != u_mask.bit_count():
+        return None
+    for u, w in matched.items():
+        if (x >> w) & 1:
+            y |= 1 << u
+        else:
+            x |= 1 << u
+    return _certify(g, x, y, 1, True)
+
+
+def _planted_perfect_input(seed):
+    """A red set A and a blue set B, each connected, with no edge between
+    them; each vertex of A and B is, with probability 0.9, the planted
+    partner of its own uncoloured vertex, which with probability 3/4 also
+    sees a vertex of the other colour.  Vertex ids are shuffled.  When
+    every coloured vertex has a partner, giving each uncoloured vertex the
+    colour opposite its partner is a perfect cut."""
+    rng = random.Random(seed)
+    while True:
+        na, nb = rng.randint(1, 5), rng.randint(1, 5)
+        sides = [list(range(na)), list(range(na, na + nb))]
+        n = na + nb
+        edges = []
+        for side in sides:
+            for i in range(1, len(side)):
+                edges.append((side[rng.randrange(i)], side[i]))
+            edges += [(a, b) for a, b in itertools.combinations(side, 2)
+                      if rng.random() < 0.3]
+        for colour, side in enumerate(sides):
+            for t in side:
+                if rng.random() < 0.9:
+                    edges.append((t, n))
+                    if rng.random() < 0.75:
+                        edges.append((rng.choice(sides[1 - colour]), n))
+                    n += 1
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = build_graph(n, {tuple(sorted((perm[a], perm[b]))) for a, b in edges})
+        if is_connected(g):
+            return g, _m(perm[v] for v in sides[0]), _m(perm[v] for v in sides[1])
+
+
 class TestCompletePerfect:
     def test_k2(self):
         g = build_graph(2, [(0, 1)])
@@ -560,6 +627,25 @@ class TestCompletePerfect:
         if mine is not None:
             check = validate_colouring(g, list(mine.colouring), 1, True)
             assert isinstance(check, CutCertificate)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=300)
+    def test_matches_reference_on_planted_states(self, seed):
+        """The perfect completion (the maximum completion kept at n/2
+        edges) returns the reference routine's certificate on planted
+        states, and None exactly when it does."""
+        g, x, y = _planted_perfect_input(seed)
+        mine = complete_independent_perfect(g, x, y)
+        ref = _reference_perfect(g, x, y)
+        if ref is None:
+            assert mine is None
+            return
+        assert mine is not None
+        assert (mine.colouring, mine.cut, mine.size, mine.perfect) == (
+            ref.colouring, ref.cut, ref.size, ref.perfect
+        )
+        check = validate_colouring(g, list(mine.colouring), 1, require_perfect=True)
+        assert isinstance(check, CutCertificate)
 
 
 class TestMaskHelpers:

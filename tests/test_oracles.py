@@ -51,6 +51,11 @@ EXAMPLE_SAT = SatInstance.of(
 )
 
 
+def _five_nonprobes():
+    """Five isolated non-probes, the input size of the certificate search."""
+    return PartitionedProbeGraph(build_graph(5, []), frozenset(), frozenset(range(5)))
+
+
 class TestBruteDcut:
     def test_c4_has_matching_cut(self):
         cert = brute_dcut(cycle_graph(4), 1)
@@ -73,6 +78,29 @@ class TestBruteDcut:
         monkeypatch.setenv("PROBECUT_ORACLE_MAX_N", "6")
         assert brute_dcut(path_graph(5), 1) is not None
 
+    @pytest.mark.parametrize("oracle, size", [
+        (lambda: brute_dcut(path_graph(5), 1), 5),
+        (lambda: brute_pmc(path_graph(5)), 5),
+        (lambda: brute_mmc(path_graph(5)), 5),
+        (lambda: brute_sat(EXAMPLE_SAT), 6),
+        (lambda: brute_probe_certificate(_five_nonprobes(), path_pattern(4)), 5),
+    ], ids=["brute_dcut", "brute_pmc", "brute_mmc", "brute_sat",
+            "brute_probe_certificate"])
+    def test_env_override_reaches_every_oracle(self, monkeypatch, oracle, size):
+        """PROBECUT_ORACLE_MAX_N is the one override, and every oracle
+        reads it: one below the input's size refuses, the size runs."""
+        monkeypatch.setenv("PROBECUT_ORACLE_MAX_N", str(size - 1))
+        with pytest.raises(OracleScaleExceeded, match=f"limit {size - 1}$"):
+            oracle()
+        monkeypatch.setenv("PROBECUT_ORACLE_MAX_N", str(size))
+        oracle()
+
+    @pytest.mark.parametrize("d", [0, -1])
+    @pytest.mark.parametrize("oracle", [brute_dcut, backtrack_dcut])
+    def test_d_below_one_is_refused(self, oracle, d):
+        with pytest.raises(ValueError, match=r"^d must be >= 1$"):
+            oracle(path_graph(4), d)
+
     @pytest.mark.parametrize("value", ["abc", " ", "1e3", "-1"])
     def test_bad_env_override_is_named(self, monkeypatch, value):
         """An override that is not a non-negative integer is refused with
@@ -83,9 +111,6 @@ class TestBruteDcut:
         assert str(exc.value) == (
             f"PROBECUT_ORACLE_MAX_N must be a non-negative integer, got {value!r}"
         )
-
-    def test_explicit_limit_wins(self):
-        assert brute_dcut(path_graph(5), 1, max_n=5) is not None
 
 
 class TestBrutePmc:
@@ -265,7 +290,7 @@ def scan_visits(g, d, lo):
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code
                  else None)
     try:
-        for _ in _colourings(g, d, lo, None):
+        for _ in _colourings(g, d, lo):
             pass
     finally:
         sys.settrace(previous)
@@ -322,7 +347,7 @@ class TestColouringScan:
     @settings(max_examples=300)
     def test_same_colourings_in_order(self, g, d_lo):
         d, lo = d_lo
-        assert list(_colourings(g, d, lo, None)) == list(
+        assert list(_colourings(g, d, lo)) == list(
             plain_colourings(g, d, lo)
         )
 
@@ -331,7 +356,7 @@ class TestColouringScan:
         # vertex 0 alone, the rest a path: no test reads a varying bit for 0
         g = build_graph(n, [(i, i + 1) for i in range(1, n - 1)])
         for d, lo in [(0, 0), (1, 0), (1, 1), (2, 1)]:
-            assert list(_colourings(g, d, lo, None)) == list(
+            assert list(_colourings(g, d, lo)) == list(
                 plain_colourings(g, d, lo)
             )
 
@@ -344,7 +369,7 @@ class TestColouringScan:
         n = 8 + seed % 4
         g = random_graph(n, (0.6, 0.75, 0.85, 0.95)[seed % 4], seed)
         for d, lo in SCAN_D_LO:
-            assert list(_colourings(g, d, lo, None)) == list(
+            assert list(_colourings(g, d, lo)) == list(
                 plain_colourings(g, d, lo)
             )
             assert scan_visits(g, d, lo) == model_visits(g, d, lo)
@@ -365,7 +390,7 @@ class TestColouringScan:
             "star-at-0", "star-at-0-plus-path"])
     def test_edge_cases_same_colourings_and_jumps(self, g):
         for d, lo in SCAN_D_LO:
-            assert list(_colourings(g, d, lo, None)) == list(
+            assert list(_colourings(g, d, lo)) == list(
                 plain_colourings(g, d, lo)
             )
             assert scan_visits(g, d, lo) == model_visits(g, d, lo)
