@@ -119,28 +119,19 @@ def validate_colouring(
     return Violation(None, "colouring is monochromatic")
 
 
-def process_masks(
+def force_masks(
     adj_bits: Sequence[int], n: int, x: int, y: int, d: int, dirty: int = -1
 ) -> Optional[tuple[int, int]]:
-    """Grow red/blue masks to their forcing-rule closure; None means
-    rejected.
+    """The forcing fixpoint of red/blue masks; None only when a vertex is
+    forced into both classes.  No coloured vertex's budget is checked.
 
     Rule: an uncoloured vertex with more than d neighbours in one colour
-    class joins that class; one forced into both classes rejects at once.
-    Once no rule applies, any vertex adjacent to more than d vertices of
-    each class rejects the pair.  Running the overload check only then
-    makes the outcome independent of rule order.  The closure is
-    inflationary and idempotent, and a total colouring is a valid extension
-    of the input masks iff it is one of the closure.
-
-    Only ``dirty`` uncoloured vertices (all by default) are examined, each
-    vertex coloured dirties its neighbours, and the overload check visits
-    the coloured vertices ever dirtied.  By the order-independence argument
-    of :func:`probecut.oracles.backtrack_dcut` the result is the full
-    closure's whenever no vertex outside ``dirty`` is forced or overloaded.
+    class joins that class.  Only ``dirty`` uncoloured vertices (all by
+    default) are examined and each vertex coloured dirties its uncoloured
+    neighbours, so the result is the full fixpoint's whenever no vertex
+    outside ``dirty`` is forced by the input masks.
     """
-    touched = dirty & ((1 << n) - 1)
-    dirty = touched & ~(x | y)
+    dirty &= ((1 << n) - 1) & ~(x | y)
     while dirty:
         low = dirty & -dirty
         dirty ^= low
@@ -154,12 +145,31 @@ def process_masks(
         else:
             continue
         dirty |= av & ~(x | y)
-        touched |= av
-    # an uncoloured vertex was examined after its last count change
-    touched &= x | y
-    while touched:
-        low = touched & -touched
-        touched ^= low
+    return x, y
+
+
+def process_masks(
+    adj_bits: Sequence[int], n: int, x: int, y: int, d: int
+) -> Optional[tuple[int, int]]:
+    """Grow red/blue masks to their forcing-rule closure; None means
+    rejected.
+
+    The forcing fixpoint of :func:`force_masks` (one vertex forced into
+    both classes rejects at once), then the overload scan: any coloured
+    vertex adjacent to more than d vertices of each class rejects the
+    pair.  Running that scan only once no rule applies makes the outcome
+    independent of rule order.  The closure is inflationary and
+    idempotent, and a total colouring is a valid extension of the input
+    masks iff it is one of the closure.
+    """
+    out = force_masks(adj_bits, n, x, y, d)
+    if out is None:
+        return None
+    x, y = out
+    coloured = (x | y) & ((1 << n) - 1)
+    while coloured:
+        low = coloured & -coloured
+        coloured ^= low
         av = adj_bits[low.bit_length() - 1]
         if (av & x).bit_count() > d and (av & y).bit_count() > d:
             return None

@@ -35,8 +35,8 @@ from .colouring import (
     _within_budget,
     complete_independent_max_cut,
     complete_independent_perfect,
+    force_masks,
     local_masks_valid,
-    process_masks,
 )
 from .graph import (
     Graph,
@@ -54,7 +54,7 @@ class SolveReport:
     certificate.
 
     ``branches_explored`` counts, for d-cut, every total colouring that was
-    validated (the lone-non-probe tests included); for maximum matching
+    validated or, in the lone-non-probe step, decided; for maximum matching
     cut, every branch leaf passed to the completion; for perfect matching
     cut, the leaves passed to the completion up to and including the first
     success.
@@ -105,16 +105,18 @@ def _branch_leaves(
     never validate.  Leaves are yielded as processed (red, blue) masks in
     ascending-vertex, red-before-blue order.
 
-    Only the start gets the full closure and check.  A step colours a
-    frontier vertex v of a closed, checked state and closes with v and its
+    No closure needs the overload scan of :func:`process_masks`: a vertex
+    over d in both classes breaks the budget check.  The start runs the
+    forcing fixpoint and the full check.  A step colours a frontier vertex
+    v of a closed, checked state and runs the fixpoint with v and its
     neighbours dirty.  Only counts of v's colour grow, so every vertex it
-    forces takes that colour, and only their opposite-coloured neighbours'
-    budgets can break.  The explicit stack holds each child unclosed, so
-    the closures run in the recursive order.
+    forces takes that colour within budget, and only their
+    opposite-coloured neighbours' budgets can break.  The explicit stack
+    holds each child unclosed, so the closures run in the recursive order.
     """
     adj = g.adj_bits
     n = g.n
-    start = process_masks(adj, n, x0, y0, d)
+    start = force_masks(adj, n, x0, y0, d)
     if start is None or not local_masks_valid(adj, start[0], start[1], d):
         return
     frontier = list(iter_bits(frontier_mask))
@@ -123,7 +125,7 @@ def _branch_leaves(
         x, y, i, bit = stack.pop()
         if bit:
             old = (x | y) ^ bit
-            nxt = process_masks(adj, n, x, y, d, bit | adj[bit.bit_length() - 1])
+            nxt = force_masks(adj, n, x, y, d, bit | adj[bit.bit_length() - 1])
             if nxt is None:
                 continue
             x, y = nxt
@@ -311,14 +313,16 @@ class _DcutSolver:
 
     def _lone_nonprobe_step(self) -> Optional[CutCertificate]:
         """A colouring with a monochromatic probe side exists iff one with
-        a single oddly-coloured non-probe does, so test each non-probe as
-        the lone red and the lone blue vertex."""
+        a single oddly-coloured non-probe does.  Both tests of a non-probe
+        v, lone red and lone blue, pass iff deg(v) <= d (any other vertex
+        sees at most one opposite neighbour, v), so only the first such v
+        is validated, lone red, after counting the tests before it."""
         self.trace.append("mono-probe")
-        lone = [1 << v for v in iter_bits(self.n_mask)]
-        for x in lone + [self.full & ~b for b in lone]:
-            cert = self._validate_total(x, self.full & ~x)
-            if cert:
-                return cert
+        for i, v in enumerate(iter_bits(self.n_mask)):
+            if self.adj_bits[v].bit_count() <= self.d:
+                self.branches += i
+                return self._validate_total(1 << v, self.full & ~(1 << v))
+        self.branches += 2 * self.n_mask.bit_count()
         return None
 
     def _dispatch(self) -> Optional[CutCertificate]:
@@ -528,6 +532,8 @@ class _DcutSolver:
 def solve_dcut(ppg: PartitionedProbeGraph, d: int) -> SolveReport:
     """Decide d-cut existence (d >= 2) for a connected partitioned probe
     instance promised probe (P1+P4)-free; see the module docstring."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if d < 2:
         raise UnsupportedD("solve_dcut handles d >= 2; use the matching-cut solvers for d = 1")
     return _DcutSolver(ppg, d).run()

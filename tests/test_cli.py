@@ -179,6 +179,18 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err == "error: d must be >= 1\n"
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_dcut_poly_d_below_one_is_usage_error(self, tmp_path, capsys, d):
+        """The solver names the bound d >= 1 instead of pointing d < 1 at
+        the matching-cut solvers."""
+        path = _write(tmp_path, "k2.json", K2_JSON)
+        code = main(["solve", "--problem", "dcut", "--d", d,
+                     "--algo", "poly", "--input", path])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: d must be >= 1\n"
+
     def test_pmc_brute_p4(self, tmp_path, capsys):
         path = _write(
             tmp_path, "p4.json",
@@ -400,6 +412,14 @@ class TestCrosscheck:
             assert tmp_path in path.parents
             meta = parse_instance(path.read_text()).metadata
             assert {meta["poly"], meta["brute"]} == {"yes", "no"}
+
+    def test_dcut_d_zero_is_usage_error(self, capsys):
+        code = main(["crosscheck", "--problem", "dcut", "--d", "0",
+                     "--count", "1", "--max-n", "6", "--seed", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: d must be >= 1\n"
 
     def test_count_zero_warns(self, capsys):
         code = main(["crosscheck", "--problem", "pmc", "--count", "0",

@@ -25,7 +25,9 @@ from probecut import (
 )
 from probecut.colouring import (
     _certify,
+    _within_budget,
     colouring_of,
+    force_masks,
     local_masks_valid,
     masks_of,
     process_masks,
@@ -266,29 +268,55 @@ def _closed_state(g, d, rng):
     return None
 
 
+def _checked_closure(adj, n, x, y, d):
+    """The closure with its overload scan, kept only when it passes
+    local_masks_valid; None otherwise."""
+    out = process_masks(adj, n, x, y, d)
+    return out if out and local_masks_valid(adj, *out, d) else None
+
+
 class TestIncrementalClosure:
-    """The dirty-set closure, the branch step's budget check, the stack
+    """The forcing fixpoint, the branch step's budget check, the stack
     enumeration and the mask-native leaf check against their full
     counterparts."""
 
     @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2, 3]))
     @settings(max_examples=300)
     def test_step_equals_full_closure_and_check(self, seed, d):
+        """With equal masks, the fixpoint plus local_masks_valid from
+        arbitrary masks (a start) and the fixpoint with the branch vertex
+        and its neighbours dirty plus the budget check on the neighbours
+        of every vertex it coloured (a step) accept exactly what the
+        closure with its overload scan plus local_masks_valid accepts."""
         rng = random.Random(seed)
         n = rng.randint(2, 12)
         g = random_graph(n, rng.choice([0.3, 0.5, 0.7]), seed)
+        adj = g.adj_bits
+        x0, y0 = _random_masks(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        start = force_masks(adj, n, x0, y0, d)
+        if start is not None and not local_masks_valid(adj, *start, d):
+            start = None
+        assert start == _checked_closure(adj, n, x0, y0, d)
+        assert list(_branch_leaves(g, x0, y0, 0, d)) == ([start] if start else [])
         state = _closed_state(g, d, rng)
         if state is None:
             return
         x, y = state
-        adj = g.adj_bits
         v = rng.choice(list(iter_bits(((1 << n) - 1) & ~(x | y))))
         bit = 1 << v
         expected = []
         for cx, cy in ((x | bit, y), (x, y | bit)):
-            full = process_masks(adj, n, cx, cy, d)
-            assert process_masks(adj, n, cx, cy, d, bit | adj[v]) == full
-            if full is not None and local_masks_valid(adj, *full, d):
+            step = force_masks(adj, n, cx, cy, d, bit | adj[v])
+            if step is not None:
+                own, opposite = step if step[0] & bit else step[::-1]
+                gained = 0
+                for c in iter_bits(own & ~(x | y)):
+                    gained |= adj[c]
+                if not _within_budget(adj, gained & opposite, own, d):
+                    step = None
+            full = _checked_closure(adj, n, cx, cy, d)
+            assert step == full
+            if full is not None:
                 expected.append(full)
         assert list(_branch_leaves(g, x, y, bit, d)) == expected
 

@@ -3,6 +3,7 @@ the brute-force oracles across every dispatch path."""
 
 import random
 import time
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from probecut import (
     sp1_p4_pattern,
     validate_colouring,
 )
+from probecut.graph import iter_bits
 from probecut.solvers import _DcutSolver
 
 from conftest import (
@@ -34,6 +36,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     path_graph,
+    random_connected_graph,
     star_graph,
 )
 
@@ -252,6 +255,12 @@ class TestSolveDcut:
         with pytest.raises(UnsupportedD):
             solve_dcut(all_probes(path_graph(4)), 1)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_d_below_one_is_a_value_error(self, d):
+        """d < 1 is no budget at all, refused as by the oracles."""
+        with pytest.raises(ValueError, match=r"^d must be >= 1$"):
+            solve_dcut(all_probes(path_graph(4)), d)
+
     def test_disconnected_raises(self):
         with pytest.raises(NotConnected):
             solve_dcut(all_probes(build_graph(3, [(0, 1)])), 2)
@@ -263,6 +272,46 @@ class TestSolveDcut:
             cycle_graph(6), list(report.certificate.colouring), 2
         )
         assert isinstance(check, CutCertificate)
+
+
+def _lone_nonprobe_loop(self) -> Optional[CutCertificate]:
+    """The lone-non-probe step that validated every one of its 2|N|
+    colourings, kept verbatim as the reference for the degree test."""
+    self.trace.append("mono-probe")
+    lone = [1 << v for v in iter_bits(self.n_mask)]
+    for x in lone + [self.full & ~b for b in lone]:
+        cert = self._validate_total(x, self.full & ~x)
+        if cert:
+            return cert
+    return None
+
+
+class TestLoneNonprobeStep:
+    @given(st.integers(0, 2 ** 32), st.sampled_from([2, 3]), st.booleans())
+    @settings(max_examples=200)
+    def test_matches_validation_loop(self, seed, d, low):
+        """Deciding the lone tests by degree gives the certificate, branch
+        count and trace of validating all 2|N| colourings, on instances
+        with (``low``: a pendant non-probe is added) and without a
+        non-probe of degree at most d."""
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        g = random_connected_graph(n, rng.choice([0.3, 0.5, 0.8]), seed)
+        order = [v for v in range(n) if low or g.degree(v) > d]
+        rng.shuffle(order)
+        if low:
+            g = build_graph(n + 1, list(g.edges()) + [(rng.randrange(n), n)])
+            order.insert(0, n)
+        nonprobes = 0
+        for v in order:
+            if not g.adj_bits[v] & nonprobes:
+                nonprobes |= 1 << v
+        nps = frozenset(iter_bits(nonprobes))
+        ppg = PartitionedProbeGraph(g, frozenset(range(g.n)) - nps, nps)
+        assert any(g.degree(v) <= d for v in nps) == low
+        step, loop = _DcutSolver(ppg, d), _DcutSolver(ppg, d)
+        assert step._lone_nonprobe_step() == _lone_nonprobe_loop(loop)
+        assert (step.branches, step.trace) == (loop.branches, loop.trace)
 
 
 def _case_instances():
@@ -721,7 +770,8 @@ class TestSmallClassPruning:
         """A 48-vertex dense cograph with a join at the root, its non-probe
         edges deleted: every probe has probe-degree above 3d - 1, so no
         bounded-class guess survives and the solver decides without
-        closing one."""
+        closing one.  The counter wraps the fixpoint the branching runs,
+        so on K4, whose two-vertex classes survive, it counts some."""
         import probecut.solvers as solvers_mod
         from probecut.oracles import backtrack_dcut
 
@@ -743,16 +793,20 @@ class TestSmallClassPruning:
                 break
         ppg = PartitionedProbeGraph(g, probes, nonprobes)
         calls = [0]
-        closure = solvers_mod.process_masks
+        closure = solvers_mod.force_masks
 
         def counted(*args):
             calls[0] += 1
             return closure(*args)
 
-        monkeypatch.setattr(solvers_mod, "process_masks", counted)
+        monkeypatch.setattr(solvers_mod, "force_masks", counted)
         for d in (2, 3):
             calls[0] = 0
             report = solve_dcut(ppg, d)
             assert "cograph-1comp" in report.case_trace
-            assert calls[0] < 1000
+            assert calls[0] == 0
             assert report.answer == (backtrack_dcut(g, d) is not None)
+        calls[0] = 0
+        report = solve_dcut(all_probes(complete_graph(4)), 2)
+        assert report.case_trace == ["mono-probe", "cograph-1comp"]
+        assert calls[0] > 0
