@@ -2,8 +2,8 @@
 solve / verify / generate / reduce / crosscheck commands.
 
 Exit codes are a stable contract: 0 yes, 1 no, 2 usage or scale error
-(or a crosscheck that skipped instances it could not generate),
-3 crosscheck mismatch.
+(or a crosscheck that skipped instances it could not generate, or an
+output closed before everything was written), 3 crosscheck mismatch.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import tempfile
@@ -282,6 +283,7 @@ _PROBLEMS = {
 
 def cmd_solve(opts, argv) -> int:
     started = time.perf_counter()
+    _check_pattern_size(f"{opts.s}P1+P4", opts.s + 4)  # C(n, s+4) seed scans
     ppg = parse_instance(_read(opts.input)).ppg
     poly, oracle = _PROBLEMS[opts.problem]
     if opts.algo == "poly":
@@ -622,9 +624,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _HANDLERS[opts.command](opts, argv)
+        code = _HANDLERS[opts.command](opts, argv)
+        sys.stdout.flush()
+        return code
     except (ProbeCutError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader has gone: keep the exit flush off the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output closed by its reader", file=sys.stderr)
         return 2
 
 

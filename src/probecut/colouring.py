@@ -1,6 +1,6 @@
-"""Red-blue d-colouring machinery: validation, the forcing-rule closure,
-and exact completion of colourings whose uncoloured remainder is an
-independent set, all over int bitmasks (red mask x, blue mask y).
+"""Red-blue d-colouring machinery: validation, the forcing-rule closure
+and its one-vertex branch step, and exact completion of colourings whose
+uncoloured remainder is an independent set, all over int bitmasks.
 
 A red-blue d-colouring assigns every vertex red or blue so that both
 colours occur and every vertex has at most d neighbours of the opposite
@@ -120,18 +120,17 @@ def validate_colouring(
 
 
 def force_masks(
-    adj_bits: Sequence[int], n: int, x: int, y: int, d: int, dirty: int = -1
+    adj_bits: Sequence[int], n: int, x: int, y: int, d: int
 ) -> Optional[tuple[int, int]]:
     """The forcing fixpoint of red/blue masks; None only when a vertex is
     forced into both classes.  No coloured vertex's budget is checked.
 
     Rule: an uncoloured vertex with more than d neighbours in one colour
-    class joins that class.  Only ``dirty`` uncoloured vertices (all by
-    default) are examined and each vertex coloured dirties its uncoloured
-    neighbours, so the result is the full fixpoint's whenever no vertex
-    outside ``dirty`` is forced by the input masks.
+    class joins that class.  Every uncoloured vertex is examined, and each
+    vertex coloured queues its uncoloured neighbours again.  Branch starts
+    run this; branch steps run :func:`extend_masks`.
     """
-    dirty &= ((1 << n) - 1) & ~(x | y)
+    dirty = ((1 << n) - 1) & ~(x | y)
     while dirty:
         low = dirty & -dirty
         dirty ^= low
@@ -146,6 +145,32 @@ def force_masks(
             continue
         dirty |= av & ~(x | y)
     return x, y
+
+
+def extend_masks(
+    adj_bits: Sequence[int], own: int, opposite: int, v: int, d: int
+) -> Optional[int]:
+    """Colour the uncoloured vertex v into class ``own`` of a closed state
+    that passes :func:`local_masks_valid`; the grown class of the closed,
+    checked result, or None.  An opposite neighbour of v already at budget
+    rejects before any forcing.  Only counts into ``own`` grow, so every
+    vertex forced joins ``own`` within its budget, and only the opposite
+    neighbours of the vertices coloured can break theirs."""
+    av = adj_bits[v]
+    if not _within_budget(adj_bits, av & opposite, own, d - 1):
+        return None
+    own |= 1 << v
+    gained = av
+    todo = av & ~(own | opposite)
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        au = adj_bits[low.bit_length() - 1]
+        if (au & own).bit_count() > d:
+            own |= low
+            gained |= au
+            todo |= au & ~(own | opposite)
+    return own if _within_budget(adj_bits, gained & opposite, own, d) else None
 
 
 def process_masks(

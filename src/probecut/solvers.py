@@ -35,6 +35,7 @@ from .colouring import (
     _within_budget,
     complete_independent_max_cut,
     complete_independent_perfect,
+    extend_masks,
     force_masks,
     local_masks_valid,
 )
@@ -108,41 +109,34 @@ def _branch_leaves(
     No closure needs the overload scan of :func:`process_masks`: a vertex
     over d in both classes breaks the budget check.  The start runs the
     forcing fixpoint and the full check.  A step colours a frontier vertex
-    v of a closed, checked state and runs the fixpoint with v and its
-    neighbours dirty.  Only counts of v's colour grow, so every vertex it
-    forces takes that colour within budget, and only their
-    opposite-coloured neighbours' budgets can break.  The explicit stack
-    holds each child unclosed, so the closures run in the recursive order.
+    v of a closed, checked state with :func:`extend_masks`, which drops
+    the child before any forcing when an opposite neighbour of v is
+    already at budget, and otherwise closes and checks it in v's colour
+    alone.  The explicit stack holds each child as (x, y, i, v, red),
+    uncoloured, so the steps run in the recursive order.
     """
     adj = g.adj_bits
-    n = g.n
-    start = force_masks(adj, n, x0, y0, d)
+    start = force_masks(adj, g.n, x0, y0, d)
     if start is None or not local_masks_valid(adj, start[0], start[1], d):
         return
     frontier = list(iter_bits(frontier_mask))
-    stack = [(start[0], start[1], 0, 0)]
+    stack = [(start[0], start[1], 0, -1, False)]
     while stack:
-        x, y, i, bit = stack.pop()
-        if bit:
-            old = (x | y) ^ bit
-            nxt = force_masks(adj, n, x, y, d, bit | adj[bit.bit_length() - 1])
-            if nxt is None:
-                continue
-            x, y = nxt
-            own, opposite = (x, y) if x & bit else (y, x)
-            gained = 0
-            for c in iter_bits(own & ~old):
-                gained |= adj[c]
-            if not _within_budget(adj, gained & opposite, own, d):
-                continue
+        x, y, i, v, red = stack.pop()
+        if red:
+            x = extend_masks(adj, x, y, v, d)
+        elif v >= 0:
+            y = extend_masks(adj, y, x, v, d)
+        if x is None or y is None:
+            continue
         while i < len(frontier) and ((x | y) >> frontier[i]) & 1:
             i += 1
         if i == len(frontier):
             yield (x, y)
             continue
-        bit = 1 << frontier[i]
-        stack.append((x, y | bit, i + 1, bit))
-        stack.append((x | bit, y, i + 1, bit))
+        v = frontier[i]
+        stack.append((x, y, i + 1, v, False))
+        stack.append((x, y, i + 1, v, True))
 
 
 class _DcutSolver:

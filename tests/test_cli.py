@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -245,6 +247,76 @@ class TestSolveCommand:
             build_graph(n, edges), report["certificate"]["colours"], 2
         )
         assert isinstance(again, CutCertificate)
+
+
+    def test_pattern_over_limit_refused_before_reading(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 5P1+P4 has 9 vertices; the seed scan would try C(n, 9) sets
+        def never(path):
+            raise AssertionError("read the input of a refused solve")
+
+        monkeypatch.setattr(cli, "_read", never)
+        began = time.perf_counter()
+        code = main(["solve", "--problem", "mmc", "--algo", "poly",
+                     "--s", "5", "--input", str(tmp_path / "p40.json")])
+        elapsed = time.perf_counter() - began
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: pattern 5P1+P4 has 9 > 8 vertices\n"
+        assert elapsed < 1.0
+
+
+class TestClosedOutput:
+    """A reader that closes stdout early gets exit 2 and one error line,
+    never a traceback."""
+
+    MESSAGE = "error: output closed by its reader\n"
+
+    def test_in_process(self, tmp_path, capsys, monkeypatch):
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        path = _write(tmp_path, "k2.json", K2_JSON)
+        with open(tmp_path / "out", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(sink.fileno()))
+            code = main(["solve", "--problem", "mmc", "--algo", "poly",
+                         "--input", path])
+        assert code == 2
+        assert capsys.readouterr().err == self.MESSAGE
+
+    def test_pipe_closed_by_reader(self, tmp_path):
+        # the report of a 8,001-vertex star (about 110 KiB) overfills the
+        # 64 KiB pipe buffer, so the writer is still writing when the
+        # reader, after one byte, closes the pipe
+        path = _write(tmp_path, "star.json", json.dumps({
+            "n": 8001, "edges": [[0, v] for v in range(1, 8001)],
+            "probes": [0], "nonprobes": list(range(1, 8001)),
+        }))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "probecut.cli", "solve", "--problem",
+             "dcut", "--d", "2", "--algo", "poly", "--input", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == self.MESSAGE
 
 
 class TestVerifyCommand:

@@ -27,6 +27,7 @@ from probecut.colouring import (
     _certify,
     _within_budget,
     colouring_of,
+    extend_masks,
     force_masks,
     local_masks_valid,
     masks_of,
@@ -276,7 +277,7 @@ def _checked_closure(adj, n, x, y, d):
 
 
 class TestIncrementalClosure:
-    """The forcing fixpoint, the branch step's budget check, the stack
+    """The forcing fixpoint, the branch step kernel, the stack
     enumeration and the mask-native leaf check against their full
     counterparts."""
 
@@ -284,10 +285,10 @@ class TestIncrementalClosure:
     @settings(max_examples=300)
     def test_step_equals_full_closure_and_check(self, seed, d):
         """With equal masks, the fixpoint plus local_masks_valid from
-        arbitrary masks (a start) and the fixpoint with the branch vertex
-        and its neighbours dirty plus the budget check on the neighbours
-        of every vertex it coloured (a step) accept exactly what the
-        closure with its overload scan plus local_masks_valid accepts."""
+        arbitrary masks (a start) and extend_masks on an uncoloured vertex
+        of a closed, checked state, in either colour (a step), accept
+        exactly what the closure with its overload scan plus
+        local_masks_valid accepts, and return its masks."""
         rng = random.Random(seed)
         n = rng.randint(2, 12)
         g = random_graph(n, rng.choice([0.3, 0.5, 0.7]), seed)
@@ -304,21 +305,46 @@ class TestIncrementalClosure:
         x, y = state
         v = rng.choice(list(iter_bits(((1 << n) - 1) & ~(x | y))))
         bit = 1 << v
+        red = extend_masks(adj, x, y, v, d)
+        blue = extend_masks(adj, y, x, v, d)
+        assert (red is None or red & bit) and (blue is None or blue & bit)
         expected = []
-        for cx, cy in ((x | bit, y), (x, y | bit)):
-            step = force_masks(adj, n, cx, cy, d, bit | adj[v])
-            if step is not None:
-                own, opposite = step if step[0] & bit else step[::-1]
-                gained = 0
-                for c in iter_bits(own & ~(x | y)):
-                    gained |= adj[c]
-                if not _within_budget(adj, gained & opposite, own, d):
-                    step = None
+        for step, cx, cy in ((red and (red, y), x | bit, y),
+                             (blue and (x, blue), x, y | bit)):
             full = _checked_closure(adj, n, cx, cy, d)
             assert step == full
             if full is not None:
                 expected.append(full)
         assert list(_branch_leaves(g, x, y, bit, d)) == expected
+
+    def test_step_drops_dead_child_before_forcing(self):
+        """On the path 0-1-2-3 with 0 red and 1 blue at d = 1, vertex 1 has
+        used its budget, so 2 cannot turn red: extend_masks says so after
+        reading only the rows of 2 and of its blue neighbour 1, without
+        examining 3."""
+
+        class Rows(tuple):
+            def __getitem__(self, v):
+                read.append(v)
+                return tuple.__getitem__(self, v)
+
+        read = []
+        adj = Rows(path_graph(4).adj_bits)
+        assert extend_masks(adj, _m({0}), _m({1}), 2, 1) is None
+        assert read == [2, 1]
+        # blue is open to 2, and 3 with one blue neighbour stays uncoloured
+        assert extend_masks(adj, _m({1}), _m({0}), 2, 1) == _m({1, 2})
+
+    def test_step_reexamines_after_each_forced_vertex(self):
+        """At d = 2 with 0 and 1 red, red 3 leaves 2 at two red neighbours
+        but forces 4 (red neighbours 0, 1, 3); 4 then takes 2 to three, so
+        2 must be examined a second time, after 4 joins, and forced."""
+        g = build_graph(5, [(0, 2), (2, 3), (2, 4), (0, 4), (1, 4), (3, 4)])
+        adj = g.adj_bits
+        reds = _m({0, 1})
+        assert force_masks(adj, 5, reds, 0, 2) == (reds, 0)
+        assert extend_masks(adj, reds, 0, 3, 2) == _m(range(5))
+        assert process_masks(adj, 5, reds | _m({3}), 0, 2) == (_m(range(5)), 0)
 
     @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2, 3]))
     @settings(max_examples=300)
