@@ -468,6 +468,7 @@ def cmd_crosscheck(opts, argv) -> int:
         raise ParseError(f"--s must be >= 0, got {opts.s}")
     # the pattern is sP1+P4: refuse it by size before building it
     _check_pattern_size(f"{opts.s}P1+P4", opts.s + 4)
+    _check_scale(max(4, opts.max_n))  # the oracle would refuse the largest draw
     if opts.count == 0:
         print("warning: count=0, trivial pass", file=sys.stderr)
         return _emit_report(argv, True, started=started)
@@ -477,7 +478,6 @@ def cmd_crosscheck(opts, argv) -> int:
     agreed = skipped = 0
     for index in range(opts.count):
         n = rng.randint(4, max(4, opts.max_n))
-        _check_scale(n)  # the oracle would refuse the instance
         density = rng.choice([0.6, 0.75, 0.9])
         ppg = None
         for _ in range(50):

@@ -119,16 +119,21 @@ def validate_colouring(
     return Violation(None, "colouring is monochromatic")
 
 
-def force_masks(
+def process_masks(
     adj_bits: Sequence[int], n: int, x: int, y: int, d: int
 ) -> Optional[tuple[int, int]]:
-    """The forcing fixpoint of red/blue masks; None only when a vertex is
-    forced into both classes.  No coloured vertex's budget is checked.
+    """The branch start: red/blue masks grown to their forcing fixpoint
+    and checked; None means rejected.
 
     Rule: an uncoloured vertex with more than d neighbours in one colour
     class joins that class.  Every uncoloured vertex is examined, and each
-    vertex coloured queues its uncoloured neighbours again.  Branch starts
-    run this; branch steps run :func:`extend_masks`.
+    vertex coloured queues its uncoloured neighbours again.  A vertex
+    forced into both classes rejects at once; the fixpoint is then kept
+    only when :func:`local_masks_valid` accepts it.  Counts only grow, so
+    the outcome is independent of rule order, the closure is inflationary
+    and idempotent, and a total colouring is a valid extension of the
+    input masks iff it is one of the result.  Branch steps run
+    :func:`extend_masks`.
     """
     dirty = ((1 << n) - 1) & ~(x | y)
     while dirty:
@@ -144,18 +149,17 @@ def force_masks(
         else:
             continue
         dirty |= av & ~(x | y)
-    return x, y
+    return (x, y) if local_masks_valid(adj_bits, x, y, d) else None
 
 
 def extend_masks(
     adj_bits: Sequence[int], own: int, opposite: int, v: int, d: int
 ) -> Optional[int]:
-    """Colour the uncoloured vertex v into class ``own`` of a closed state
-    that passes :func:`local_masks_valid`; the grown class of the closed,
-    checked result, or None.  An opposite neighbour of v already at budget
-    rejects before any forcing.  Only counts into ``own`` grow, so every
-    vertex forced joins ``own`` within its budget, and only the opposite
-    neighbours of the vertices coloured can break theirs."""
+    """Colour the uncoloured vertex v into class ``own`` of a state that
+    :func:`process_masks` accepts; the grown class of the closed, checked
+    result, or None.  An opposite neighbour of v already at budget rejects
+    before any forcing; the rest forces into ``own`` alone and checks the
+    opposite neighbours of the vertices coloured."""
     av = adj_bits[v]
     if not _within_budget(adj_bits, av & opposite, own, d - 1):
         return None
@@ -171,34 +175,6 @@ def extend_masks(
             gained |= au
             todo |= au & ~(own | opposite)
     return own if _within_budget(adj_bits, gained & opposite, own, d) else None
-
-
-def process_masks(
-    adj_bits: Sequence[int], n: int, x: int, y: int, d: int
-) -> Optional[tuple[int, int]]:
-    """Grow red/blue masks to their forcing-rule closure; None means
-    rejected.
-
-    The forcing fixpoint of :func:`force_masks` (one vertex forced into
-    both classes rejects at once), then the overload scan: any coloured
-    vertex adjacent to more than d vertices of each class rejects the
-    pair.  Running that scan only once no rule applies makes the outcome
-    independent of rule order.  The closure is inflationary and
-    idempotent, and a total colouring is a valid extension of the input
-    masks iff it is one of the closure.
-    """
-    out = force_masks(adj_bits, n, x, y, d)
-    if out is None:
-        return None
-    x, y = out
-    coloured = (x | y) & ((1 << n) - 1)
-    while coloured:
-        low = coloured & -coloured
-        coloured ^= low
-        av = adj_bits[low.bit_length() - 1]
-        if (av & x).bit_count() > d and (av & y).bit_count() > d:
-            return None
-    return x, y
 
 
 def _within_budget(

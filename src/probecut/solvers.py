@@ -36,8 +36,7 @@ from .colouring import (
     complete_independent_max_cut,
     complete_independent_perfect,
     extend_masks,
-    force_masks,
-    local_masks_valid,
+    process_masks,
 )
 from .graph import (
     Graph,
@@ -106,18 +105,14 @@ def _branch_leaves(
     never validate.  Leaves are yielded as processed (red, blue) masks in
     ascending-vertex, red-before-blue order.
 
-    No closure needs the overload scan of :func:`process_masks`: a vertex
-    over d in both classes breaks the budget check.  The start runs the
-    forcing fixpoint and the full check.  A step colours a frontier vertex
-    v of a closed, checked state with :func:`extend_masks`, which drops
-    the child before any forcing when an opposite neighbour of v is
-    already at budget, and otherwise closes and checks it in v's colour
-    alone.  The explicit stack holds each child as (x, y, i, v, red),
-    uncoloured, so the steps run in the recursive order.
+    The start is closed and checked by :func:`process_masks`, and each
+    step colours a frontier vertex v with :func:`extend_masks`.  The
+    explicit stack holds each child as (x, y, i, v, red), uncoloured, so
+    the steps run in the recursive order.
     """
     adj = g.adj_bits
-    start = force_masks(adj, g.n, x0, y0, d)
-    if start is None or not local_masks_valid(adj, start[0], start[1], d):
+    start = process_masks(adj, g.n, x0, y0, d)
+    if start is None:
         return
     frontier = list(iter_bits(frontier_mask))
     stack = [(start[0], start[1], 0, -1, False)]

@@ -111,3 +111,30 @@ def exhaustive_induced(g: Graph, h) -> bool:
         ):
             return True
     return False
+
+
+def reference_closure(adj, n, x, y, d):
+    """Reference forcing closure on red/blue masks, kept apart from
+    ``probecut.colouring``: the forcing fixpoint (None when a vertex is
+    forced into both classes), then the overload scan rejecting any
+    coloured vertex with more than d neighbours in each class.  It runs no
+    budget check of its own."""
+    dirty = ((1 << n) - 1) & ~(x | y)
+    while dirty:
+        low = dirty & -dirty
+        dirty ^= low
+        av = adj[low.bit_length() - 1]
+        if (av & x).bit_count() > d:
+            if (av & y).bit_count() > d:
+                return None
+            x |= low
+        elif (av & y).bit_count() > d:
+            y |= low
+        else:
+            continue
+        dirty |= av & ~(x | y)
+    for v in range(n):
+        if (x | y) >> v & 1:
+            if (adj[v] & x).bit_count() > d and (adj[v] & y).bit_count() > d:
+                return None
+    return x, y

@@ -34,7 +34,13 @@ from probecut import (
 )
 from probecut.colouring import process_masks
 from probecut.graph import iter_bits
-from conftest import complete_bipartite, complete_graph, cube_graph, random_cubic_graph
+from conftest import (
+    complete_bipartite,
+    complete_graph,
+    cube_graph,
+    random_cubic_graph,
+    reference_closure,
+)
 
 EXAMPLE_SAT = SatInstance.of(
     6,
@@ -311,8 +317,9 @@ def test_criterion_6_cograph_colour_class_bound():
 
 def _reference_closure(g, xs, ys, d, rng):
     """Single-step closure applying one randomly chosen forcing move at a
-    time; the overload check runs once no move applies.  None means
-    rejected."""
+    time; the overload check runs once no move applies, then the budget
+    check: no coloured vertex may have more than d neighbours in the other
+    class.  None means rejected."""
     x, y = set(xs), set(ys)
     while True:
         moves = []
@@ -333,6 +340,9 @@ def _reference_closure(g, xs, ys, d, rng):
         cx = sum(g.has_edge(v, u) for u in x)
         cy = sum(g.has_edge(v, u) for u in y)
         if cx > d and cy > d:
+            return None
+    for v in x | y:
+        if sum(g.has_edge(v, u) for u in (y if v in x else x)) > d:
             return None
     return frozenset(x), frozenset(y)
 
@@ -446,7 +456,7 @@ def test_criterion_8_completion_matches_brute_force():
         for v in range(n):
             if v not in uncoloured:
                 (xs if rng.random() < 0.5 else ys).add(v)
-        pair = process_masks(
+        pair = reference_closure(
             g.adj_bits, n, sum(1 << v for v in xs), sum(1 << v for v in ys), 1
         )
         if pair is None:

@@ -526,6 +526,25 @@ class TestCrosscheck:
         assert err.startswith("error: n=")
         assert f"exceeds oracle limit {limit}" in err
 
+    def test_max_n_over_limit_is_refused_whatever_the_draw(
+        self, capsys, monkeypatch
+    ):
+        # seed 3 draws sizes within the limit for its first five instances,
+        # so only a check on --max-n itself refuses before any generation
+        def never(*args, **kwargs):
+            raise AssertionError("generated before refusing --max-n")
+
+        monkeypatch.setattr("probecut.cli.random_probe_hfree", never)
+        monkeypatch.delenv("PROBECUT_ORACLE_MAX_N", raising=False)
+        start = time.perf_counter()
+        code = main(["crosscheck", "--problem", "dcut", "--max-n", "26",
+                     "--count", "40", "--seed", "3"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n=26 exceeds oracle limit 24\n"
+
     @pytest.mark.parametrize("value", ["abc", " ", "1e3", "-1"])
     def test_bad_oracle_limit_is_named(self, capsys, monkeypatch, value):
         monkeypatch.setenv("PROBECUT_ORACLE_MAX_N", value)

@@ -28,7 +28,6 @@ from probecut.colouring import (
     _within_budget,
     colouring_of,
     extend_masks,
-    force_masks,
     local_masks_valid,
     masks_of,
     process_masks,
@@ -41,6 +40,7 @@ from conftest import (
     cycle_graph,
     path_graph,
     random_graph,
+    reference_closure,
     star_graph,
 )
 
@@ -137,7 +137,8 @@ def _closure(g, x, y, d):
 
 
 class TestColourProcess:
-    """The forcing closure, process_masks."""
+    """The branch start, process_masks: the forcing closure and the budget
+    check of local_masks_valid."""
 
     def test_p3_endpoints_stable(self):
         g = path_graph(3)
@@ -150,6 +151,13 @@ class TestColourProcess:
     def test_k22_side_propagates(self):
         g = complete_bipartite(2, 2)
         assert _closure(g, _m({0, 1}), 0, 1) == (_m({0, 1, 2, 3}), 0)
+
+    def test_rejection_on_coloured_vertex_over_budget(self):
+        # red centre of P3 with both ends blue: nothing is forced, but the
+        # centre has two blue neighbours at d=1
+        g = path_graph(3)
+        assert _closure(g, _m({1}), _m({0, 2}), 1) is None
+        assert _closure(g, _m({1}), _m({0, 2}), 2) == (_m({1}), _m({0, 2}))
 
     def test_rejection_on_double_demand(self):
         # centre adjacent to two red and two blue forces both colours at d=1
@@ -227,8 +235,8 @@ def _recursive_leaves(
     the full budget check at every step."""
     adj = g.adj_bits
     n = g.n
-    start = process_masks(adj, n, x0, y0, d)
-    if start is None or not local_masks_valid(adj, start[0], start[1], d):
+    start = _checked_closure(adj, n, x0, y0, d)
+    if start is None:
         return
     frontier = list(iter_bits(frontier_mask))
 
@@ -240,8 +248,8 @@ def _recursive_leaves(
             return
         bit = 1 << frontier[i]
         for nx, ny in ((x | bit, y), (x, y | bit)):
-            nxt = process_masks(adj, n, nx, ny, d)
-            if nxt is not None and local_masks_valid(adj, nxt[0], nxt[1], d):
+            nxt = _checked_closure(adj, n, nx, ny, d)
+            if nxt is not None:
                 yield from rec(nxt[0], nxt[1], i + 1)
 
     yield from rec(start[0], start[1], 0)
@@ -263,40 +271,38 @@ def _closed_state(g, d, rng):
     """A closed, locally valid state with an uncoloured vertex, or None."""
     full = (1 << g.n) - 1
     for _ in range(20):
-        out = process_masks(g.adj_bits, g.n, *_random_masks(rng, g.n, 0.5), d)
-        if out and out[0] | out[1] != full and local_masks_valid(g.adj_bits, *out, d):
+        out = _checked_closure(g.adj_bits, g.n, *_random_masks(rng, g.n, 0.5), d)
+        if out and out[0] | out[1] != full:
             return out
     return None
 
 
 def _checked_closure(adj, n, x, y, d):
-    """The closure with its overload scan, kept only when it passes
-    local_masks_valid; None otherwise."""
-    out = process_masks(adj, n, x, y, d)
+    """The reference closure with its overload scan, kept only when it
+    passes local_masks_valid; None otherwise."""
+    out = reference_closure(adj, n, x, y, d)
     return out if out and local_masks_valid(adj, *out, d) else None
 
 
 class TestIncrementalClosure:
-    """The forcing fixpoint, the branch step kernel, the stack
-    enumeration and the mask-native leaf check against their full
-    counterparts."""
+    """The branch start process_masks, the branch step kernel, the stack
+    enumeration and the mask-native leaf check against the reference
+    closure and their full counterparts."""
 
     @given(st.integers(0, 2 ** 32), st.sampled_from([1, 2, 3]))
     @settings(max_examples=300)
     def test_step_equals_full_closure_and_check(self, seed, d):
-        """With equal masks, the fixpoint plus local_masks_valid from
-        arbitrary masks (a start) and extend_masks on an uncoloured vertex
-        of a closed, checked state, in either colour (a step), accept
-        exactly what the closure with its overload scan plus
-        local_masks_valid accepts, and return its masks."""
+        """With equal masks, process_masks from arbitrary masks (a start)
+        and extend_masks on an uncoloured vertex of a closed, checked
+        state, in either colour (a step), accept exactly what the
+        reference closure with its overload scan plus local_masks_valid
+        accepts, and return its masks."""
         rng = random.Random(seed)
         n = rng.randint(2, 12)
         g = random_graph(n, rng.choice([0.3, 0.5, 0.7]), seed)
         adj = g.adj_bits
         x0, y0 = _random_masks(rng, n, rng.choice([0.2, 0.5, 0.8]))
-        start = force_masks(adj, n, x0, y0, d)
-        if start is not None and not local_masks_valid(adj, *start, d):
-            start = None
+        start = process_masks(adj, n, x0, y0, d)
         assert start == _checked_closure(adj, n, x0, y0, d)
         assert list(_branch_leaves(g, x0, y0, 0, d)) == ([start] if start else [])
         state = _closed_state(g, d, rng)
@@ -342,7 +348,7 @@ class TestIncrementalClosure:
         g = build_graph(5, [(0, 2), (2, 3), (2, 4), (0, 4), (1, 4), (3, 4)])
         adj = g.adj_bits
         reds = _m({0, 1})
-        assert force_masks(adj, 5, reds, 0, 2) == (reds, 0)
+        assert process_masks(adj, 5, reds, 0, 2) == (reds, 0)
         assert extend_masks(adj, reds, 0, 3, 2) == _m(range(5))
         assert process_masks(adj, 5, reds | _m({3}), 0, 2) == (_m(range(5)), 0)
 

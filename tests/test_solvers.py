@@ -770,7 +770,7 @@ class TestSmallClassPruning:
         """A 48-vertex dense cograph with a join at the root, its non-probe
         edges deleted: every probe has probe-degree above 3d - 1, so no
         bounded-class guess survives and the solver decides without
-        closing one.  The counter wraps the fixpoint the branching runs,
+        closing one.  The counter wraps the branch start process_masks,
         so on K4, whose two-vertex classes survive, it counts some."""
         import probecut.solvers as solvers_mod
         from probecut.oracles import backtrack_dcut
@@ -793,13 +793,13 @@ class TestSmallClassPruning:
                 break
         ppg = PartitionedProbeGraph(g, probes, nonprobes)
         calls = [0]
-        closure = solvers_mod.force_masks
+        closure = solvers_mod.process_masks
 
         def counted(*args):
             calls[0] += 1
             return closure(*args)
 
-        monkeypatch.setattr(solvers_mod, "force_masks", counted)
+        monkeypatch.setattr(solvers_mod, "process_masks", counted)
         for d in (2, 3):
             calls[0] = 0
             report = solve_dcut(ppg, d)
