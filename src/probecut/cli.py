@@ -281,9 +281,15 @@ _PROBLEMS = {
 }
 
 
+def _check_s(s: int) -> None:
+    if s < 0:
+        raise ParseError(f"--s must be >= 0, got {s}")
+    _check_pattern_size(f"{s}P1+P4", s + 4)  # C(n, s+4) seed scans
+
+
 def cmd_solve(opts, argv) -> int:
     started = time.perf_counter()
-    _check_pattern_size(f"{opts.s}P1+P4", opts.s + 4)  # C(n, s+4) seed scans
+    _check_s(opts.s)  # before the input is read
     ppg = parse_instance(_read(opts.input)).ppg
     poly, oracle = _PROBLEMS[opts.problem]
     if opts.algo == "poly":
@@ -464,10 +470,7 @@ def cmd_crosscheck(opts, argv) -> int:
     started = time.perf_counter()
     if opts.count < 0:
         raise ParseError(f"--count must be >= 0, got {opts.count}")
-    if opts.s < 0:
-        raise ParseError(f"--s must be >= 0, got {opts.s}")
-    # the pattern is sP1+P4: refuse it by size before building it
-    _check_pattern_size(f"{opts.s}P1+P4", opts.s + 4)
+    _check_s(opts.s)  # before the pattern sP1+P4 is built
     _check_scale(max(4, opts.max_n))  # the oracle would refuse the largest draw
     if opts.count == 0:
         print("warning: count=0, trivial pass", file=sys.stderr)

@@ -204,29 +204,35 @@ class _DcutSolver:
         self, x: int, y: int, guessed: int,
         second: Optional[Callable[[int], int]] = None,
     ) -> Optional[CutCertificate]:
-        """Search from the masks (x, y), branching the non-probe
-        neighbourhood of the ``guessed`` vertices.  Masks that overlap or
-        leave the probe side in one colour are skipped: the lone-non-probe
-        step covers a monochromatic probe side."""
-        if x & y or not (x & self.p_mask and y & self.p_mask):
+        """Search from the disjoint masks (x, y), branching the non-probe
+        neighbourhood of ``guessed``.  Only a one-colour probe side is
+        skipped, as the lone-non-probe step covers it."""
+        if not (x & self.p_mask and y & self.p_mask):
             return None
         return self._search(x, y, self._nbhd(guessed) & self.n_mask, second)
 
     def _classes(
         self, outer: Iterable[tuple[int, int, int]], part: int, lo: int,
-        hi: int, second: Optional[Callable[[int], int]] = None,
+        hi: int, then: Callable, polarity: tuple[bool, ...] = (True, False),
     ) -> Optional[CutCertificate]:
-        """For each outer guess (x, y, guessed), guess a class of ``part``
-        from :meth:`_small_classes`, red and then blue, with the rest of
-        the part in the other colour, and pass the joint guess to
-        :meth:`_guess`.  The classes do not depend on the outer guess, so
-        they are listed once."""
+        """The one guess product of :func:`solve_dcut`: each outer guess
+        (x0, y0, g0), each polarity (red first) and each class xm of
+        ``part`` from :meth:`_small_classes`, the rest of the part opposite,
+        are joined and passed to ``then`` unless the joint masks overlap.
+        Each outer guess is closed once with :func:`process_masks`, as a
+        filter: colours only grow, so if it rejects, every joint would."""
         classes = list(self._small_classes(part, lo, hi))
+        if not classes:
+            return None
         for x0, y0, g0 in outer:
-            for red in (True, False):
+            if process_masks(self.adj_bits, self.n, x0, y0, self.d) is None:
+                continue
+            for red in polarity:
                 for xm in classes:
                     x, y = (xm, part & ~xm) if red else (part & ~xm, xm)
-                    cert = self._guess(x0 | x, y0 | y, g0 | xm, second)
+                    if (x0 | x) & (y0 | y):
+                        continue
+                    cert = then(x0 | x, y0 | y, g0 | xm)
                     if cert:
                         return cert
         return None
@@ -339,7 +345,7 @@ class _DcutSolver:
         that keep every probe within budget among the probes are made."""
         self.trace.append("cograph-1comp")
         hi = min(2 * self.d, self.p_mask.bit_count() - 1)
-        return self._classes([(0, 0, 0)], self.p_mask, 1, hi)
+        return self._classes([(0, 0, 0)], self.p_mask, 1, hi, self._guess)
 
     def _two_components(self, c1m: int, c2m: int) -> Optional[CutCertificate]:
         """Guess a bounded red class x1 in c1 and a bounded class in c2,
@@ -351,11 +357,10 @@ class _DcutSolver:
         blue."""
         self.trace.append("cograph-2comp")
         cap = 2 * self.d
-        outer = (
-            (x1m, c1m & ~x1m, x1m) for x1m in self._small_classes(c1m, 0, cap)
-        )
-        second = partial(self._two_component_round, c1m, c2m)
-        return self._classes(outer, c2m, 0, cap, second)
+        outer = ((x1m, c1m & ~x1m, x1m)
+                 for x1m in self._small_classes(c1m, 0, cap))
+        then = partial(self._guess, second=partial(self._two_component_round, c1m, c2m))
+        return self._classes(outer, c2m, 0, cap, then)
 
     def _mixed_edge(self, b: int, cm: int) -> int:
         """Mask of an edge of the component with exactly one end adjacent
@@ -436,11 +441,10 @@ class _DcutSolver:
         v = (b_mask & -b_mask).bit_length() - 1
         nv = self.adj_bits[v]
         c1m = next(cm for cm in comps if nv & cm != cm)
-        outer = (
-            (xvm, (1 << v) | (nv & ~xvm), xvm) for xvm in _subsets(nv, 0, self.d)
-        )
-        second = partial(self._type_b_round, b_mask, comps, c1m)
-        return self._classes(outer, c1m, 0, 2 * self.d, second)
+        outer = ((xvm, (1 << v) | (nv & ~xvm), xvm)
+                 for xvm in _subsets(nv, 0, self.d))
+        then = partial(self._guess, second=partial(self._type_b_round, b_mask, comps, c1m))
+        return self._classes(outer, c1m, 0, 2 * self.d, then)
 
     def _type_b_round(self, b_mask, comps, c1m, unc) -> int:
         """Frontier for the vertices the type-B guesses left uncoloured:
@@ -456,15 +460,16 @@ class _DcutSolver:
     def _dominating_pair_case(
         self, c_complete: dict[int, int], comps: list[int]
     ) -> Optional[CutCertificate]:
-        """Only type-C and type-D non-probes remain; a pair of type-C
-        vertices jointly complete to every component drives the guesses.
-
-        ``c_complete`` maps each type-C vertex to the bits of the
-        components it is complete to.  The anchor v is complete to the
-        most components (least id on ties); its partner u is the least
-        type-C vertex complete to a component v misses, sharing a complete
-        component with v, and closing the domination condition.  A probe
-        (P1+P4)-free instance with type-C vertices always has such a pair.
+        """Only type-C and type-D non-probes remain; a type-C pair (u, v)
+        jointly complete to every component drives the guesses.  The anchor
+        v is complete to the most components (least id on ties); u is the
+        least type-C vertex that shares a complete component with v and is
+        complete to the rest (``c_complete`` holds those component bits).
+        A probe (P1+P4)-free instance with type-C vertices has such a pair.
+        With u and v alike, the red probe classes are guessed lazily, so an
+        early "yes" lists none.  With u red and v blue (the swap is the
+        mirror image), :meth:`_classes` joins at most d blue neighbours of
+        u with at most d red ones of v.
         """
         self.trace.append("multi-comp/dominating-pair")
         if not c_complete:
@@ -485,19 +490,11 @@ class _DcutSolver:
             cert = self._guess(xm, (self.p_mask & ~xm) | bu | bv, xm)
             if cert:
                 return cert
-        # opposite colours: u red, v blue (the swapped case is the mirror
-        # image and yields the swapped certificates)
         nu, nv = self.adj_bits[u], self.adj_bits[v]
-        for xum in _subsets(nu, 0, self.d):
-            for xvm in _subsets(nv, 0, self.d):
-                x0 = bu | (nu & ~xum) | xvm
-                y0 = bv | (nv & ~xvm) | xum
-                if x0 & y0:
-                    continue
-                cert = self._pair_branch(x0, y0, xum | xvm, comps)
-                if cert:
-                    return cert
-        return None
+        outer = ((bu | (nu & ~xum), bv | xum, xum)
+                 for xum in _subsets(nu, 0, self.d))
+        then = partial(self._pair_branch, comps=comps)
+        return self._classes(outer, nv, 0, self.d, then, (True,))
 
     def _pair_branch(self, x0, y0, guess_mask, comps) -> Optional[CutCertificate]:
         """Branch the guessed vertices' neighbourhood, then the

@@ -249,22 +249,28 @@ class TestSolveCommand:
         assert isinstance(again, CutCertificate)
 
 
-    def test_pattern_over_limit_refused_before_reading(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    @pytest.mark.parametrize("problem, algo, s, message", [
         # 5P1+P4 has 9 vertices; the seed scan would try C(n, 9) sets
+        ("mmc", "poly", "5", "pattern 5P1+P4 has 9 > 8 vertices"),
+        # dcut never reads --s, and brute mmc runs no seed scan
+        ("dcut", "poly", "-1", "--s must be >= 0, got -1"),
+        ("mmc", "brute", "-1", "--s must be >= 0, got -1"),
+    ], ids=["mmc-poly-s5", "dcut-poly-s-1", "mmc-brute-s-1"])
+    def test_pattern_over_limit_refused_before_reading(
+        self, tmp_path, capsys, monkeypatch, problem, algo, s, message
+    ):
         def never(path):
             raise AssertionError("read the input of a refused solve")
 
         monkeypatch.setattr(cli, "_read", never)
         began = time.perf_counter()
-        code = main(["solve", "--problem", "mmc", "--algo", "poly",
-                     "--s", "5", "--input", str(tmp_path / "p40.json")])
+        code = main(["solve", "--problem", problem, "--d", "2", "--algo", algo,
+                     "--s", s, "--input", str(tmp_path / "p40.json")])
         elapsed = time.perf_counter() - began
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: pattern 5P1+P4 has 9 > 8 vertices\n"
+        assert captured.err == f"error: {message}\n"
         assert elapsed < 1.0
 
 

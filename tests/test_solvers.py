@@ -31,6 +31,7 @@ from probecut import (
 from probecut.graph import iter_bits
 from probecut.solvers import _DcutSolver
 
+from test_golden_solvers import FEATURED, _instance as _golden_instance
 from conftest import (
     all_probes,
     complete_graph,
@@ -686,7 +687,8 @@ class TestSmallClassPruning:
     def test_matches_filtered_subsets(self, seed, d):
         """The pruned enumerator yields exactly the subsets that pass the
         start check, in the order of ``_subsets``, on the whole probe side
-        (one to three components) and on each of its components."""
+        (one to three components), on each of its components and on the
+        probe neighbourhood of each non-probe, which is no cograph part."""
         from probecut.colouring import local_masks_valid
         from probecut.solvers import _subsets
 
@@ -698,21 +700,39 @@ class TestSmallClassPruning:
         parts = [solver.p_mask]
         if len(comps) > 1:
             parts += [sum(1 << v for v in comp) for comp in comps]
-        for part in parts:
-            for lo, hi in ((1, min(2 * d, part.bit_count() - 1)), (0, 2 * d)):
-                assert list(solver._small_classes(part, lo, hi)) == [
-                    s for s in _subsets(part, lo, hi)
-                    if local_masks_valid(adj, s, part & ~s, d)
-                ]
+        ranges = [
+            (part, lo, hi) for part in parts
+            for lo, hi in ((1, min(2 * d, part.bit_count() - 1)), (0, 2 * d))
+        ]
+        # the opposite-colour pair product guesses inside neighbourhoods
+        ranges += [(adj[v] & solver.p_mask, 0, d) for v in iter_bits(solver.n_mask)]
+        for part, lo, hi in ranges:
+            assert list(solver._small_classes(part, lo, hi)) == [
+                s for s in _subsets(part, lo, hi)
+                if local_masks_valid(adj, s, part & ~s, d)
+            ]
 
     @pytest.mark.parametrize("stars, m, case, budget", [
         (1, 80, "cograph-1comp", 1.0),
         (2, 20, "cograph-2comp", 2.0),
+        (2, 40, "cograph-2comp", 0.5),
     ])
-    def test_star_probe_sides(self, stars, m, case, budget):
-        """One star K1,80 (n = 83) or two stars K1,20 (n = 44): the centres
-        cap every class at d leaves, so the guesses stay quadratic instead
-        of growing as n^(2d)."""
+    def test_star_probe_sides(self, stars, m, case, budget, monkeypatch):
+        """One star K1,80 (n = 83) or two stars K1,20 and K1,40 (n = 44 and
+        84): the centres cap every class at d leaves, so the guesses stay
+        quadratic instead of growing as n^(2d), and closing each outer
+        guess of the two stars once drops every joint guess under the
+        rejected ones.  The counter wraps the branch start process_masks."""
+        import probecut.solvers as solvers_mod
+
+        calls = [0]
+        closure = solvers_mod.process_masks
+
+        def counted(*args):
+            calls[0] += 1
+            return closure(*args)
+
+        monkeypatch.setattr(solvers_mod, "process_masks", counted)
         ppg = _star_instance(stars, m)
         start = time.perf_counter()
         report = solve_dcut(ppg, 2)
@@ -721,6 +741,7 @@ class TestSmallClassPruning:
         assert report.branches_explored == 4
         assert report.case_trace == ["mono-probe", case]
         assert elapsed < budget
+        assert calls[0] < 10_000
 
     @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
     @settings(max_examples=40)
@@ -810,3 +831,99 @@ class TestSmallClassPruning:
         report = solve_dcut(all_probes(complete_graph(4)), 2)
         assert report.case_trace == ["mono-probe", "cograph-1comp"]
         assert calls[0] > 0
+
+
+def _reference_product(outer, part, lo, hi, polarity):
+    """The guess product before outer guesses were closed: every outer
+    guess, polarity and class of ``part``, with overlapping masks skipped.
+    Classes are all subsets; start-closure filtering makes that the pruned
+    list."""
+    from probecut.solvers import _subsets
+
+    classes = list(_subsets(part, lo, hi))
+    for x0, y0, g0 in outer:
+        for red in polarity:
+            for xm in classes:
+                x, y = (xm, part & ~xm) if red else (part & ~xm, xm)
+                if not (x0 | x) & (y0 | y):
+                    yield x0 | x, y0 | y, g0 | xm
+
+
+def _pair_reference(adj, bu, bv, d):
+    """The opposite-colour double loop of the dominating-pair case before
+    it went through the product loop: u red, v blue, at most d blue
+    neighbours of u and at most d red neighbours of v."""
+    from probecut.solvers import _subsets
+
+    nu, nv = adj[bu.bit_length() - 1], adj[bv.bit_length() - 1]
+    for xum in _subsets(nu, 0, d):
+        for xvm in _subsets(nv, 0, d):
+            x0 = bu | (nu & ~xum) | xvm
+            y0 = bv | (nv & ~xvm) | xum
+            if not x0 & y0:
+                yield x0, y0, xum | xvm
+
+
+# the polarities each case passes to the product loop
+_POLARITIES = {
+    "cograph-1comp": (True, False),
+    "cograph-2comp": (True, False),
+    "multi-comp/type-b": (True, False),
+    "multi-comp/dominating-pair": (True,),
+}
+
+
+def _check_guess_products(ppg, d):
+    """Capture every ``_classes`` call of one dispatch, then require the
+    case's polarities and the joint guesses handed to ``then`` to equal
+    the reference, in order, once both keep only the guesses whose start
+    closure accepts.  The pair reference is rebuilt from u and v, the
+    non-probes of the first outer guess.  Returns the cases captured."""
+    from probecut.colouring import process_masks
+
+    solver = _DcutSolver(ppg, d)
+    calls = []
+
+    def capture(outer, part, lo, hi, then, polarity=(True, False)):
+        calls.append((solver.trace[-1], list(outer), part, lo, hi, polarity))
+
+    solver._classes = capture
+    solver._dispatch()
+    adj, n = ppg.graph.adj_bits, ppg.graph.n
+
+    def live(guesses):
+        return [t for t in guesses if process_masks(adj, n, t[0], t[1], d)]
+
+    for case, outer, part, lo, hi, polarity in calls:
+        assert polarity == _POLARITIES[case]
+        got = []
+        _DcutSolver._classes(
+            solver, outer, part, lo, hi,
+            lambda x, y, g: got.append((x, y, g)), polarity,
+        )
+        if case == "multi-comp/dominating-pair":
+            bu, bv = (m & solver.n_mask for m in outer[0][:2])
+            expected = _pair_reference(adj, bu, bv, d)
+        else:
+            expected = _reference_product(outer, part, lo, hi, polarity)
+        assert live(got) == live(expected)
+    return {case for case, *_ in calls}
+
+
+class TestGuessProduct:
+    """The one product loop, closing each outer guess once, hands on the
+    same live joint guesses, in the same order, as the plain product."""
+
+    @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
+    @settings(max_examples=150)
+    def test_matches_reference_on_cograph_instances(self, seed, d):
+        ppg, _ = _cograph_probe_instance(seed)
+        if ppg is not None:
+            _check_guess_products(ppg, d)
+
+    @pytest.mark.parametrize("seed", FEATURED)
+    def test_matches_reference_on_featured_seeds(self, seed):
+        """The golden seeds that reach the two-component second round, the
+        type-B case or the opposite-colour pair guesses."""
+        ppg = _golden_instance(seed)
+        assert any([_check_guess_products(ppg, d) for d in (2, 3)])
