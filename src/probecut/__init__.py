@@ -73,7 +73,6 @@ from .reductions import (
 )
 from .solvers import (
     SolveReport,
-    seed_sets,
     solve_dcut,
     solve_mmc,
     solve_pmc,
@@ -105,5 +104,5 @@ __all__ = [
     "SatInstance", "bipartite_to_split", "moshi_double", "random_sat_instance",
     "sat_to_4p1", "subdivide4", "validate_sat_shape",
     # solvers
-    "SolveReport", "seed_sets", "solve_dcut", "solve_mmc", "solve_pmc",
+    "SolveReport", "solve_dcut", "solve_mmc", "solve_pmc",
 ]

@@ -33,6 +33,7 @@ from .graph import (
     PartitionedProbeGraph,
     ProbeCertificate,
     _check_pattern_size,
+    _nbhd,
     build_graph,
     iter_bits,
     parse_pattern,
@@ -281,15 +282,19 @@ _PROBLEMS = {
 }
 
 
-def _check_s(s: int) -> None:
-    if s < 0:
-        raise ParseError(f"--s must be >= 0, got {s}")
-    _check_pattern_size(f"{s}P1+P4", s + 4)  # C(n, s+4) seed scans
+def _check_options(opts) -> None:
+    """Refuse --d < 1 for dcut and a bad --s before any input is read or
+    drawn."""
+    if opts.problem == "dcut" and opts.d < 1:
+        raise ParseError("d must be >= 1")
+    if opts.s < 0:
+        raise ParseError(f"--s must be >= 0, got {opts.s}")
+    _check_pattern_size(f"{opts.s}P1+P4", opts.s + 4)  # C(n, s+4) seed scans
 
 
 def cmd_solve(opts, argv) -> int:
     started = time.perf_counter()
-    _check_s(opts.s)  # before the input is read
+    _check_options(opts)
     ppg = parse_instance(_read(opts.input)).ppg
     poly, oracle = _PROBLEMS[opts.problem]
     if opts.algo == "poly":
@@ -352,9 +357,7 @@ def _bipartition_side(g: Graph, anchor: int) -> frozenset[int]:
     frontier = seen = 1 << anchor
     sides, layer = [frontier, 0], 0
     while frontier:
-        reach = 0
-        for v in iter_bits(frontier):
-            reach |= g.adj_bits[v]
+        reach = _nbhd(g.adj_bits, frontier)
         if reach & sides[layer]:  # a neighbour on the frontier's own side
             raise NotBipartite("graph has an odd cycle")
         frontier = reach & ~seen
@@ -470,7 +473,7 @@ def cmd_crosscheck(opts, argv) -> int:
     started = time.perf_counter()
     if opts.count < 0:
         raise ParseError(f"--count must be >= 0, got {opts.count}")
-    _check_s(opts.s)  # before the pattern sP1+P4 is built
+    _check_options(opts)  # before the pattern sP1+P4 is built
     _check_scale(max(4, opts.max_n))  # the oracle would refuse the largest draw
     if opts.count == 0:
         print("warning: count=0, trivial pass", file=sys.stderr)

@@ -572,6 +572,16 @@ def random_probe_hfree(
     )
 
 
+def _nbhd(adj: tuple[int, ...], mask: int) -> int:
+    """Union of the neighbour masks of the vertices in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Vertices of a bitmask in ascending order."""
     while mask:

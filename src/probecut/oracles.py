@@ -32,6 +32,7 @@ from .graph import (
     Pattern,
     PartitionedProbeGraph,
     ProbeCertificate,
+    _nbhd,
     find_induced,
     iter_bits,
 )
@@ -345,9 +346,7 @@ def backtrack_dcut(
                 x |= unc
             else:
                 y |= unc
-            touched = unc
-            for u in iter_bits(unc):
-                touched |= adj[u]
+            touched = unc | _nbhd(adj, unc)
             dirty |= touched & (x | y)
             reach |= touched
         return x, y, reach

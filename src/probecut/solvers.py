@@ -41,6 +41,7 @@ from .colouring import (
 from .graph import (
     Graph,
     PartitionedProbeGraph,
+    _nbhd,
     connected_components,
     is_connected,
     is_p4_free,
@@ -73,25 +74,6 @@ def _subsets(mask: int, lo: int, hi: int) -> Iterator[int]:
     for size in range(lo, min(hi, len(bits)) + 1):
         for sel in combinations(bits, size):
             yield sum(sel)
-
-
-def seed_sets(ppg: PartitionedProbeGraph, k: int) -> Iterator[int]:
-    """All vertex masks of at most k vertices whose closed neighbourhood
-    covers everything except an independent set.
-
-    Ordered by size then lexicographically, so consumers that stop at the
-    first hit are deterministic.
-    """
-    g = ppg.graph
-    full = (1 << g.n) - 1
-    adj = g.adj_bits
-    for sel in _subsets(full, 0, k):
-        covered = sel
-        for v in iter_bits(sel):
-            covered |= adj[v]
-        rest = full & ~covered
-        if all(not (adj[v] & rest) for v in iter_bits(rest)):
-            yield sel
 
 
 def _branch_leaves(
@@ -150,12 +132,6 @@ class _DcutSolver:
 
     # -- small utilities -------------------------------------------------
 
-    def _nbhd(self, mask: int) -> int:
-        out = 0
-        for v in iter_bits(mask):
-            out |= self.adj_bits[v]
-        return out
-
     def _validate_total(self, x: int, y: int) -> Optional[CutCertificate]:
         self.branches += 1
         return _certify(self.g, x, y, self.d)
@@ -209,7 +185,7 @@ class _DcutSolver:
         skipped, as the lone-non-probe step covers it."""
         if not (x & self.p_mask and y & self.p_mask):
             return None
-        return self._search(x, y, self._nbhd(guessed) & self.n_mask, second)
+        return self._search(x, y, _nbhd(self.adj_bits, guessed) & self.n_mask, second)
 
     def _classes(
         self, outer: Iterable[tuple[int, int, int]], part: int, lo: int,
@@ -336,7 +312,7 @@ class _DcutSolver:
         (class promise), so branching its closed neighbourhood decides."""
         self.trace.append("p4-dominating")
         qm = sum(1 << v for v in q)
-        return self._search(0, 0, qm | self._nbhd(qm))
+        return self._search(0, 0, qm | _nbhd(self.adj_bits, qm))
 
     def _one_component(self) -> Optional[CutCertificate]:
         """Connected cograph probe side: some colour class inside it has
@@ -388,10 +364,10 @@ class _DcutSolver:
             ab = adj[b]
             if (ab & c1m) and (c1m & ~ab) and (ab & c2m) and (c2m & ~ab):
                 edges = self._mixed_edge(b, c1m) | self._mixed_edge(b, c2m)
-                return self._nbhd(edges) & self.n_mask
+                return _nbhd(self.adj_bits, edges) & self.n_mask
         b = (unc & -unc).bit_length() - 1
         cm = c1m if adj[b] & c1m == c1m else c2m
-        return self._nbhd(cm) & self.n_mask
+        return _nbhd(self.adj_bits, cm) & self.n_mask
 
     def _many_components(self, comps: list[int]) -> Optional[CutCertificate]:
         """Three or more probe components: sort the non-probes by the bit
@@ -454,8 +430,8 @@ class _DcutSolver:
         if left:
             ab = self.adj_bits[(left & -left).bit_length() - 1]
             ym = sum(cm for cm in comps if ab & cm == cm)
-            return self._nbhd(ym) & self.n_mask
-        return self._nbhd(c1m) & self.n_mask
+            return _nbhd(self.adj_bits, ym) & self.n_mask
+        return _nbhd(self.adj_bits, c1m) & self.n_mask
 
     def _dominating_pair_case(
         self, c_complete: dict[int, int], comps: list[int]
@@ -507,7 +483,7 @@ class _DcutSolver:
                 if cm & colour == cm:
                     extra |= self.adj_bits[(cm & -cm).bit_length() - 1]
                     break
-        frontier = self._nbhd(guess_mask) & self.n_mask
+        frontier = _nbhd(self.adj_bits, guess_mask) & self.n_mask
         for x, y in _branch_leaves(self.g, x0, y0, frontier, self.d):
             cert = self._search(x, y, extra & self.n_mask)
             if cert:
@@ -531,9 +507,11 @@ def _matching_cut(
     complete: Callable[[Graph, int, int], Optional[CutCertificate]],
     first: bool,
 ) -> SolveReport:
-    """Branch over the closed neighbourhood of the first seed set and
-    complete every leaf with ``complete``; the largest certificate wins, or
-    the first one when ``first`` is set."""
+    """Branch over the closed neighbourhood of the first seed set, the
+    first set of at most s + 4 vertices in :func:`_subsets` order whose
+    closed neighbourhood leaves an independent rest, and complete every
+    leaf with ``complete``; the largest certificate wins, or the first one
+    when ``first`` is set."""
     if s < 0:
         raise ValueError("s must be >= 0")
     g = ppg.graph
@@ -541,12 +519,14 @@ def _matching_cut(
         return SolveReport(False, None, 0, ["degenerate"])
     if not is_connected(g):
         raise NotConnected("matching-cut solver needs a connected input")
-    seed = next(seed_sets(ppg, s + 4), None)
-    if seed is None:
+    adj, full = g.adj_bits, (1 << g.n) - 1
+    for seed in _subsets(full, 0, s + 4):
+        frontier = seed | _nbhd(adj, seed)
+        rest = full & ~frontier
+        if all(not adj[v] & rest for v in iter_bits(rest)):
+            break
+    else:
         return SolveReport(False, None, 0, ["no-seed"])
-    frontier = seed
-    for v in iter_bits(seed):
-        frontier |= g.adj_bits[v]
     best: Optional[CutCertificate] = None
     branches = 0
     for x, y in _branch_leaves(g, 0, 0, frontier, 1):

@@ -249,22 +249,25 @@ class TestSolveCommand:
         assert isinstance(again, CutCertificate)
 
 
-    @pytest.mark.parametrize("problem, algo, s, message", [
+    @pytest.mark.parametrize("problem, algo, d, s, message", [
         # 5P1+P4 has 9 vertices; the seed scan would try C(n, 9) sets
-        ("mmc", "poly", "5", "pattern 5P1+P4 has 9 > 8 vertices"),
+        ("mmc", "poly", "2", "5", "pattern 5P1+P4 has 9 > 8 vertices"),
         # dcut never reads --s, and brute mmc runs no seed scan
-        ("dcut", "poly", "-1", "--s must be >= 0, got -1"),
-        ("mmc", "brute", "-1", "--s must be >= 0, got -1"),
-    ], ids=["mmc-poly-s5", "dcut-poly-s-1", "mmc-brute-s-1"])
+        ("dcut", "poly", "2", "-1", "--s must be >= 0, got -1"),
+        ("mmc", "brute", "2", "-1", "--s must be >= 0, got -1"),
+        ("dcut", "poly", "0", "0", "d must be >= 1"),
+        ("dcut", "brute", "-1", "0", "d must be >= 1"),
+    ], ids=["mmc-poly-s5", "dcut-poly-s-1", "mmc-brute-s-1", "dcut-poly-d0",
+            "dcut-brute-d-1"])
     def test_pattern_over_limit_refused_before_reading(
-        self, tmp_path, capsys, monkeypatch, problem, algo, s, message
+        self, tmp_path, capsys, monkeypatch, problem, algo, d, s, message
     ):
         def never(path):
             raise AssertionError("read the input of a refused solve")
 
         monkeypatch.setattr(cli, "_read", never)
         began = time.perf_counter()
-        code = main(["solve", "--problem", problem, "--d", "2", "--algo", algo,
+        code = main(["solve", "--problem", problem, "--d", d, "--algo", algo,
                      "--s", s, "--input", str(tmp_path / "p40.json")])
         elapsed = time.perf_counter() - began
         captured = capsys.readouterr()
@@ -367,6 +370,87 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         # a valid non-perfect cut fails the perfect check with a named vertex
         assert "opposite" in report["violation"]
+
+
+def _refused(capsys, argv, message):
+    """The command exits 2 with one error line and nothing on stdout."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+_P3_NONPROBE_ENDS = {"n": 3, "edges": [[0, 1], [1, 2]], "probes": [1],
+                     "nonprobes": [0, 2]}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("text, exc, message", [
+        (json.dumps({**_P3_NONPROBE_ENDS, "certificate_f": [[0, 1]]}),
+         InvalidInstance, "certificate pair (0, 1) leaves the non-probe side"),
+        ("e 0 x\n", ParseError,
+         "line 1: invalid literal for int() with base 10: 'x'"),
+        ("e 0 1\nprobe 0\nnonprobe 0\n", InvalidInstance,
+         "a vertex is marked both probe and nonprobe"),
+        ("n 2\ne 0 1\nprobe 0\nnonprobe 5\n", InvalidInstance,
+         "nonprobe marking contradicts probe marking"),
+        ('{"n": -1}', InvalidInstance,
+         "vertex count must be non-negative, got -1"),
+        ('{"n": 3, "edges": [[0, 1], [1, 2]], "probes": [1], "nonprobes": [0]}',
+         InvalidInstance, "probes and nonprobes do not cover V"),
+    ], ids=["certificate-outside", "text-bad-token", "text-probe-and-nonprobe",
+            "text-nonprobe-past-n", "negative-n", "uncovered"])
+    def test_bad_instance(self, tmp_path, capsys, text, exc, message):
+        with pytest.raises(exc) as info:
+            parse_instance(text)
+        assert str(info.value) == message
+        path = _write(tmp_path, "inst.txt", text)
+        _refused(capsys, ["solve", "--problem", "dcut", "--d", "2",
+                          "--algo", "poly", "--input", path], message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--input", "{k2}"], "verify needs --pattern or --colouring"),
+        (["verify", "--input", "{k2}", "--colouring", "{colours}", "--d", "0"],
+         "d must be >= 1"),
+        (["reduce", "--from", "graph", "--construction", "sat4p1",
+          "--input", "{k2}"], "--construction sat4p1 needs --from sat"),
+        (["reduce", "--from", "graph", "--construction", "subdivide4",
+          "--input", "{two_k4}"], "subdivision needs a connected input"),
+        (["generate", "--family", "random-probe-hfree", "--n", "1"],
+         "need n >= 2"),
+        (["generate", "--family", "random-probe-hfree", "--density", "1.5"],
+         "density must be a probability"),
+    ], ids=["verify-no-mode", "verify-d0", "sat4p1-from-graph",
+            "subdivide4-disconnected", "generate-n1", "generate-density"])
+    def test_bad_command(self, tmp_path, capsys, argv, message):
+        two_k4 = [[u, v] for base in (0, 4) for u in range(base, base + 4)
+                  for v in range(u + 1, base + 4)]
+        files = {
+            "{k2}": _write(tmp_path, "k2.json", K2_JSON),
+            "{colours}": _write(tmp_path, "colours.json", '["red", "blue"]'),
+            "{two_k4}": _write(tmp_path, "two_k4.json", json.dumps(
+                {"n": 8, "edges": two_k4, "probes": list(range(8))})),
+        }
+        _refused(capsys, [files.get(arg, arg) for arg in argv], message)
+
+    def test_sat_sampler_timeout(self, capsys, monkeypatch):
+        monkeypatch.setattr("probecut.reductions._SAT_ATTEMPTS", 0)
+        _refused(capsys, ["generate", "--family", "sat4p1"],
+                 "no valid-shape SAT instance with 6 variables in 0 draws")
+
+    def test_verify_pattern_no(self, tmp_path, capsys):
+        """An empty certificate leaves the induced P3 in place: the answer
+        is no (exit 1) and the report names the pattern."""
+        path = _write(tmp_path, "p3.json", json.dumps(
+            {**_P3_NONPROBE_ENDS, "certificate_f": []}))
+        code = main(["verify", "--input", path, "--pattern", "P3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["answer"] == "no"
+        assert report["violation"] == "completed graph contains an induced P3"
 
 
 class TestGenerateCommands:
@@ -491,7 +575,12 @@ class TestCrosscheck:
             meta = parse_instance(path.read_text()).metadata
             assert {meta["poly"], meta["brute"]} == {"yes", "no"}
 
-    def test_dcut_d_zero_is_usage_error(self, capsys):
+    def test_dcut_d_zero_is_usage_error(self, capsys, monkeypatch):
+        # refused before any instance is drawn
+        def never(*args, **kwargs):
+            raise AssertionError("generated for a refused d")
+
+        monkeypatch.setattr("probecut.cli.random_probe_hfree", never)
         code = main(["crosscheck", "--problem", "dcut", "--d", "0",
                      "--count", "1", "--max-n", "6", "--seed", "1"])
         assert code == 2

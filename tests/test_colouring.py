@@ -99,6 +99,11 @@ class TestValidate:
         result = validate_colouring(g, [RED, RED], 1)
         assert isinstance(result, Violation) and result.vertex is None
 
+    def test_d_below_one_rejected(self):
+        with pytest.raises(ValueError) as info:
+            validate_colouring(path_graph(2), [RED, BLUE], 0)
+        assert str(info.value) == "d must be >= 1"
+
     def test_partial_raises(self):
         with pytest.raises(PartialColouring):
             validate_colouring(path_graph(3), [RED, None, BLUE], 1)
@@ -540,6 +545,18 @@ class TestCompleteMaxCut:
         g = path_graph(4)
         with pytest.raises(PreconditionViolation):
             complete_independent_max_cut(g, _m({0}), _m({3}))
+
+    @pytest.mark.parametrize("g, x, y, message", [
+        (path_graph(2), {0}, {0, 1}, "red and blue masks must be disjoint"),
+        (path_graph(3), {0, 2}, set(),
+         "vertex 1 has more than one coloured neighbour per colour;"
+         " pair is not colour-processed for d=1"),
+        (build_graph(2, []), {0}, {1}, "graph must be connected"),
+    ], ids=["overlap", "two-red-neighbours", "disconnected"])
+    def test_preconditions_rejected(self, g, x, y, message):
+        with pytest.raises(PreconditionViolation) as info:
+            complete_independent_max_cut(g, _m(x), _m(y))
+        assert str(info.value) == message
 
     def test_no_valid_extension_returns_none(self):
         g = cycle_graph(3)

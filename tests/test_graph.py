@@ -38,7 +38,7 @@ from probecut import (
     verify_probe_certificate,
 )
 import probecut.graph as graph_module
-from probecut.graph import _find_within
+from probecut.graph import _find_within, _nbhd, iter_bits
 from probecut.oracles import brute_probe_certificate
 
 from conftest import (
@@ -92,6 +92,11 @@ class TestBuildGraph:
         g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count() == 1
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(InvalidEdge) as info:
+            build_graph(-1, [])
+        assert str(info.value) == "vertex count must be non-negative, got -1"
+
     @given(graphs_strategy)
     def test_adjacency_symmetric_no_loops(self, g):
         for v in range(g.n):
@@ -99,6 +104,21 @@ class TestBuildGraph:
             assert g.adj_bits[v] >> g.n == 0
             for u in _bits(g.adj_bits[v]):
                 assert g.has_edge(u, v)
+
+
+class TestNbhd:
+    def test_empty_mask(self):
+        assert _nbhd(path_graph(4).adj_bits, 0) == 0
+
+    @given(st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 2 ** 32))
+    @settings(max_examples=120)
+    def test_matches_bit_loop(self, n, p, seed):
+        adj = random_graph(n, p, seed).adj_bits
+        mask = random.Random(seed).getrandbits(n)
+        out = 0
+        for v in iter_bits(mask):
+            out |= adj[v]
+        assert _nbhd(adj, mask) == out
 
 
 class TestConnectivity:
@@ -373,6 +393,22 @@ class TestProbeCertificate:
             verify_probe_certificate(
                 ppg, ProbeCertificate.of([(0, 1)]), two_p2_pattern()
             )
+
+    def test_outside_pair_message(self):
+        g = path_graph(3)
+        ppg = PartitionedProbeGraph(g, frozenset({1}), frozenset({0, 2}))
+        with pytest.raises(InvalidCertificate) as info:
+            verify_probe_certificate(
+                ppg, ProbeCertificate.of([(1, 2)]), two_p2_pattern()
+            )
+        assert str(info.value) == (
+            "certificate pair (1, 2) not inside the non-probe side"
+        )
+
+    def test_uncovered_vertex_rejected(self):
+        with pytest.raises(InvalidInstance) as info:
+            PartitionedProbeGraph(path_graph(3), frozenset({1}), frozenset({0}))
+        assert str(info.value) == "probes and nonprobes do not cover V"
 
     def test_existing_edge_rejected(self):
         g = build_graph(4, [(0, 2), (1, 2), (1, 3)])
@@ -796,6 +832,15 @@ class TestRandomProbeHfree:
         with pytest.raises(GenerationTimeout, match=" in 19 attempts$"):
             random_probe_hfree(1414, sp1_p4_pattern(1), 0.5, seed=1)
         assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("n, density, message", [
+        (1, 0.5, "need n >= 2"),
+        (4, 1.5, "density must be a probability"),
+    ], ids=["n1", "density"])
+    def test_bad_arguments_rejected(self, n, density, message):
+        with pytest.raises(ValueError) as info:
+            random_probe_hfree(n, path_pattern(4), density, seed=0)
+        assert str(info.value) == message
 
     def test_timeout_when_impossible(self):
         # a 2P1-free graph is complete; density 0.3 never produces one at n=10

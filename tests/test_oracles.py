@@ -577,6 +577,10 @@ class TestBacktrackDcut:
         assert backtrack_dcut(path_graph(4), 1, require_perfect=True) is not None
         assert backtrack_dcut(complete_graph(5), 2) is None
 
+    def test_below_two_vertices_has_no_cut(self):
+        assert backtrack_dcut(build_graph(1, []), 1) is None
+        assert backtrack_dcut(build_graph(0, []), 2) is None
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=120)
     def test_agrees_with_enumeration(self, seed):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probecut import (
+    GenerationTimeout,
     InvalidSatInstance,
     NoEdges,
     NotBipartite,
@@ -81,6 +82,14 @@ class TestValidateSatShape:
     def test_random_instance_needs_multiple_of_three(self):
         with pytest.raises(InvalidSatInstance):
             random_sat_instance(7, 0)
+
+    def test_random_instance_times_out(self, monkeypatch):
+        monkeypatch.setattr("probecut.reductions._SAT_ATTEMPTS", 0)
+        with pytest.raises(GenerationTimeout) as info:
+            random_sat_instance(6, 0)
+        assert str(info.value) == (
+            "no valid-shape SAT instance with 6 variables in 0 draws"
+        )
 
 
 class TestMoshiDouble:
@@ -187,6 +196,16 @@ class TestSubdivide4:
         with pytest.raises(NotCubic):
             subdivide4(cycle_graph(4))
 
+    def test_requires_connected(self):
+        # two disjoint K4s: cubic, not connected
+        g = build_graph(8, [
+            (u, v) for base in (0, 4)
+            for u in range(base, base + 4) for v in range(u + 1, base + 4)
+        ])
+        with pytest.raises(NotConnected) as info:
+            subdivide4(g)
+        assert str(info.value) == "subdivision needs a connected input"
+
 
 class TestBipartiteToSplit:
     def test_p3_to_triangle(self):
@@ -214,6 +233,11 @@ class TestBipartiteToSplit:
     def test_rejects_non_bipartition(self):
         with pytest.raises(NotBipartite):
             bipartite_to_split(cycle_graph(3), {0})
+
+    def test_requires_connected(self):
+        with pytest.raises(NotConnected) as info:
+            bipartite_to_split(build_graph(2, []), {0})
+        assert str(info.value) == "split construction needs a connected input"
 
 
 class TestSatTo4P1:

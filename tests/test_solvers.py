@@ -21,15 +21,14 @@ from probecut import (
     connected_components,
     is_connected,
     random_probe_hfree,
-    seed_sets,
     solve_dcut,
     solve_mmc,
     solve_pmc,
     sp1_p4_pattern,
     validate_colouring,
 )
-from probecut.graph import iter_bits
-from probecut.solvers import _DcutSolver
+from probecut.graph import _nbhd, iter_bits
+from probecut.solvers import _DcutSolver, _subsets
 
 from test_golden_solvers import FEATURED, _instance as _golden_instance
 from conftest import (
@@ -42,27 +41,49 @@ from conftest import (
 )
 
 
+def _reference_seeds(ppg: PartitionedProbeGraph, k: int):
+    """All vertex masks of at most k vertices whose closed neighbourhood
+    covers everything except an independent set.
+
+    Ordered by size then lexicographically, so consumers that stop at the
+    first hit are deterministic.
+    """
+    g = ppg.graph
+    full = (1 << g.n) - 1
+    adj = g.adj_bits
+    for sel in _subsets(full, 0, k):
+        covered = sel
+        for v in iter_bits(sel):
+            covered |= adj[v]
+        rest = full & ~covered
+        if all(not (adj[v] & rest) for v in iter_bits(rest)):
+            yield sel
+
+
 class TestSeedSets:
+    """The matching-cut driver branches on the first seed it scans; the
+    reference lists every seed, in the order that scan follows."""
+
     def test_k2(self):
         g = build_graph(2, [(0, 1)])
-        out = list(seed_sets(all_probes(g), 1))
+        out = list(_reference_seeds(all_probes(g), 1))
         assert out == [0b01, 0b10]
 
     def test_p4_singletons(self):
         out = [
-            s for s in seed_sets(all_probes(path_graph(4)), 1)
+            s for s in _reference_seeds(all_probes(path_graph(4)), 1)
             if s.bit_count() == 1
         ]
         assert out == [0b0010, 0b0100]
 
     def test_full_set_always_included(self):
         g = cycle_graph(5)
-        out = list(seed_sets(all_probes(g), 5))
+        out = list(_reference_seeds(all_probes(g), 5))
         assert 0b11111 in out
 
     def test_order_by_size_then_lex(self):
         g = path_graph(4)
-        out = list(seed_sets(all_probes(g), 2))
+        out = list(_reference_seeds(all_probes(g), 2))
         sizes = [s.bit_count() for s in out]
         assert sizes == sorted(sizes)
         for size in set(sizes):
@@ -72,6 +93,25 @@ class TestSeedSets:
                 for s in out if s.bit_count() == size
             ]
             assert lists == sorted(lists)
+
+    @pytest.mark.parametrize("solve", [solve_mmc, solve_pmc])
+    @pytest.mark.parametrize("g, seed", [
+        (build_graph(2, [(0, 1)]), [0]),
+        (path_graph(4), [1]),
+        (cycle_graph(5), [0, 1]),
+    ], ids=["K2", "P4", "C5"])
+    def test_driver_traces_first_seed(self, solve, g, seed):
+        assert solve(all_probes(g), 0).case_trace == [f"seed {seed}"]
+
+    @given(st.integers(2, 12), st.sampled_from([0.3, 0.5, 0.8]),
+           st.integers(0, 10 ** 6), st.sampled_from([0, 1]),
+           st.sampled_from([solve_mmc, solve_pmc]))
+    @settings(max_examples=100, deadline=None)
+    def test_driver_takes_first_reference_seed(self, n, p, seed, s, solve):
+        ppg = all_probes(random_connected_graph(n, p, seed))
+        first = next(_reference_seeds(ppg, s + 4), None)
+        expected = "no-seed" if first is None else f"seed {list(iter_bits(first))}"
+        assert solve(ppg, s).case_trace == [expected]
 
 
 def _many_components_run(ppg, d=2):
@@ -214,6 +254,11 @@ class TestSolveMmc:
     def test_degenerate_single_vertex(self):
         report = solve_mmc(all_probes(build_graph(1, [])), 0)
         assert not report.answer
+
+    def test_negative_s_rejected(self):
+        with pytest.raises(ValueError) as info:
+            solve_mmc(all_probes(path_graph(4)), -1)
+        assert str(info.value) == "s must be >= 0"
 
     def test_no_seed_report(self):
         # no four vertices of P18 leave an independent set uncovered
@@ -658,7 +703,7 @@ class TestGuessStep:
         for x1m in solver._small_classes(c1m, 0, 2 * d):
             for x2m in inner:
                 x, y = x1m | x2m, solver.p_mask & ~(x1m | x2m)
-                frontier = solver._nbhd(x) & solver.n_mask
+                frontier = _nbhd(solver.adj_bits, x) & solver.n_mask
                 solver._search(x, y, frontier, second)
                 for lx, ly in _branch_leaves(ppg.graph, x, y, frontier, d):
                     unc = solver.full & ~(lx | ly)
@@ -766,7 +811,7 @@ class TestSmallClassPruning:
                 remaining = iter(every)
                 assert all(m in remaining for m in kept)
                 for xm in set(every) - set(kept):
-                    frontier = solver._nbhd(xm) & solver.n_mask
+                    frontier = _nbhd(solver.adj_bits, xm) & solver.n_mask
                     rest = part_mask & ~xm
                     for x0, y0 in ((xm, rest), (rest, xm)):
                         assert not list(
