@@ -52,7 +52,7 @@ from .reductions import (
     sat_to_4p1,
     subdivide4,
 )
-from .solvers import solve_dcut, solve_mmc, solve_pmc
+from .solvers import _check_d, solve_dcut, solve_mmc, solve_pmc
 
 MAX_VERTICES = 100_000
 """Largest vertex count an instance may declare (or imply by its largest
@@ -283,10 +283,10 @@ _PROBLEMS = {
 
 
 def _check_options(opts) -> None:
-    """Refuse --d < 1 for dcut and a bad --s before any input is read or
-    drawn."""
-    if opts.problem == "dcut" and opts.d < 1:
-        raise ParseError("d must be >= 1")
+    """Before any input is read or drawn, refuse a bad --s and a dcut --d
+    that brute refuses (d < 1) or, under poly and crosscheck, solve_dcut."""
+    if opts.problem == "dcut" and (opts.d < 1 or getattr(opts, "algo", "poly") == "poly"):
+        _check_d(opts.d)
     if opts.s < 0:
         raise ParseError(f"--s must be >= 0, got {opts.s}")
     _check_pattern_size(f"{opts.s}P1+P4", opts.s + 4)  # C(n, s+4) seed scans

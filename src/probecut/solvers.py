@@ -23,9 +23,10 @@ invalid certificate.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
+from itertools import combinations, tee
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import NotConnected, UnsupportedD
@@ -196,15 +197,16 @@ class _DcutSolver:
         ``part`` from :meth:`_small_classes`, the rest of the part opposite,
         are joined and passed to ``then`` unless the joint masks overlap.
         Each outer guess is closed once with :func:`process_masks`, as a
-        filter: colours only grow, so if it rejects, every joint would."""
-        classes = list(self._small_classes(part, lo, hi))
-        if not classes:
+        filter: colours only grow, so if it rejects, every joint would.
+        Classes are drawn only when first needed, then replayed from ``tee``."""
+        classes, first = tee(self._small_classes(part, lo, hi))
+        if next(first, -1) < 0:  # no class at all; the empty class is 0
             return None
         for x0, y0, g0 in outer:
             if process_masks(self.adj_bits, self.n, x0, y0, self.d) is None:
                 continue
             for red in polarity:
-                for xm in classes:
+                for xm in copy(classes):
                     x, y = (xm, part & ~xm) if red else (part & ~xm, xm)
                     if (x0 | x) & (y0 | y):
                         continue
@@ -442,10 +444,9 @@ class _DcutSolver:
         least type-C vertex that shares a complete component with v and is
         complete to the rest (``c_complete`` holds those component bits).
         A probe (P1+P4)-free instance with type-C vertices has such a pair.
-        With u and v alike, the red probe classes are guessed lazily, so an
-        early "yes" lists none.  With u red and v blue (the swap is the
-        mirror image), :meth:`_classes` joins at most d blue neighbours of
-        u with at most d red ones of v.
+        With u and v alike (blue), the red probes number at most 2d.  With
+        u red and v blue (the swap is the mirror image), at most d blue
+        neighbours of u are joined with at most d red ones of v.
         """
         self.trace.append("multi-comp/dominating-pair")
         if not c_complete:
@@ -460,12 +461,10 @@ class _DcutSolver:
         if u is None:
             return None  # class promise broken; nothing sound to report
         bu, bv = 1 << u, 1 << v
-        # both endpoints alike (blue): the red probes number at most 2d
         hi = min(2 * self.d, self.p_mask.bit_count() - 1)
-        for xm in self._small_classes(self.p_mask, 1, hi):
-            cert = self._guess(xm, (self.p_mask & ~xm) | bu | bv, xm)
-            if cert:
-                return cert
+        cert = self._classes([(0, bu | bv, 0)], self.p_mask, 1, hi, self._guess, (True,))
+        if cert:
+            return cert
         nu, nv = self.adj_bits[u], self.adj_bits[v]
         outer = ((bu | (nu & ~xum), bv | xum, xum)
                  for xum in _subsets(nu, 0, self.d))
@@ -491,13 +490,18 @@ class _DcutSolver:
         return None
 
 
-def solve_dcut(ppg: PartitionedProbeGraph, d: int) -> SolveReport:
-    """Decide d-cut existence (d >= 2) for a connected partitioned probe
-    instance promised probe (P1+P4)-free; see the module docstring."""
+def _check_d(d: int) -> None:
+    """Refuse a d that :func:`solve_dcut` does not handle."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if d < 2:
         raise UnsupportedD("solve_dcut handles d >= 2; use the matching-cut solvers for d = 1")
+
+
+def solve_dcut(ppg: PartitionedProbeGraph, d: int) -> SolveReport:
+    """Decide d-cut existence (d >= 2) for a connected partitioned probe
+    instance promised probe (P1+P4)-free; see the module docstring."""
+    _check_d(d)
     return _DcutSolver(ppg, d).run()
 
 

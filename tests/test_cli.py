@@ -22,6 +22,7 @@ from probecut import (
     ProbeCertificate,
     build_graph,
     parse_pattern,
+    UnsupportedD,
     UnsupportedPattern,
     random_probe_hfree,
     validate_colouring,
@@ -36,6 +37,9 @@ from probecut.cli import (
 )
 
 K2_JSON = '{"n":2,"edges":[[0,1]],"probes":[0,1],"nonprobes":[]}'
+
+# the UnsupportedD message of solve_dcut, which the CLI prints for d = 1
+DCUT_D1 = "solve_dcut handles d >= 2; use the matching-cut solvers for d = 1"
 
 EXAMPLE_SAT = {
     "n_vars": 6,
@@ -169,6 +173,14 @@ class TestSolveCommand:
                      "--algo", "poly", "--input", path])
         assert code == 2
 
+    def test_dcut_brute_d1_answers(self, tmp_path, capsys):
+        """Only the poly solver refuses d = 1; the oracle decides it."""
+        path = _write(tmp_path, "k2.json", K2_JSON)
+        code = main(["solve", "--problem", "dcut", "--d", "1",
+                     "--algo", "brute", "--input", path])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["answer"] == "yes"
+
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_dcut_brute_d_below_one_is_usage_error(self, tmp_path, capsys, d):
         """The oracle refuses d < 1 as the poly path does, instead of
@@ -257,8 +269,9 @@ class TestSolveCommand:
         ("mmc", "brute", "2", "-1", "--s must be >= 0, got -1"),
         ("dcut", "poly", "0", "0", "d must be >= 1"),
         ("dcut", "brute", "-1", "0", "d must be >= 1"),
+        ("dcut", "poly", "1", "0", DCUT_D1),
     ], ids=["mmc-poly-s5", "dcut-poly-s-1", "mmc-brute-s-1", "dcut-poly-d0",
-            "dcut-brute-d-1"])
+            "dcut-brute-d-1", "dcut-poly-d1"])
     def test_pattern_over_limit_refused_before_reading(
         self, tmp_path, capsys, monkeypatch, problem, algo, d, s, message
     ):
@@ -587,6 +600,23 @@ class TestCrosscheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: d must be >= 1\n"
+
+    def test_dcut_d_one_refused_before_drawing(self, capsys, monkeypatch):
+        """crosscheck runs the poly solver, so d = 1 is refused with its
+        message before any instance is drawn."""
+        def never(*args, **kwargs):
+            raise AssertionError("generated for a refused d")
+
+        with pytest.raises(UnsupportedD) as info:
+            cli.solve_dcut(_ppg(2, [(0, 1)], (0, 1)), 1)
+        assert str(info.value) == DCUT_D1
+        monkeypatch.setattr("probecut.cli.random_probe_hfree", never)
+        code = main(["crosscheck", "--problem", "dcut", "--d", "1",
+                     "--count", "1", "--max-n", "6", "--seed", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {DCUT_D1}\n"
 
     def test_count_zero_warns(self, capsys):
         code = main(["crosscheck", "--problem", "pmc", "--count", "0",

@@ -204,6 +204,30 @@ class TestDominatingPair:
             assert branches > 0  # the pair (7, 6) drove the guesses
             _assert_parity_on_promise(ppg, answer, d)
 
+    def test_two_product_calls_alike_first(self):
+        """The case has no guess loop of its own: it makes two
+        ``_classes`` calls, first u and v alike (blue) with the red classes
+        of the whole probe side, then u red and v blue with the classes
+        inside v's neighbourhood.  Here v = 6 (least id on the tie) and
+        u = 7."""
+        ppg = self._pair_instance()
+        for d in (2, 3):
+            solver = _DcutSolver(ppg, d)
+            calls = []
+
+            def capture(outer, part, lo, hi, then, polarity=(True, False)):
+                calls.append((part, lo, hi, polarity, outer, then))
+
+            solver._classes = capture
+            comps = connected_components(ppg.graph, solver.p_mask)
+            assert solver._many_components(comps) is None
+            assert [call[:4] for call in calls] == [
+                (solver.p_mask, 1, min(2 * d, 5), (True,)),
+                (ppg.graph.adj_bits[6], 0, d, (True,)),
+            ]
+            assert calls[0][4:] == ([(0, 1 << 6 | 1 << 7, 0)], solver._guess)
+            assert next(iter(calls[1][4])) == (1 << 7 | ppg.graph.adj_bits[7], 1 << 6, 0)
+
     def test_no_type_c_returns_none(self):
         edges = [(0, 1), (2, 3), (4, 5), (6, 0), (7, 2), (7, 3), (8, 4)]
         g = build_graph(9, edges)
@@ -922,8 +946,10 @@ def _check_guess_products(ppg, d):
     """Capture every ``_classes`` call of one dispatch, then require the
     case's polarities and the joint guesses handed to ``then`` to equal
     the reference, in order, once both keep only the guesses whose start
-    closure accepts.  The pair reference is rebuilt from u and v, the
-    non-probes of the first outer guess.  Returns the cases captured."""
+    closure accepts.  The opposite-colour pair reference is rebuilt from
+    u and v, the non-probes of the first outer guess; the pair's alike
+    call, on the whole probe side, has the plain product as reference.
+    Returns the cases captured."""
     from probecut.colouring import process_masks
 
     solver = _DcutSolver(ppg, d)
@@ -946,7 +972,7 @@ def _check_guess_products(ppg, d):
             solver, outer, part, lo, hi,
             lambda x, y, g: got.append((x, y, g)), polarity,
         )
-        if case == "multi-comp/dominating-pair":
+        if case == "multi-comp/dominating-pair" and part != solver.p_mask:
             bu, bv = (m & solver.n_mask for m in outer[0][:2])
             expected = _pair_reference(adj, bu, bv, d)
         else:
@@ -972,3 +998,81 @@ class TestGuessProduct:
         type-B case or the opposite-colour pair guesses."""
         ppg = _golden_instance(seed)
         assert any([_check_guess_products(ppg, d) for d in (2, 3)])
+
+
+def _star_with_pendant_nonprobes(m=200):
+    """The star K1,m (centre 0) as the probe side and three non-probes,
+    each adjacent to three leaves (m + 1 to leaves 1, 2, 3, and so on);
+    n = m + 4, and "yes" at d = 2 on the first class guess."""
+    edges = [(0, i) for i in range(1, m + 1)]
+    edges += [(m + 1 + j, 3 * j + t) for j in range(3) for t in (1, 2, 3)]
+    g = build_graph(m + 4, edges)
+    return PartitionedProbeGraph(
+        g, frozenset(range(m + 1)), frozenset(range(m + 1, m + 4))
+    )
+
+
+def _three_stars_with_pair(m=20):
+    """Three stars K1,m as the probe side and a dominating type-C pair:
+    one non-probe complete to stars 0 and 1, one to stars 1 and 2;
+    n = 3m + 5, and "yes" at d = 2 on the first alike-colour guess."""
+    k = m + 1
+    edges = [(c, c + i) for c in range(0, 3 * k, k) for i in range(1, k)]
+    edges += [(3 * k, v) for v in range(2 * k)]
+    edges += [(3 * k + 1, v) for v in range(k, 3 * k)]
+    g = build_graph(3 * k + 2, edges)
+    return PartitionedProbeGraph(
+        g, frozenset(range(3 * k)), frozenset({3 * k, 3 * k + 1})
+    )
+
+
+# (instance, case trace, branches, red vertices of the certificate)
+_EARLY_YES = {
+    "star-200": (_star_with_pendant_nonprobes,
+                 ["mono-probe", "cograph-1comp"], 7, [1, 201]),
+    "three-stars-pair": (_three_stars_with_pair,
+                         ["mono-probe", "multi-comp/dominating-pair"], 5, [1]),
+}
+
+
+class TestLazyClasses:
+    """``_classes`` draws its colour classes from one enumerator as the
+    guesses need them, so a "yes" on an early guess enumerates no more."""
+
+    @pytest.mark.parametrize("name", sorted(_EARLY_YES))
+    def test_draws_up_to_the_class_that_succeeds(self, name, monkeypatch):
+        """Each ``_classes`` call starts ``_small_classes`` once and draws
+        only the first class, on which the guess succeeds."""
+        build, trace, branches, red = _EARLY_YES[name]
+        starts, draws = [], [0]
+        small_classes = _DcutSolver._small_classes
+
+        def counted(self, part, lo, hi):
+            starts.append(part)
+            for xm in small_classes(self, part, lo, hi):
+                draws[0] += 1
+                yield xm
+
+        monkeypatch.setattr(_DcutSolver, "_small_classes", counted)
+        ppg = build()
+        report = solve_dcut(ppg, 2)
+        assert report.case_trace == trace
+        assert report.branches_explored == branches
+        colours = report.certificate.colouring
+        assert [v for v, c in enumerate(colours) if c == "red"] == red
+        assert starts == [_DcutSolver(ppg, 2).p_mask]
+        assert draws[0] == 1
+
+    @pytest.mark.parametrize("name", sorted(_EARLY_YES))
+    def test_early_yes_time_budget(self, name):
+        """The star K1,200 (n = 204) listed every class of its probe side
+        before the first guess and took about 0.5 s; the three stars
+        K1,20 (n = 65) answer on the first alike-colour guess."""
+        build, trace, branches, _ = _EARLY_YES[name]
+        ppg = build()
+        start = time.perf_counter()
+        report = solve_dcut(ppg, 2)
+        elapsed = time.perf_counter() - start
+        assert report.answer and report.case_trace == trace
+        assert report.branches_explored == branches
+        assert elapsed < 0.05
