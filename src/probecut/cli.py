@@ -42,17 +42,18 @@ from .graph import (
     sp1_p4_pattern,
     verify_probe_certificate,
 )
-from .colouring import BLUE, RED, CutCertificate, validate_colouring
+from .colouring import BLUE, RED, CutCertificate, _check_d, validate_colouring
 from .oracles import _check_scale, brute_dcut, brute_mmc, brute_pmc
 from .reductions import (
     SatInstance,
+    _check_sat4p1_d,
     bipartite_to_split,
     moshi_double,
     random_sat_instance,
     sat_to_4p1,
     subdivide4,
 )
-from .solvers import _check_d, solve_dcut, solve_mmc, solve_pmc
+from .solvers import solve_dcut, solve_mmc, solve_pmc
 
 MAX_VERTICES = 100_000
 """Largest vertex count an instance may declare (or imply by its largest
@@ -283,9 +284,8 @@ _PROBLEMS = {
 
 
 def _check_options(opts) -> None:
-    """Before any input is read or drawn, refuse a bad --s and a dcut --d
-    that brute refuses (d < 1) or, under poly and crosscheck, solve_dcut."""
-    if opts.problem == "dcut" and (opts.d < 1 or getattr(opts, "algo", "poly") == "poly"):
+    """Before any input is read or drawn, refuse a bad --s or dcut --d."""
+    if opts.problem == "dcut":
         _check_d(opts.d)
     if opts.s < 0:
         raise ParseError(f"--s must be >= 0, got {opts.s}")
@@ -383,7 +383,8 @@ def _check_output(construction: str, vertices: int, edges: int, pairs: int):
 
 
 def _check_sat4p1(n_vars: int, p: int, q: int, d: int) -> None:
-    """Refuse a sat4p1 output over the limit, from the instance's shape."""
+    """Refuse a bad d, then a sat4p1 output over the limit, from the shape."""
+    _check_sat4p1_d(d)
     pad = n_vars * max(d - 3, 0)  # padding per clique
     _check_output(
         "sat4p1",
@@ -460,6 +461,7 @@ def cmd_reduce(opts, argv) -> int:
     if opts.source == "sat":
         if opts.construction != "sat4p1":
             raise ParseError("--from sat only supports --construction sat4p1")
+        _check_sat4p1_d(opts.d)  # before the input is read
         ppg, cert, meta = _sat4p1(parse_sat(_read(opts.input)), opts.d)
     elif opts.construction == "sat4p1":
         raise ParseError("--construction sat4p1 needs --from sat")
@@ -557,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser(
         "solve", help="run a solver on an instance file",
         description="Class promises per problem (poly only, never "
-                    "re-verified): dcut needs --d >= 2 and a probe "
+                    "re-verified): dcut takes every --d >= 1 and needs a probe "
                     "(P1+P4)-free instance; mc, mmc and pmc need a probe "
                     "(sP1+P4)-free instance with s given by --s.  There is "
                     "no silent fallback between poly and brute.",

@@ -86,6 +86,12 @@ def _certify(
     return CutCertificate(colouring_of(g.n, x, y), cut, d, perfect, len(cut))
 
 
+def _check_d(d: int) -> None:
+    """Refuse a d below 1, which is no budget at all."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+
+
 def validate_colouring(
     g: Graph, colouring: Colouring, d: int, require_perfect: bool = False
 ) -> Union[CutCertificate, Violation]:
@@ -96,8 +102,7 @@ def validate_colouring(
     :func:`_certify`'s check on the masks.  On failure the report names
     the first offending vertex in id order.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_d(d)
     if len(colouring) != g.n:
         raise PartialColouring(
             f"colouring has {len(colouring)} entries for n={g.n}"

@@ -50,7 +50,7 @@ class PreconditionViolation(ProbeCutError):
 
 
 class UnsupportedD(ProbeCutError):
-    """The requested d is outside the solver's range."""
+    """The requested d is outside the sat4p1 construction's range, d >= 2."""
 
 
 class OracleScaleExceeded(ProbeCutError):

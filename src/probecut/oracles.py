@@ -36,7 +36,7 @@ from .graph import (
     find_induced,
     iter_bits,
 )
-from .colouring import CutCertificate, _certify
+from .colouring import CutCertificate, _certify, _check_d
 from .reductions import SatInstance
 
 DEFAULT_COLOURING_LIMIT = 24
@@ -151,8 +151,7 @@ def _certificate(g: Graph, blue: int, d: int, perfect: bool) -> CutCertificate:
 
 def brute_dcut(g: Graph, d: int) -> Optional[CutCertificate]:
     """First red-blue d-colouring in counter order, or None."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_d(d)
     blue = next(_colourings(g, d, 0), None)
     return None if blue is None else _certificate(g, blue, d, False)
 
@@ -309,8 +308,7 @@ def backtrack_dcut(
     first: the first valid leaf is that of the red-first depth-first
     search.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_d(d)
     n = g.n
     if n < 2:
         return None

@@ -249,6 +249,12 @@ def bipartite_to_split(
     return ppg, ProbeCertificate.of(f_pairs)
 
 
+def _check_sat4p1_d(d: int) -> None:
+    """Refuse a d that :func:`sat_to_4p1` is not defined for."""
+    if d < 2:
+        raise UnsupportedD("construction is defined for d >= 2")
+
+
 def sat_to_4p1(
     inst: SatInstance, d: int
 ) -> tuple[PartitionedProbeGraph, ProbeCertificate]:
@@ -265,8 +271,7 @@ def sat_to_4p1(
     The certificate joins all variable pairs, turning the graph into three
     cliques, which is 4P1-free.
     """
-    if d < 2:
-        raise UnsupportedD("construction is defined for d >= 2")
+    _check_sat4p1_d(d)
     ok, violations = validate_sat_shape(inst)
     if not ok:
         raise InvalidSatInstance("; ".join(violations))

@@ -7,7 +7,7 @@ Three entry points:
   closed neighbourhood covers all but an independent set is located, every
   red/blue assignment of that neighbourhood is branched on, and the
   independent remainder is completed exactly.
-* :func:`solve_dcut` - d-cut for d >= 2 on inputs promised probe
+* :func:`solve_dcut` - d-cut for every d >= 1 on inputs promised probe
   (P1+P4)-free.  If the probe side contains an induced P4 it dominates the
   graph and plain neighbourhood branching decides; otherwise the probe side
   is a cograph and the solver dispatches on its component count, using the
@@ -29,10 +29,11 @@ from functools import partial
 from itertools import combinations, tee
 from typing import Callable, Iterable, Iterator, Optional
 
-from .errors import NotConnected, UnsupportedD
+from .errors import NotConnected
 from .colouring import (
     CutCertificate,
     _certify,
+    _check_d,
     _within_budget,
     complete_independent_max_cut,
     complete_independent_perfect,
@@ -490,17 +491,9 @@ class _DcutSolver:
         return None
 
 
-def _check_d(d: int) -> None:
-    """Refuse a d that :func:`solve_dcut` does not handle."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if d < 2:
-        raise UnsupportedD("solve_dcut handles d >= 2; use the matching-cut solvers for d = 1")
-
-
 def solve_dcut(ppg: PartitionedProbeGraph, d: int) -> SolveReport:
-    """Decide d-cut existence (d >= 2) for a connected partitioned probe
-    instance promised probe (P1+P4)-free; see the module docstring."""
+    """Decide d-cut existence (every d >= 1) for a connected partitioned
+    probe instance promised probe (P1+P4)-free; see the module docstring."""
     _check_d(d)
     return _DcutSolver(ppg, d).run()
 

@@ -20,11 +20,13 @@ from probecut import (
     ParseError,
     PartitionedProbeGraph,
     ProbeCertificate,
+    SatInstance,
     build_graph,
     parse_pattern,
     UnsupportedD,
     UnsupportedPattern,
     random_probe_hfree,
+    sat_to_4p1,
     validate_colouring,
 )
 from probecut import cli
@@ -38,8 +40,8 @@ from probecut.cli import (
 
 K2_JSON = '{"n":2,"edges":[[0,1]],"probes":[0,1],"nonprobes":[]}'
 
-# the UnsupportedD message of solve_dcut, which the CLI prints for d = 1
-DCUT_D1 = "solve_dcut handles d >= 2; use the matching-cut solvers for d = 1"
+# the UnsupportedD message of the sat4p1 construction, for d < 2
+SAT4P1_D = "construction is defined for d >= 2"
 
 EXAMPLE_SAT = {
     "n_vars": 6,
@@ -167,14 +169,18 @@ class TestSolveCommand:
         assert code == 1
         assert json.loads(capsys.readouterr().out)["answer"] == "no"
 
-    def test_dcut_poly_d1_is_usage_error(self, tmp_path, capsys):
+    def test_dcut_poly_d1_answers(self, tmp_path, capsys):
+        """The poly solver decides d = 1 with a certificate at d = 1."""
         path = _write(tmp_path, "k2.json", K2_JSON)
         code = main(["solve", "--problem", "dcut", "--d", "1",
                      "--algo", "poly", "--input", path])
-        assert code == 2
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["answer"] == "yes"
+        assert report["certificate"]["d"] == 1
 
     def test_dcut_brute_d1_answers(self, tmp_path, capsys):
-        """Only the poly solver refuses d = 1; the oracle decides it."""
+        """The oracle decides d = 1 as the poly solver does."""
         path = _write(tmp_path, "k2.json", K2_JSON)
         code = main(["solve", "--problem", "dcut", "--d", "1",
                      "--algo", "brute", "--input", path])
@@ -269,9 +275,9 @@ class TestSolveCommand:
         ("mmc", "brute", "2", "-1", "--s must be >= 0, got -1"),
         ("dcut", "poly", "0", "0", "d must be >= 1"),
         ("dcut", "brute", "-1", "0", "d must be >= 1"),
-        ("dcut", "poly", "1", "0", DCUT_D1),
+        ("dcut", "brute", "0", "0", "d must be >= 1"),
     ], ids=["mmc-poly-s5", "dcut-poly-s-1", "mmc-brute-s-1", "dcut-poly-d0",
-            "dcut-brute-d-1", "dcut-poly-d1"])
+            "dcut-brute-d-1", "dcut-brute-d0"])
     def test_pattern_over_limit_refused_before_reading(
         self, tmp_path, capsys, monkeypatch, problem, algo, d, s, message
     ):
@@ -541,6 +547,38 @@ class TestGenerateCommands:
         doc = parse_instance(capsys.readouterr().out)
         assert doc.ppg.nonprobes == {1, 3, 5}
 
+    @pytest.mark.parametrize("d", ["1", "0"])
+    def test_sat4p1_d_below_two_refused_before_sampling(
+        self, capsys, monkeypatch, d
+    ):
+        """generate refuses the construction's d before it draws the SAT
+        instance, with the construction's own message."""
+        def never(*args, **kwargs):
+            raise AssertionError("sampled for a refused d")
+
+        example = SatInstance.of(
+            6, EXAMPLE_SAT["positive"], EXAMPLE_SAT["negative"]
+        )
+        with pytest.raises(UnsupportedD) as info:
+            sat_to_4p1(example, int(d))
+        assert str(info.value) == SAT4P1_D
+        monkeypatch.setattr(cli, "random_sat_instance", never)
+        _refused(capsys, ["generate", "--family", "sat4p1", "--d", d], SAT4P1_D)
+
+    @pytest.mark.parametrize("d", ["1", "0"])
+    def test_sat4p1_d_below_two_refused_before_reading(
+        self, tmp_path, capsys, monkeypatch, d
+    ):
+        """reduce refuses the construction's d before it reads the input,
+        so a missing file is not what it reports."""
+        def never(path):
+            raise AssertionError("read the input of a refused reduce")
+
+        monkeypatch.setattr(cli, "_read", never)
+        _refused(capsys, ["reduce", "--from", "sat", "--construction",
+                          "sat4p1", "--d", d, "--input",
+                          str(tmp_path / "missing.json")], SAT4P1_D)
+
 
 class TestCrosscheck:
     def test_small_run_passes(self, capsys):
@@ -601,22 +639,22 @@ class TestCrosscheck:
         assert captured.out == ""
         assert captured.err == "error: d must be >= 1\n"
 
-    def test_dcut_d_one_refused_before_drawing(self, capsys, monkeypatch):
-        """crosscheck runs the poly solver, so d = 1 is refused with its
-        message before any instance is drawn."""
-        def never(*args, **kwargs):
-            raise AssertionError("generated for a refused d")
+    def test_dcut_d_one_agrees(self, capsys, monkeypatch):
+        """crosscheck runs the poly solver at d = 1 and agrees with the
+        oracle on every instance."""
+        ds = []
+        solve_dcut = cli.solve_dcut
 
-        with pytest.raises(UnsupportedD) as info:
-            cli.solve_dcut(_ppg(2, [(0, 1)], (0, 1)), 1)
-        assert str(info.value) == DCUT_D1
-        monkeypatch.setattr("probecut.cli.random_probe_hfree", never)
+        def recorded(ppg, d):
+            ds.append(d)
+            return solve_dcut(ppg, d)
+
+        monkeypatch.setattr(cli, "solve_dcut", recorded)
         code = main(["crosscheck", "--problem", "dcut", "--d", "1",
-                     "--count", "1", "--max-n", "6", "--seed", "1"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {DCUT_D1}\n"
+                     "--count", "20", "--max-n", "10", "--seed", "1"])
+        assert code == 0
+        assert ds == [1] * 20
+        assert "20/20 agree on problem=dcut" in capsys.readouterr().err
 
     def test_count_zero_warns(self, capsys):
         code = main(["crosscheck", "--problem", "pmc", "--count", "0",

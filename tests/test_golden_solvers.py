@@ -7,19 +7,23 @@ test reaches the solver's two-component second round, its mixed-edge
 branch, the second round of the type-B case or the opposite-colour half of
 the dominating-pair case.  The featured seeds below reach each of them.
 Never edit SOLVER_DIGEST to make this pass; a changed digest means changed
-output.
+output.  At d = 1 the corpus is checked against ``backtrack_dcut`` instead.
 """
 
 import hashlib
 import random
 
 from probecut import (
+    CutCertificate,
     PartitionedProbeGraph,
+    backtrack_dcut,
+    brute_probe_certificate,
     build_graph,
     is_connected,
     random_probe_hfree,
     solve_dcut,
     sp1_p4_pattern,
+    validate_colouring,
 )
 
 SOLVER_DIGEST = "d4d4ae86a270e798f89bdbb705c95508fe3b1b42bae3084d3b624dbf4c70d242"
@@ -108,3 +112,38 @@ def _golden_lines():
 def test_solver_output_matches_golden_digest():
     digest = hashlib.sha256("\n".join(_golden_lines()).encode()).hexdigest()
     assert digest == SOLVER_DIGEST
+
+
+# in-class seeds whose d = 1 "yes" the corpus above does not reach: one
+# needs an opposite-colour pair guess that colours a neighbour of u blue
+# (14154), one a two-component class of 2d vertices (33524)
+FEATURED_D1 = (14154, 33524)
+
+# the final case_trace label of each solve_dcut case
+CASE_LABELS = {
+    "mono-probe", "p4-dominating", "cograph-1comp", "cograph-2comp",
+    "multi-comp/type-a", "multi-comp/type-b", "multi-comp/dominating-pair",
+}
+
+
+def test_d1_agrees_with_backtrack_on_in_class_instances():
+    """At d = 1 every certificate validates, every instance in the class
+    (an hfree one by its generator's certificate, a cograph one when
+    brute_probe_certificate finds one) gets the answer of backtrack_dcut,
+    and the in-class instances reach every case."""
+    pattern = sp1_p4_pattern(1)
+    labels = set()
+    featured = ((f"cograph {seed}", _instance(seed)) for seed in FEATURED_D1)
+    for name, ppg in (*_instances(), *featured):
+        report = solve_dcut(ppg, 1)
+        if report.answer:
+            check = validate_colouring(
+                ppg.graph, list(report.certificate.colouring), 1
+            )
+            assert isinstance(check, CutCertificate), name
+        in_class = (name.startswith("hfree")
+                    or brute_probe_certificate(ppg, pattern) is not None)
+        if in_class:
+            assert report.answer == (backtrack_dcut(ppg.graph, 1) is not None), name
+            labels.add(report.case_trace[-1])
+    assert labels == CASE_LABELS

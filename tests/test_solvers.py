@@ -12,7 +12,6 @@ from probecut import (
     CutCertificate,
     NotConnected,
     PartitionedProbeGraph,
-    UnsupportedD,
     brute_dcut,
     brute_mmc,
     brute_pmc,
@@ -321,9 +320,21 @@ class TestSolveDcut:
         assert not report.answer
         assert brute_dcut(complete_graph(5), 2) is None
 
-    def test_d1_rejected(self):
-        with pytest.raises(UnsupportedD):
-            solve_dcut(all_probes(path_graph(4)), 1)
+    def test_d1_answers(self, monkeypatch):
+        """d = 1 (matching cut) runs the d-cut case analysis, never the
+        matching-cut driver: P4 has a 1-cut, K4 has none."""
+        def never(*args, **kwargs):
+            raise AssertionError("d = 1 went through the matching-cut driver")
+
+        monkeypatch.setattr("probecut.solvers._matching_cut", never)
+        report = solve_dcut(all_probes(path_graph(4)), 1)
+        assert report.answer and report.certificate.d == 1
+        check = validate_colouring(
+            path_graph(4), list(report.certificate.colouring), 1
+        )
+        assert isinstance(check, CutCertificate)
+        assert not solve_dcut(all_probes(complete_graph(4)), 1).answer
+        assert brute_dcut(complete_graph(4), 1) is None
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_d_below_one_is_a_value_error(self, d):
@@ -1012,17 +1023,20 @@ def _star_with_pendant_nonprobes(m=200):
     )
 
 
-def _three_stars_with_pair(m=20):
+def _three_stars_with_pair(m=20, copies=1):
     """Three stars K1,m as the probe side and a dominating type-C pair:
-    one non-probe complete to stars 0 and 1, one to stars 1 and 2;
-    n = 3m + 5, and "yes" at d = 2 on the first alike-colour guess."""
+    ``copies`` non-probes complete to stars 0 and 1, then as many complete
+    to stars 1 and 2; n = 3m + 3 + 2 copies.  With one copy, "yes" at
+    d = 2 on the first alike-colour guess; with two, "no" at d = 1 and 2."""
     k = m + 1
     edges = [(c, c + i) for c in range(0, 3 * k, k) for i in range(1, k)]
-    edges += [(3 * k, v) for v in range(2 * k)]
-    edges += [(3 * k + 1, v) for v in range(k, 3 * k)]
-    g = build_graph(3 * k + 2, edges)
+    for j in range(copies):
+        edges += [(3 * k + j, v) for v in range(2 * k)]
+        edges += [(3 * k + copies + j, v) for v in range(k, 3 * k)]
+    n = 3 * k + 2 * copies
+    g = build_graph(n, edges)
     return PartitionedProbeGraph(
-        g, frozenset(range(3 * k)), frozenset({3 * k, 3 * k + 1})
+        g, frozenset(range(3 * k)), frozenset(range(3 * k, n))
     )
 
 
@@ -1076,3 +1090,36 @@ class TestLazyClasses:
         assert report.answer and report.case_trace == trace
         assert report.branches_explored == branches
         assert elapsed < 0.05
+
+
+
+# at d = 1: (instance, answer, case trace, branches, time budget in s)
+_D_ONE = {
+    "P1000": (lambda: all_probes(path_graph(1000)), True,
+              ["mono-probe", "p4-dominating"], 1, 0.1),
+    # 368,930 alike-colour guesses, all rejected, and 2.6 s or more at d = 2
+    "three-stars-no": (lambda: _three_stars_with_pair(copies=2), False,
+                       ["mono-probe", "multi-comp/dominating-pair"], 8, 0.5),
+}
+
+
+class TestDcutAtDOne:
+    """d = 1 runs the same case analysis, with at most n^2 guesses, so a
+    family that takes seconds at d = 2 answers at once."""
+
+    @pytest.mark.parametrize("name", sorted(_D_ONE))
+    def test_time_budget(self, name):
+        build, answer, trace, branches, budget = _D_ONE[name]
+        ppg = build()
+        start = time.perf_counter()
+        report = solve_dcut(ppg, 1)
+        elapsed = time.perf_counter() - start
+        assert report.answer is answer
+        assert report.case_trace == trace
+        assert report.branches_explored == branches
+        if answer:
+            check = validate_colouring(
+                ppg.graph, list(report.certificate.colouring), 1
+            )
+            assert isinstance(check, CutCertificate)
+        assert elapsed < budget
