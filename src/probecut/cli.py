@@ -93,8 +93,7 @@ def _build_graph(n: int, edges) -> Graph:
 def parse_instance(text: str) -> InstanceDocument:
     """Parse the JSON instance format or the line-oriented edge list into
     a checked instance: the graph is built once, the probe partition is
-    checked and every certificate pair must lie inside the non-probe
-    side."""
+    checked and every certificate pair must be two distinct non-probes."""
     n, edges, probes, nonprobes, cert_pairs, metadata = _parse_fields(text)
     ppg = PartitionedProbeGraph(
         _build_graph(n, edges), frozenset(probes), frozenset(nonprobes)
@@ -103,6 +102,8 @@ def parse_instance(text: str) -> InstanceDocument:
     if cert_pairs is not None:
         cert = ProbeCertificate.of(cert_pairs)
         for u, v in cert.f_edges:
+            if u == v:
+                raise InvalidInstance(f"certificate pair {(u, v)} is a loop")
             if u not in ppg.nonprobes or v not in ppg.nonprobes:
                 raise InvalidInstance(
                     f"certificate pair {(u, v)} leaves the non-probe side"
@@ -314,16 +315,16 @@ def cmd_solve(opts, argv) -> int:
 
 def cmd_verify(opts, argv) -> int:
     started = time.perf_counter()
+    # a bad pattern name is refused before the input is read
+    patterns = None if opts.pattern is None else (
+        split_forbidden_patterns() if opts.pattern == "split"
+        else (parse_pattern(opts.pattern),)
+    )
     doc = parse_instance(_read(opts.input))
     ppg, cert = doc.ppg, doc.certificate
-    if opts.pattern is not None:
+    if patterns is not None:
         if cert is None:
             raise InvalidInstance("instance carries no certificate_f to verify")
-        patterns = (
-            split_forbidden_patterns()
-            if opts.pattern == "split"
-            else (parse_pattern(opts.pattern),)
-        )
         for pattern in patterns:
             if not verify_probe_certificate(ppg, cert, pattern):
                 return _emit_report(

@@ -156,6 +156,8 @@ def path_pattern(t: int) -> Pattern:
 
 
 def cycle_pattern(r: int) -> Pattern:
+    if r < 3:
+        raise UnsupportedPattern(f"cycle C{r} needs at least 3 vertices")
     edges = [(i, (i + 1) % r) for i in range(r)]
     return Pattern(f"C{r}", build_graph(r, edges))
 
@@ -438,13 +440,15 @@ def verify_probe_certificate(
 ) -> bool:
     """True iff adding the certificate edges makes the graph pattern-free.
 
-    Raises :class:`InvalidCertificate` if a certificate pair is not inside
-    the non-probe side.  No pair there is an edge already, since
-    :class:`PartitionedProbeGraph` refuses edges between non-probes.
+    Raises :class:`InvalidCertificate` if a certificate pair is a loop or
+    is not inside the non-probe side.  No pair there is an edge already,
+    since :class:`PartitionedProbeGraph` refuses edges between non-probes.
     """
     g = ppg.graph
     for u, v in cert.f_edges:
-        if u == v or u not in ppg.nonprobes or v not in ppg.nonprobes:
+        if u == v:
+            raise InvalidCertificate(f"certificate pair {(u, v)} is a loop")
+        if u not in ppg.nonprobes or v not in ppg.nonprobes:
             raise InvalidCertificate(
                 f"certificate pair {(u, v)} not inside the non-probe side"
             )

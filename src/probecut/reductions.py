@@ -177,18 +177,14 @@ def moshi_double(g: Graph) -> tuple[PartitionedProbeGraph, ProbeCertificate]:
     return ppg, ProbeCertificate.of(f_pairs)
 
 
-def subdivide4(
-    g: Graph, rotation: dict[int, list[int]] | None = None
-) -> tuple[PartitionedProbeGraph, ProbeCertificate]:
+def subdivide4(g: Graph) -> tuple[PartitionedProbeGraph, ProbeCertificate]:
     """Subdivide every edge of a connected cubic graph four times.
 
     The k-th edge uv (lexicographic) becomes the path
     u, n+4k, n+4k+1, n+4k+2, n+4k+3, v.  The subdivision points next to an
     original vertex form the non-probe side; for each original vertex the
-    certificate joins one pair of its three such neighbours - the pair
-    matching the first two entries of ``rotation[u]`` when a cyclic
-    neighbour order is supplied, otherwise the two of least id.  The
-    completed graph stays subcubic and is claw- and diamond-free, and
+    certificate joins the two of least id among its three such neighbours.
+    The completed graph stays subcubic and is claw- and diamond-free, and
     perfect-matching-cut existence is preserved.
     """
     if not is_connected(g):
@@ -206,18 +202,7 @@ def subdivide4(
         close_at[v][u] = y4
     total = n + 4 * len(edges)
     gprime = build_graph(total, new_edges)
-    f_pairs: list[tuple[int, int]] = []
-    for u in range(n):
-        if rotation is not None and u in rotation:
-            order = rotation[u]
-            if sorted(order) != list(iter_bits(g.adj_bits[u])):
-                raise NotCubic(
-                    f"rotation at {u} does not list its neighbours"
-                )
-            a, b = close_at[u][order[0]], close_at[u][order[1]]
-        else:
-            a, b = sorted(close_at[u].values())[:2]
-        f_pairs.append((min(a, b), max(a, b)))
+    f_pairs = [tuple(sorted(at.values())[:2]) for at in close_at.values()]
     nonprobes = frozenset(y for at in close_at.values() for y in at.values())
     ppg = PartitionedProbeGraph(
         gprime, frozenset(range(total)) - nonprobes, nonprobes

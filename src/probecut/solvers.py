@@ -69,11 +69,11 @@ class SolveReport:
     case_trace: list[str] = field(default_factory=list)
 
 
-def _subsets(mask: int, lo: int, hi: int) -> Iterator[int]:
-    """Sub-masks of ``mask`` with lo to hi vertices, by size and then in
+def _subsets(mask: int, hi: int) -> Iterator[int]:
+    """Sub-masks of ``mask`` with at most hi vertices, by size and then in
     lexicographic order of their ascending vertex lists."""
     bits = [1 << v for v in iter_bits(mask)]
-    for size in range(lo, min(hi, len(bits)) + 1):
+    for size in range(min(hi, len(bits)) + 1):
         for sel in combinations(bits, size):
             yield sum(sel)
 
@@ -183,28 +183,27 @@ class _DcutSolver:
         second: Optional[Callable[[int], int]] = None,
     ) -> Optional[CutCertificate]:
         """Search from the disjoint masks (x, y), branching the non-probe
-        neighbourhood of ``guessed``.  Only a one-colour probe side is
-        skipped, as the lone-non-probe step covers it."""
+        neighbourhood of ``guessed``.  Only here is a one-colour probe side
+        skipped (the lone-non-probe step covers it), so a class may be empty."""
         if not (x & self.p_mask and y & self.p_mask):
             return None
         return self._search(x, y, _nbhd(self.adj_bits, guessed) & self.n_mask, second)
 
     def _classes(
-        self, outer: Iterable[tuple[int, int, int]], part: int, lo: int,
-        hi: int, then: Callable, polarity: tuple[bool, ...] = (True, False),
+        self, outer: Iterable[tuple[int, int, int]], part: int, hi: int,
+        then: Callable, polarity: tuple[bool, ...] = (True, False),
     ) -> Optional[CutCertificate]:
         """The one guess product of :func:`solve_dcut`: each outer guess
         (x0, y0, g0), each polarity (red first) and each class xm of
         ``part`` from :meth:`_small_classes`, the rest of the part opposite,
         are joined and passed to ``then`` unless the joint masks overlap.
-        Each outer guess is closed once with :func:`process_masks`, as a
-        filter: colours only grow, so if it rejects, every joint would.
-        Classes are drawn only when first needed, then replayed from ``tee``."""
-        classes, first = tee(self._small_classes(part, lo, hi))
-        if next(first, -1) < 0:  # no class at all; the empty class is 0
-            return None
+        Each non-empty outer guess is closed once with :func:`process_masks`,
+        as a filter: colours only grow, so if it rejects, every joint would.
+        Classes, the empty one first, are drawn only when first needed, then
+        replayed from ``tee``."""
+        classes = tee(self._small_classes(part, hi), 1)[0]
         for x0, y0, g0 in outer:
-            if process_masks(self.adj_bits, self.n, x0, y0, self.d) is None:
+            if (x0 | y0) and process_masks(self.adj_bits, self.n, x0, y0, self.d) is None:
                 continue
             for red in polarity:
                 for xm in copy(classes):
@@ -216,8 +215,8 @@ class _DcutSolver:
                         return cert
         return None
 
-    def _small_classes(self, part_mask: int, lo: int, hi: int) -> Iterator[int]:
-        """Guesses for a colour class of lo to ``hi`` vertices inside
+    def _small_classes(self, part_mask: int, hi: int) -> Iterator[int]:
+        """Guesses for a colour class of at most ``hi`` vertices inside
         ``part_mask`` while the rest of the part takes the other colour.
 
         Exactly the subsets S that :func:`_subsets` yields, in its order,
@@ -237,7 +236,7 @@ class _DcutSolver:
         """
         adj, d = self.adj_bits, self.d
         deg = [(v, (adj[v] & part_mask).bit_count()) for v in iter_bits(part_mask)]
-        for k in range(lo, min(hi, len(deg)) + 1):
+        for k in range(min(hi, len(deg)) + 1):
             pool = sum(1 << v for v, dv in deg if dv < d + k)
             # (prefix, pool vertices above its last, banned vertices)
             stack = [(0, pool, 0)]
@@ -319,12 +318,11 @@ class _DcutSolver:
 
     def _one_component(self) -> Optional[CutCertificate]:
         """Connected cograph probe side: some colour class inside it has
-        at most min(2d, |P| - 1) vertices, so guess it (both polarities),
-        branch its non-probe neighbourhood and fill the rest.  Only guesses
-        that keep every probe within budget among the probes are made."""
+        at most 2d vertices, so guess it (both polarities), branch its
+        non-probe neighbourhood and fill the rest.  Only guesses that keep
+        every probe within budget among the probes are made."""
         self.trace.append("cograph-1comp")
-        hi = min(2 * self.d, self.p_mask.bit_count() - 1)
-        return self._classes([(0, 0, 0)], self.p_mask, 1, hi, self._guess)
+        return self._classes([(0, 0, 0)], self.p_mask, 2 * self.d, self._guess)
 
     def _two_components(self, c1m: int, c2m: int) -> Optional[CutCertificate]:
         """Guess a bounded red class x1 in c1 and a bounded class in c2,
@@ -337,9 +335,9 @@ class _DcutSolver:
         self.trace.append("cograph-2comp")
         cap = 2 * self.d
         outer = ((x1m, c1m & ~x1m, x1m)
-                 for x1m in self._small_classes(c1m, 0, cap))
+                 for x1m in self._small_classes(c1m, cap))
         then = partial(self._guess, second=partial(self._two_component_round, c1m, c2m))
-        return self._classes(outer, c2m, 0, cap, then)
+        return self._classes(outer, c2m, cap, then)
 
     def _mixed_edge(self, b: int, cm: int) -> int:
         """Mask of an edge of the component with exactly one end adjacent
@@ -421,9 +419,9 @@ class _DcutSolver:
         nv = self.adj_bits[v]
         c1m = next(cm for cm in comps if nv & cm != cm)
         outer = ((xvm, (1 << v) | (nv & ~xvm), xvm)
-                 for xvm in _subsets(nv, 0, self.d))
+                 for xvm in _subsets(nv, self.d))
         then = partial(self._guess, second=partial(self._type_b_round, b_mask, comps, c1m))
-        return self._classes(outer, c1m, 0, 2 * self.d, then)
+        return self._classes(outer, c1m, 2 * self.d, then)
 
     def _type_b_round(self, b_mask, comps, c1m, unc) -> int:
         """Frontier for the vertices the type-B guesses left uncoloured:
@@ -462,20 +460,20 @@ class _DcutSolver:
         if u is None:
             return None  # class promise broken; nothing sound to report
         bu, bv = 1 << u, 1 << v
-        hi = min(2 * self.d, self.p_mask.bit_count() - 1)
-        cert = self._classes([(0, bu | bv, 0)], self.p_mask, 1, hi, self._guess, (True,))
+        cert = self._classes([(0, bu | bv, 0)], self.p_mask, 2 * self.d, self._guess, (True,))
         if cert:
             return cert
         nu, nv = self.adj_bits[u], self.adj_bits[v]
         outer = ((bu | (nu & ~xum), bv | xum, xum)
-                 for xum in _subsets(nu, 0, self.d))
+                 for xum in _subsets(nu, self.d))
         then = partial(self._pair_branch, comps=comps)
-        return self._classes(outer, nv, 0, self.d, then, (True,))
+        return self._classes(outer, nv, self.d, then, (True,))
 
     def _pair_branch(self, x0, y0, guess_mask, comps) -> Optional[CutCertificate]:
-        """Branch the guessed vertices' neighbourhood, then the
-        neighbourhoods of the least vertex of the first untouched
-        component coloured red and of the first coloured blue."""
+        """Guess step whose second round branches the neighbourhoods of the
+        least vertex of the first untouched component coloured red and of
+        the first coloured blue.  A filled vertex has no uncoloured
+        neighbour, so filling before that round changes no leaf."""
         untouched = [cm for cm in comps if not cm & guess_mask]
         extra = 0
         for colour in (x0, y0):
@@ -483,12 +481,7 @@ class _DcutSolver:
                 if cm & colour == cm:
                     extra |= self.adj_bits[(cm & -cm).bit_length() - 1]
                     break
-        frontier = _nbhd(self.adj_bits, guess_mask) & self.n_mask
-        for x, y in _branch_leaves(self.g, x0, y0, frontier, self.d):
-            cert = self._search(x, y, extra & self.n_mask)
-            if cert:
-                return cert
-        return None
+        return self._guess(x0, y0, guess_mask, lambda unc: extra & self.n_mask)
 
 
 def solve_dcut(ppg: PartitionedProbeGraph, d: int) -> SolveReport:
@@ -517,7 +510,7 @@ def _matching_cut(
     if not is_connected(g):
         raise NotConnected("matching-cut solver needs a connected input")
     adj, full = g.adj_bits, (1 << g.n) - 1
-    for seed in _subsets(full, 0, s + 4):
+    for seed in _subsets(full, s + 4):
         frontier = seed | _nbhd(adj, seed)
         rest = full & ~frontier
         if all(not adj[v] & rest for v in iter_bits(rest)):

@@ -408,6 +408,8 @@ class TestRefusals:
     @pytest.mark.parametrize("text, exc, message", [
         (json.dumps({**_P3_NONPROBE_ENDS, "certificate_f": [[0, 1]]}),
          InvalidInstance, "certificate pair (0, 1) leaves the non-probe side"),
+        (json.dumps({**_P3_NONPROBE_ENDS, "certificate_f": [[2, 2]]}),
+         InvalidInstance, "certificate pair (2, 2) is a loop"),
         ("e 0 x\n", ParseError,
          "line 1: invalid literal for int() with base 10: 'x'"),
         ("e 0 1\nprobe 0\nnonprobe 0\n", InvalidInstance,
@@ -418,7 +420,7 @@ class TestRefusals:
          "vertex count must be non-negative, got -1"),
         ('{"n": 3, "edges": [[0, 1], [1, 2]], "probes": [1], "nonprobes": [0]}',
          InvalidInstance, "probes and nonprobes do not cover V"),
-    ], ids=["certificate-outside", "text-bad-token", "text-probe-and-nonprobe",
+    ], ids=["certificate-outside", "certificate-loop", "text-bad-token", "text-probe-and-nonprobe",
             "text-nonprobe-past-n", "negative-n", "uncovered"])
     def test_bad_instance(self, tmp_path, capsys, text, exc, message):
         with pytest.raises(exc) as info:
@@ -457,6 +459,21 @@ class TestRefusals:
         monkeypatch.setattr("probecut.reductions._SAT_ATTEMPTS", 0)
         _refused(capsys, ["generate", "--family", "sat4p1"],
                  "no valid-shape SAT instance with 6 variables in 0 draws")
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("command", ["verify", "generate"])
+    def test_short_cycle_pattern_refused(self, capsys, monkeypatch, command, r):
+        """C0, C1 and C2 are no cycles: both commands refuse the name
+        before they read an input or draw a sample."""
+        def never(*args, **kwargs):
+            raise AssertionError("read or drew past a refused pattern")
+
+        monkeypatch.setattr(cli, "_read", never)
+        monkeypatch.setattr(cli, "random_probe_hfree", never)
+        argv = (["verify", "--input", "missing.json"] if command == "verify"
+                else ["generate", "--family", "random-probe-hfree"])
+        _refused(capsys, argv + ["--pattern", f"C{r}"],
+                 f"cycle C{r} needs at least 3 vertices")
 
     def test_verify_pattern_no(self, tmp_path, capsys):
         """An empty certificate leaves the induced P3 in place: the answer

@@ -359,6 +359,19 @@ class TestPatterns:
         with pytest.raises(UnsupportedPattern, match=f"has {k} > 8 vertices"):
             parse_pattern(name)
 
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_short_cycles_refused(self, r, monkeypatch):
+        """C0, C1 and C2 name no cycle; no graph is built for them."""
+        def never(*args, **kwargs):
+            raise AssertionError("built a graph for a short cycle")
+
+        monkeypatch.setattr("probecut.graph.build_graph", never)
+        message = f"cycle C{r} needs at least 3 vertices"
+        for make in (lambda: parse_pattern(f"C{r}"), lambda: cycle_pattern(r)):
+            with pytest.raises(UnsupportedPattern) as info:
+                make()
+            assert str(info.value) == message
+
     @pytest.mark.parametrize("name", ["P8", "C8", "K1,7", "8P1", "4P1+P4"])
     def test_largest_names_parse(self, name):
         assert parse_pattern(name).graph.n == 8
@@ -404,6 +417,16 @@ class TestProbeCertificate:
         assert str(info.value) == (
             "certificate pair (1, 2) not inside the non-probe side"
         )
+
+    def test_loop_pair_message(self):
+        """A pair (v, v) is named as a loop, even with v a non-probe."""
+        g = path_graph(3)
+        ppg = PartitionedProbeGraph(g, frozenset({1}), frozenset({0, 2}))
+        with pytest.raises(InvalidCertificate) as info:
+            verify_probe_certificate(
+                ppg, ProbeCertificate.of([(2, 2)]), two_p2_pattern()
+            )
+        assert str(info.value) == "certificate pair (2, 2) is a loop"
 
     def test_uncovered_vertex_rejected(self):
         with pytest.raises(InvalidInstance) as info:

@@ -179,19 +179,6 @@ class TestSubdivide4:
             backtrack_dcut(ppg.graph, 1, require_perfect=True) is not None
         )
 
-    def test_rotation_selects_pair(self):
-        g = complete_graph(4)
-        rotation = {0: [3, 2, 1], 1: [0, 2, 3], 2: [0, 1, 3], 3: [0, 1, 2]}
-        ppg, cert = subdivide4(g, rotation)
-        # vertex 0's chosen pair follows the rotation: edges (0,3) and (0,2)
-        by_edge = {e: 4 + 4 * k for k, e in enumerate(g.edges())}
-        want = (by_edge[(0, 2)], by_edge[(0, 3)])
-        assert (min(want), max(want)) in cert.f_edges
-
-    def test_bad_rotation_rejected(self):
-        with pytest.raises(NotCubic):
-            subdivide4(complete_graph(4), {0: [1, 2, 0]})
-
     def test_requires_cubic(self):
         with pytest.raises(NotCubic):
             subdivide4(cycle_graph(4))

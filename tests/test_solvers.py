@@ -50,7 +50,7 @@ def _reference_seeds(ppg: PartitionedProbeGraph, k: int):
     g = ppg.graph
     full = (1 << g.n) - 1
     adj = g.adj_bits
-    for sel in _subsets(full, 0, k):
+    for sel in _subsets(full, k):
         covered = sel
         for v in iter_bits(sel):
             covered |= adj[v]
@@ -214,18 +214,18 @@ class TestDominatingPair:
             solver = _DcutSolver(ppg, d)
             calls = []
 
-            def capture(outer, part, lo, hi, then, polarity=(True, False)):
-                calls.append((part, lo, hi, polarity, outer, then))
+            def capture(outer, part, hi, then, polarity=(True, False)):
+                calls.append((part, hi, polarity, outer, then))
 
             solver._classes = capture
             comps = connected_components(ppg.graph, solver.p_mask)
             assert solver._many_components(comps) is None
-            assert [call[:4] for call in calls] == [
-                (solver.p_mask, 1, min(2 * d, 5), (True,)),
-                (ppg.graph.adj_bits[6], 0, d, (True,)),
+            assert [call[:3] for call in calls] == [
+                (solver.p_mask, 2 * d, (True,)),
+                (ppg.graph.adj_bits[6], d, (True,)),
             ]
-            assert calls[0][4:] == ([(0, 1 << 6 | 1 << 7, 0)], solver._guess)
-            assert next(iter(calls[1][4])) == (1 << 7 | ppg.graph.adj_bits[7], 1 << 6, 0)
+            assert calls[0][3:] == ([(0, 1 << 6 | 1 << 7, 0)], solver._guess)
+            assert next(iter(calls[1][3])) == (1 << 7 | ppg.graph.adj_bits[7], 1 << 6, 0)
 
     def test_no_type_c_returns_none(self):
         edges = [(0, 1), (2, 3), (4, 5), (6, 0), (7, 2), (7, 3), (8, 4)]
@@ -734,8 +734,8 @@ class TestGuessStep:
             raise AssertionError(f"second round asked for {unc:b}")
 
         c1m, c2m = (sum(1 << v for v in comp) for comp in comps)
-        inner = list(solver._small_classes(c2m, 0, 2 * d))
-        for x1m in solver._small_classes(c1m, 0, 2 * d):
+        inner = list(solver._small_classes(c2m, 2 * d))
+        for x1m in solver._small_classes(c1m, 2 * d):
             for x2m in inner:
                 x, y = x1m | x2m, solver.p_mask & ~(x1m | x2m)
                 frontier = _nbhd(solver.adj_bits, x) & solver.n_mask
@@ -780,15 +780,12 @@ class TestSmallClassPruning:
         parts = [solver.p_mask]
         if len(comps) > 1:
             parts += [sum(1 << v for v in comp) for comp in comps]
-        ranges = [
-            (part, lo, hi) for part in parts
-            for lo, hi in ((1, min(2 * d, part.bit_count() - 1)), (0, 2 * d))
-        ]
+        ranges = [(part, 2 * d) for part in parts]
         # the opposite-colour pair product guesses inside neighbourhoods
-        ranges += [(adj[v] & solver.p_mask, 0, d) for v in iter_bits(solver.n_mask)]
-        for part, lo, hi in ranges:
-            assert list(solver._small_classes(part, lo, hi)) == [
-                s for s in _subsets(part, lo, hi)
+        ranges += [(adj[v] & solver.p_mask, d) for v in iter_bits(solver.n_mask)]
+        for part, hi in ranges:
+            assert list(solver._small_classes(part, hi)) == [
+                s for s in _subsets(part, hi)
                 if local_masks_valid(adj, s, part & ~s, d)
             ]
 
@@ -839,19 +836,17 @@ class TestSmallClassPruning:
             else [sum(1 << v for v in comp) for comp in comps]
         )
         for part_mask in parts:
-            size = part_mask.bit_count()
-            for lo, hi in ((1, min(2 * d, size - 1)), (0, 2 * d)):
-                every = list(_subsets(part_mask, lo, hi))
-                kept = list(solver._small_classes(part_mask, lo, hi))
-                remaining = iter(every)
-                assert all(m in remaining for m in kept)
-                for xm in set(every) - set(kept):
-                    frontier = _nbhd(solver.adj_bits, xm) & solver.n_mask
-                    rest = part_mask & ~xm
-                    for x0, y0 in ((xm, rest), (rest, xm)):
-                        assert not list(
-                            _branch_leaves(ppg.graph, x0, y0, frontier, d)
-                        )
+            every = list(_subsets(part_mask, 2 * d))
+            kept = list(solver._small_classes(part_mask, 2 * d))
+            remaining = iter(every)
+            assert all(m in remaining for m in kept)
+            for xm in set(every) - set(kept):
+                frontier = _nbhd(solver.adj_bits, xm) & solver.n_mask
+                rest = part_mask & ~xm
+                for x0, y0 in ((xm, rest), (rest, xm)):
+                    assert not list(
+                        _branch_leaves(ppg.graph, x0, y0, frontier, d)
+                    )
 
     def test_vertex_at_the_bound_stays_guessable(self):
         """The bound is tight: probe 0 of the class {0, 1, 2, 3} has
@@ -864,7 +859,7 @@ class TestSmallClassPruning:
                             (4, 5), (0, 4), (0, 5), (1, 6)])
         ppg = PartitionedProbeGraph(g, frozenset(range(6)), frozenset({6}))
         solver = _DcutSolver(ppg, 2)
-        assert 0b1111 in solver._small_classes(solver.p_mask, 1, 4)
+        assert 0b1111 in solver._small_classes(solver.p_mask, 4)
         assert list(_branch_leaves(g, 0b1111, 0b110000, 1 << 6, 2))
 
     def test_dense_cotree_needs_few_closures(self, monkeypatch):
@@ -913,14 +908,14 @@ class TestSmallClassPruning:
         assert calls[0] > 0
 
 
-def _reference_product(outer, part, lo, hi, polarity):
+def _reference_product(outer, part, hi, polarity):
     """The guess product before outer guesses were closed: every outer
     guess, polarity and class of ``part``, with overlapping masks skipped.
     Classes are all subsets; start-closure filtering makes that the pruned
     list."""
     from probecut.solvers import _subsets
 
-    classes = list(_subsets(part, lo, hi))
+    classes = list(_subsets(part, hi))
     for x0, y0, g0 in outer:
         for red in polarity:
             for xm in classes:
@@ -936,8 +931,8 @@ def _pair_reference(adj, bu, bv, d):
     from probecut.solvers import _subsets
 
     nu, nv = adj[bu.bit_length() - 1], adj[bv.bit_length() - 1]
-    for xum in _subsets(nu, 0, d):
-        for xvm in _subsets(nv, 0, d):
+    for xum in _subsets(nu, d):
+        for xvm in _subsets(nv, d):
             x0 = bu | (nu & ~xum) | xvm
             y0 = bv | (nv & ~xvm) | xum
             if not x0 & y0:
@@ -966,8 +961,8 @@ def _check_guess_products(ppg, d):
     solver = _DcutSolver(ppg, d)
     calls = []
 
-    def capture(outer, part, lo, hi, then, polarity=(True, False)):
-        calls.append((solver.trace[-1], list(outer), part, lo, hi, polarity))
+    def capture(outer, part, hi, then, polarity=(True, False)):
+        calls.append((solver.trace[-1], list(outer), part, hi, polarity))
 
     solver._classes = capture
     solver._dispatch()
@@ -976,18 +971,18 @@ def _check_guess_products(ppg, d):
     def live(guesses):
         return [t for t in guesses if process_masks(adj, n, t[0], t[1], d)]
 
-    for case, outer, part, lo, hi, polarity in calls:
+    for case, outer, part, hi, polarity in calls:
         assert polarity == _POLARITIES[case]
         got = []
         _DcutSolver._classes(
-            solver, outer, part, lo, hi,
+            solver, outer, part, hi,
             lambda x, y, g: got.append((x, y, g)), polarity,
         )
         if case == "multi-comp/dominating-pair" and part != solver.p_mask:
             bu, bv = (m & solver.n_mask for m in outer[0][:2])
             expected = _pair_reference(adj, bu, bv, d)
         else:
-            expected = _reference_product(outer, part, lo, hi, polarity)
+            expected = _reference_product(outer, part, hi, polarity)
         assert live(got) == live(expected)
     return {case for case, *_ in calls}
 
@@ -1056,14 +1051,15 @@ class TestLazyClasses:
     @pytest.mark.parametrize("name", sorted(_EARLY_YES))
     def test_draws_up_to_the_class_that_succeeds(self, name, monkeypatch):
         """Each ``_classes`` call starts ``_small_classes`` once and draws
-        only the first class, on which the guess succeeds."""
+        two classes: the empty one, which leaves the probe side in one
+        colour and is skipped, then the one on which the guess succeeds."""
         build, trace, branches, red = _EARLY_YES[name]
         starts, draws = [], [0]
         small_classes = _DcutSolver._small_classes
 
-        def counted(self, part, lo, hi):
+        def counted(self, part, hi):
             starts.append(part)
-            for xm in small_classes(self, part, lo, hi):
+            for xm in small_classes(self, part, hi):
                 draws[0] += 1
                 yield xm
 
@@ -1075,7 +1071,7 @@ class TestLazyClasses:
         colours = report.certificate.colouring
         assert [v for v, c in enumerate(colours) if c == "red"] == red
         assert starts == [_DcutSolver(ppg, 2).p_mask]
-        assert draws[0] == 1
+        assert draws[0] == 2
 
     @pytest.mark.parametrize("name", sorted(_EARLY_YES))
     def test_early_yes_time_budget(self, name):
@@ -1102,6 +1098,22 @@ _D_ONE = {
                        ["mono-probe", "multi-comp/dominating-pair"], 8, 0.5),
 }
 
+# at d = 1: (n, probes 0 to probes - 1, edges, case, branches, red vertices
+# of the certificate); each needs the 2d class cap of its case
+_D_ONE_CAPS = {
+    "alike-colour-cap": (
+        8, 4,
+        [(0, 4), (0, 5), (0, 6), (0, 7), (1, 4), (1, 5), (1, 6), (2, 5),
+         (2, 7), (3, 4), (3, 7)],
+        "multi-comp/dominating-pair", 9, [2, 3, 7]),
+    "type-b-cap": (
+        12, 10,
+        [(0, 10), (0, 11), (1, 10), (1, 11), (2, 10), (2, 11), (3, 10),
+         (3, 11), (4, 5), (4, 7), (5, 6), (6, 7), (6, 10), (7, 10), (8, 9),
+         (8, 10), (8, 11), (9, 10), (9, 11)],
+        "multi-comp/type-b", 5, [4, 5]),
+}
+
 
 class TestDcutAtDOne:
     """d = 1 runs the same case analysis, with at most n^2 guesses, so a
@@ -1123,3 +1135,24 @@ class TestDcutAtDOne:
             )
             assert isinstance(check, CutCertificate)
         assert elapsed < budget
+
+    @pytest.mark.parametrize("name", sorted(_D_ONE_CAPS))
+    def test_class_cap_pinned(self, name):
+        """In-class "yes" instances that need a colour class of the full
+        2d = 2 vertices: with the named cap cut to 2d - 1 at d = 1, each
+        answers "no"."""
+        from probecut.oracles import backtrack_dcut
+
+        n, probes, edges, trace, branches, red = _D_ONE_CAPS[name]
+        g = build_graph(n, edges)
+        ppg = PartitionedProbeGraph(
+            g, frozenset(range(probes)), frozenset(range(probes, n))
+        )
+        assert brute_probe_certificate(ppg, sp1_p4_pattern(1)) is not None
+        assert backtrack_dcut(g, 1) is not None
+        report = solve_dcut(ppg, 1)
+        assert report.answer
+        assert report.case_trace == ["mono-probe", trace]
+        assert report.branches_explored == branches
+        colours = report.certificate.colouring
+        assert [v for v, c in enumerate(colours) if c == "red"] == red
