@@ -24,7 +24,6 @@ from typing import Optional
 from .errors import (
     GenerationTimeout,
     InvalidInstance,
-    NotBipartite,
     ParseError,
     ProbeCutError,
 )
@@ -32,11 +31,14 @@ from .graph import (
     Graph,
     PartitionedProbeGraph,
     ProbeCertificate,
+    _check_pairs,
     _check_pattern_size,
     _nbhd,
     build_graph,
+    find_induced,
     iter_bits,
     parse_pattern,
+    path_pattern,
     random_probe_hfree,
     split_forbidden_patterns,
     sp1_p4_pattern,
@@ -82,32 +84,18 @@ def document_from(
     return InstanceDocument(ppg, cert, dict(metadata or {}))
 
 
-def _build_graph(n: int, edges) -> Graph:
-    """``build_graph`` with a bad edge reported as an invalid instance."""
-    try:
-        return build_graph(n, edges)
-    except ProbeCutError as exc:
-        raise InvalidInstance(str(exc)) from exc
-
-
 def parse_instance(text: str) -> InstanceDocument:
     """Parse the JSON instance format or the line-oriented edge list into
-    a checked instance: the graph is built once, the probe partition is
-    checked and every certificate pair must be two distinct non-probes."""
+    a checked instance: :func:`build_graph`, :class:`PartitionedProbeGraph`
+    and :func:`_check_pairs` each raise an :class:`InvalidInstance`."""
     n, edges, probes, nonprobes, cert_pairs, metadata = _parse_fields(text)
     ppg = PartitionedProbeGraph(
-        _build_graph(n, edges), frozenset(probes), frozenset(nonprobes)
+        build_graph(n, edges), frozenset(probes), frozenset(nonprobes)
     )
     cert = None
     if cert_pairs is not None:
         cert = ProbeCertificate.of(cert_pairs)
-        for u, v in cert.f_edges:
-            if u == v:
-                raise InvalidInstance(f"certificate pair {(u, v)} is a loop")
-            if u not in ppg.nonprobes or v not in ppg.nonprobes:
-                raise InvalidInstance(
-                    f"certificate pair {(u, v)} leaves the non-probe side"
-                )
+        _check_pairs(ppg, cert)
     return InstanceDocument(ppg, cert, metadata)
 
 
@@ -163,6 +151,8 @@ def _parse_json_instance(text: str) -> tuple:
 
 
 def _parse_text_instance(text: str) -> tuple:
+    """The fields of the edge list; the non-probes are the marked ones plus
+    every unmarked vertex, as :class:`PartitionedProbeGraph` checks them."""
     n: Optional[int] = None
     edges: list[tuple[int, int]] = []
     probes: set[int] = set()
@@ -190,12 +180,8 @@ def _parse_text_instance(text: str) -> tuple:
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
     n = _check_size(seen_vertex + 1 if n is None else n)
-    if probes & nonprobes:
-        raise InvalidInstance("a vertex is marked both probe and nonprobe")
-    declared_non = set(range(n)) - probes  # unmarked vertices are non-probes
-    if not nonprobes <= declared_non:
-        raise InvalidInstance("nonprobe marking contradicts probe marking")
-    return n, edges, probes, declared_non, cert or None, {}
+    nonprobes |= set(range(n)) - probes
+    return n, edges, probes, nonprobes, cert or None, {}
 
 
 def serialize_instance(doc: InstanceDocument) -> str:
@@ -265,7 +251,7 @@ def _read_graph(path: str) -> Graph:
     """Read only the graph part of an instance file; reduction inputs are
     plain graphs, so the probe partition is neither required nor checked."""
     n, edges, *_ = _parse_fields(_read(path))
-    return _build_graph(n, edges)
+    return build_graph(n, edges)
 
 
 # problem -> (poly solver, oracle): the solver takes the instance and the
@@ -348,26 +334,22 @@ def cmd_verify(opts, argv) -> int:
 
 
 def _bipartition_side(g: Graph, anchor: int) -> frozenset[int]:
-    """The bipartition class containing ``anchor``, by a layered frontier
-    BFS; raises ParseError for an anchor that is not a vertex and
-    NotBipartite on an odd cycle or disconnection."""
+    """The vertices at even distance from ``anchor``, by a layered frontier
+    BFS: its bipartition class when the graph is connected and bipartite,
+    which :func:`bipartite_to_split` checks.  Raises ParseError for an
+    anchor that is not a vertex."""
     if not 0 <= anchor < g.n:
         raise ParseError(
             f"--side-of {anchor} is not a vertex of the {g.n}-vertex graph"
         )
-    frontier = seen = 1 << anchor
-    sides, layer = [frontier, 0], 0
+    frontier = seen = side = 1 << anchor
     while frontier:
-        reach = _nbhd(g.adj_bits, frontier)
-        if reach & sides[layer]:  # a neighbour on the frontier's own side
-            raise NotBipartite("graph has an odd cycle")
-        frontier = reach & ~seen
+        odd = _nbhd(g.adj_bits, frontier) & ~seen
+        seen |= odd
+        frontier = _nbhd(g.adj_bits, odd) & ~seen
         seen |= frontier
-        layer ^= 1
-        sides[layer] |= frontier
-    if seen != (1 << g.n) - 1:
-        raise NotBipartite("graph is disconnected")
-    return frozenset(iter_bits(sides[0]))
+        side |= frontier
+    return frozenset(iter_bits(side))
 
 
 def _check_output(construction: str, vertices: int, edges: int, pairs: int):
@@ -433,6 +415,9 @@ def _graph_construction(opts) -> tuple:
 def cmd_generate(opts, argv) -> int:
     if opts.family == "random-probe-hfree":
         pattern = parse_pattern(opts.pattern)
+        # every connected graph on two or more vertices contains K2
+        if find_induced(path_pattern(2).graph, pattern) is not None:
+            raise ParseError(f"no connected {pattern.name}-free graph has n >= 2")
         _check_size(opts.n)
         if comb(max(opts.n, 0), 2) > MAX_OUTPUT_ITEMS:
             raise ParseError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from .errors import PartialColouring, PreconditionViolation
-from .graph import Graph, is_connected, iter_bits
+from .graph import Graph, iter_bits
 
 RED = "red"
 BLUE = "blue"
@@ -255,7 +255,9 @@ def complete_independent_max_cut(
     coloured neighbours whose budget is still free.  Vertices seeing both
     colours gain one edge either way and must be matched; they are
     augmented first, and if they cannot all be matched no valid extension
-    exists.  Returns None when no extension passes validation.
+    exists.  Returns None when no extension passes validation.  Nothing
+    needs connectivity: an uncoloured vertex with no neighbour gains no
+    edge and takes red, or blue when no other vertex is blue.
     """
     if x & y:
         raise PreconditionViolation("red and blue masks must be disjoint")
@@ -271,8 +273,6 @@ def complete_independent_max_cut(
                 f"vertex {u} has more than one coloured neighbour per colour;"
                 " pair is not colour-processed for d=1"
             )
-    if not is_connected(g):
-        raise PreconditionViolation("graph must be connected")
     free = 0
     for w in iter_bits(x | y):
         if not adj[w] & (y if (x >> w) & 1 else x):
@@ -286,8 +286,6 @@ def complete_independent_max_cut(
             forced.append(u)
         elif rx or ry:
             optional.append(u)
-        # an isolated uncoloured vertex only occurs for n == 1; the final
-        # validation rejects it
     matched = max_bipartite_matching({u: adj[u] & free for u in forced + optional})
     if any(u not in matched for u in forced):
         return None
@@ -305,6 +303,9 @@ def complete_independent_max_cut(
                 y |= 1 << u
             else:
                 x |= 1 << u
+    lone = next((1 << u for u in iter_bits(u_mask) if not adj[u]), 0)
+    if lone and not y:  # a vertex without neighbours may be the blue one
+        x, y = x ^ lone, lone
     return _certify(g, x, y, 1)
 
 

@@ -5,20 +5,21 @@ class ProbeCutError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidEdge(ProbeCutError):
-    """An edge references a missing vertex or is a self-loop."""
+class InvalidInstance(ProbeCutError):
+    """A partitioned probe instance violates its invariants; a bad edge or
+    certificate pair raises one of the two subclasses below."""
+
+
+class InvalidEdge(InvalidInstance):
+    """An edge references a missing vertex or is a self-loop, or n < 0."""
+
+
+class InvalidCertificate(InvalidInstance):
+    """A certificate pair is a loop or leaves the non-probe side."""
 
 
 class UnsupportedPattern(ProbeCutError):
     """Pattern search only supports patterns on at most 8 vertices."""
-
-
-class InvalidCertificate(ProbeCutError):
-    """A probe certificate violates its invariants against the instance."""
-
-
-class InvalidInstance(ProbeCutError):
-    """A partitioned probe instance violates its invariants."""
 
 
 class NotConnected(ProbeCutError):

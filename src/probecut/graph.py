@@ -104,7 +104,7 @@ class PartitionedProbeGraph:
     """A graph together with its probe / non-probe bipartition.
 
     ``nonprobes`` must be an independent set and the two sides must
-    partition the vertex set.
+    partition the vertex set; otherwise :class:`InvalidInstance` is raised.
     """
 
     graph: Graph
@@ -438,21 +438,23 @@ def _pattern_plan(pat_adj: tuple[int, ...]) -> tuple:
 def verify_probe_certificate(
     ppg: PartitionedProbeGraph, cert: ProbeCertificate, h: Pattern
 ) -> bool:
-    """True iff adding the certificate edges makes the graph pattern-free.
+    """True iff adding the certificate edges makes the graph pattern-free;
+    the pairs are checked first by :func:`_check_pairs`."""
+    _check_pairs(ppg, cert)
+    return find_induced(ppg.graph.with_edges(cert.f_edges), h) is None
 
-    Raises :class:`InvalidCertificate` if a certificate pair is a loop or
-    is not inside the non-probe side.  No pair there is an edge already,
-    since :class:`PartitionedProbeGraph` refuses edges between non-probes.
-    """
-    g = ppg.graph
+
+def _check_pairs(ppg: PartitionedProbeGraph, cert: ProbeCertificate) -> None:
+    """Raise :class:`InvalidCertificate` unless every certificate pair
+    joins two distinct non-probes.  No such pair is an edge already, since
+    :class:`PartitionedProbeGraph` refuses edges between non-probes."""
     for u, v in cert.f_edges:
         if u == v:
             raise InvalidCertificate(f"certificate pair {(u, v)} is a loop")
         if u not in ppg.nonprobes or v not in ppg.nonprobes:
             raise InvalidCertificate(
-                f"certificate pair {(u, v)} not inside the non-probe side"
+                f"certificate pair {(u, v)} leaves the non-probe side"
             )
-    return find_induced(g.with_edges(cert.f_edges), h) is None
 
 
 def cograph_split(g: Graph, mask: int) -> tuple[bool, list[int]]:

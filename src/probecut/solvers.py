@@ -495,13 +495,12 @@ def _matching_cut(
     ppg: PartitionedProbeGraph,
     s: int,
     complete: Callable[[Graph, int, int], Optional[CutCertificate]],
-    first: bool,
 ) -> SolveReport:
     """Branch over the closed neighbourhood of the first seed set, the
     first set of at most s + 4 vertices in :func:`_subsets` order whose
     closed neighbourhood leaves an independent rest, and complete every
-    leaf with ``complete``; the largest certificate wins, or the first one
-    when ``first`` is set."""
+    leaf with ``complete``; the largest certificate wins.  A perfect one
+    ends the scan: it has n/2 cut edges, and no matching cut has more."""
     if s < 0:
         raise ValueError("s must be >= 0")
     g = ppg.graph
@@ -524,7 +523,7 @@ def _matching_cut(
         cert = complete(g, x, y)
         if cert and (best is None or cert.size > best.size):
             best = cert
-            if first:
+            if best.perfect:
                 break
     return SolveReport(best is not None, best, branches, [f"seed {list(iter_bits(seed))}"])
 
@@ -541,11 +540,11 @@ def solve_mmc(ppg: PartitionedProbeGraph, s: int) -> SolveReport:
     the true maximum whenever a seed exists - which the class promise
     guarantees.
     """
-    return _matching_cut(ppg, s, complete_independent_max_cut, first=False)
+    return _matching_cut(ppg, s, complete_independent_max_cut)
 
 
 def solve_pmc(ppg: PartitionedProbeGraph, s: int) -> SolveReport:
     """Perfect matching cut existence for inputs promised probe
     (sP1+P4)-free; same branch scheme as :func:`solve_mmc` with the
     perfect completion, first valid certificate wins."""
-    return _matching_cut(ppg, s, complete_independent_perfect, first=True)
+    return _matching_cut(ppg, s, complete_independent_perfect)

@@ -413,9 +413,9 @@ class TestRefusals:
         ("e 0 x\n", ParseError,
          "line 1: invalid literal for int() with base 10: 'x'"),
         ("e 0 1\nprobe 0\nnonprobe 0\n", InvalidInstance,
-         "a vertex is marked both probe and nonprobe"),
+         "probes and nonprobes overlap"),
         ("n 2\ne 0 1\nprobe 0\nnonprobe 5\n", InvalidInstance,
-         "nonprobe marking contradicts probe marking"),
+         "probes and nonprobes do not cover V"),
         ('{"n": -1}', InvalidInstance,
          "vertex count must be non-negative, got -1"),
         ('{"n": 3, "edges": [[0, 1], [1, 2]], "probes": [1], "nonprobes": [0]}',
@@ -442,8 +442,14 @@ class TestRefusals:
          "need n >= 2"),
         (["generate", "--family", "random-probe-hfree", "--density", "1.5"],
          "density must be a probability"),
+        (["reduce", "--from", "graph", "--construction", "split",
+          "--input", "{c5}"],
+         "edge (2, 3) does not cross the given bipartition"),
+        (["reduce", "--from", "graph", "--construction", "split",
+          "--input", "{two_k4}"], "split construction needs a connected input"),
     ], ids=["verify-no-mode", "verify-d0", "sat4p1-from-graph",
-            "subdivide4-disconnected", "generate-n1", "generate-density"])
+            "subdivide4-disconnected", "generate-n1", "generate-density",
+            "split-odd-cycle", "split-disconnected"])
     def test_bad_command(self, tmp_path, capsys, argv, message):
         two_k4 = [[u, v] for base in (0, 4) for u in range(base, base + 4)
                   for v in range(u + 1, base + 4)]
@@ -452,6 +458,8 @@ class TestRefusals:
             "{colours}": _write(tmp_path, "colours.json", '["red", "blue"]'),
             "{two_k4}": _write(tmp_path, "two_k4.json", json.dumps(
                 {"n": 8, "edges": two_k4, "probes": list(range(8))})),
+            "{c5}": _write(tmp_path, "c5.txt", "".join(
+                f"e {v} {(v + 1) % 5}\n" for v in range(5))),
         }
         _refused(capsys, [files.get(arg, arg) for arg in argv], message)
 
@@ -474,6 +482,29 @@ class TestRefusals:
                 else ["generate", "--family", "random-probe-hfree"])
         _refused(capsys, argv + ["--pattern", f"C{r}"],
                  f"cycle C{r} needs at least 3 vertices")
+
+    @pytest.mark.parametrize("name", ["P0", "0P1", "P1", "1P1", "K1,0",
+                                      "P2", "K1,1"])
+    def test_pattern_in_k2_refused_before_drawing(
+        self, capsys, monkeypatch, name
+    ):
+        """Every connected graph on two or more vertices contains K2, and
+        so every pattern inside K2: generate refuses these before a draw."""
+        def never(*args, **kwargs):
+            raise AssertionError("drew for a pattern no draw can avoid")
+
+        monkeypatch.setattr(cli, "random_probe_hfree", never)
+        _refused(capsys, ["generate", "--family", "random-probe-hfree",
+                          "--pattern", name],
+                 f"no connected {name}-free graph has n >= 2")
+
+    @pytest.mark.parametrize("name", ["2P1", "P3"])
+    def test_pattern_outside_k2_generates(self, capsys, name):
+        """Density 1 draws a complete graph, which avoids 2P1 and P3."""
+        assert main(["generate", "--family", "random-probe-hfree",
+                     "--pattern", name, "--n", "5", "--density", "1"]) == 0
+        doc = parse_instance(capsys.readouterr().out)
+        assert doc.metadata["pattern"] == name
 
     def test_verify_pattern_no(self, tmp_path, capsys):
         """An empty certificate leaves the induced P3 in place: the answer

@@ -551,12 +551,37 @@ class TestCompleteMaxCut:
         (path_graph(3), {0, 2}, set(),
          "vertex 1 has more than one coloured neighbour per colour;"
          " pair is not colour-processed for d=1"),
-        (build_graph(2, []), {0}, {1}, "graph must be connected"),
-    ], ids=["overlap", "two-red-neighbours", "disconnected"])
+    ], ids=["overlap", "two-red-neighbours"])
     def test_preconditions_rejected(self, g, x, y, message):
         with pytest.raises(PreconditionViolation) as info:
             complete_independent_max_cut(g, _m(x), _m(y))
         assert str(info.value) == message
+
+    def test_disconnected_matches_brute_extension(self):
+        """Connectivity is no precondition: on disconnected inputs both
+        completions agree with every extension tried, including those
+        where only a vertex without neighbours can take the second
+        colour."""
+        cases = [
+            (build_graph(2, []), _m({0}), _m({1})),
+            (build_graph(2, []), 0, 0),
+            (build_graph(3, [(0, 1)]), _m({0, 1}), 0),
+            (build_graph(3, [(0, 1)]), 0, _m({0, 1})),
+            (build_graph(4, [(0, 1), (2, 3)]), _m({0}), _m({3})),
+            (build_graph(5, [(0, 1), (1, 2)]), _m({1}), 0),
+        ]
+        cases += [_random_completion_input(seed, connected=False)
+                  for seed in range(150)]
+        for g, x, y in cases:
+            for complete, perfect in ((complete_independent_max_cut, False),
+                                      (complete_independent_perfect, True)):
+                mine = complete(g, x, y)
+                brute = _brute_best_extension(g, x, y, perfect)
+                assert (mine is None) == (brute is None), (g, x, y, perfect)
+                if mine is not None:
+                    assert mine.size == brute.size
+                    again = validate_colouring(g, mine.colouring, 1, perfect)
+                    assert isinstance(again, CutCertificate)
 
     def test_no_valid_extension_returns_none(self):
         g = cycle_graph(3)
@@ -577,14 +602,14 @@ class TestCompleteMaxCut:
             assert mine is not None and mine.size == brute.size
 
 
-def _random_completion_input(seed):
-    """Connected graph plus processed red/blue masks whose remainder is
-    independent."""
+def _random_completion_input(seed, connected=True):
+    """Connected (or, if not ``connected``, disconnected) graph plus
+    processed red/blue masks whose remainder is independent."""
     rng = random.Random(seed)
     while True:
         n = rng.randint(2, 9)
         g = random_graph(n, rng.choice([0.3, 0.5, 0.7]), rng.randrange(1 << 30))
-        if not is_connected(g):
+        if is_connected(g) != connected:
             continue
         # choose an independent set to leave uncoloured
         order = list(range(n))

@@ -415,7 +415,7 @@ class TestProbeCertificate:
                 ppg, ProbeCertificate.of([(1, 2)]), two_p2_pattern()
             )
         assert str(info.value) == (
-            "certificate pair (1, 2) not inside the non-probe side"
+            "certificate pair (1, 2) leaves the non-probe side"
         )
 
     def test_loop_pair_message(self):

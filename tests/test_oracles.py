@@ -2,6 +2,7 @@
 
 import inspect
 import random
+import signal
 import sys
 import time
 
@@ -24,6 +25,7 @@ from probecut import (
     brute_sat,
     build_graph,
     find_induced,
+    moshi_double,
     parse_pattern,
     path_pattern,
     random_probe_hfree,
@@ -594,6 +596,52 @@ class TestBacktrackDcut:
         assert (backtrack_dcut(g, 1, require_perfect=True) is not None) == (
             brute_pmc(g) is not None
         )
+
+
+class TestBacktrackWork:
+    """Leaf validation keeps the answers exact when propagation is lost,
+    so only the work shows it: after a branch, the coloured neighbours of
+    the branch vertex must be rechecked as well as the vertex itself."""
+
+    def test_validated_leaves(self, monkeypatch):
+        """G(14, 0.35) at d = 1, d = 2 and perfect d = 1: 126 validated
+        leaves over the 120 calls, at most 2 per call (192 and 25 when
+        only the branch vertex is rechecked)."""
+        counts = []
+
+        def counted(*args, **kwargs):
+            counts[-1] += 1
+            return certify(*args, **kwargs)
+
+        certify = oracles._certify
+        monkeypatch.setattr(oracles, "_certify", counted)
+        for seed in range(40):
+            g = random_graph(14, 0.35, seed)
+            for d, perfect in ((1, False), (2, False), (1, True)):
+                counts.append(0)
+                backtrack_dcut(g, d, require_perfect=perfect)
+        assert sum(counts) <= 126
+        assert max(counts) <= 2
+
+    def test_moshi_output_within_budget(self):
+        """The 50-vertex doubling of G(10, 0.5) has no matching cut; the
+        search answers in about a millisecond, and runs past the alarm
+        when only the branch vertex is rechecked.  The alarm ends an
+        overrun at 5 s."""
+        ppg, _ = moshi_double(random_graph(10, 0.5, 3))
+
+        def overrun(signum, frame):
+            raise AssertionError("backtrack_dcut over its 5 s budget")
+
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.alarm(5)
+        try:
+            began = time.perf_counter()
+            assert backtrack_dcut(ppg.graph, 1) is None
+            assert time.perf_counter() - began < 2.0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestBacktrackDcutDeepInputs:
