@@ -126,21 +126,33 @@ def _load_json(text: str):
 
 def _int(value) -> int:
     """A JSON integer; a float, bool or string is refused, not coerced."""
-    if type(value) is not int:
-        raise TypeError(f"{value!r} is not an integer")
-    return value
+    return value if type(value) is int else _bad(value)
+
+
+def _bad(*values):
+    """Raise :func:`_int`'s refusal for the first non-integer value."""
+    bad = next(v for v in values if type(v) is not int)
+    raise TypeError(f"{bad!r} is not an integer")
+
+
+def _ints(items) -> list[int]:
+    return [v for v in items if type(v) is int or _bad(v)]
+
+
+def _pairs(items) -> list[tuple[int, int]]:
+    return [(u, v) for u, v in items if type(u) is int is type(v) or _bad(u, v)]
 
 
 def _parse_json_instance(text: str) -> tuple:
     raw = _load_json(text)
     try:
         n = _check_size(_int(raw["n"]))
-        edges = [(_int(u), _int(v)) for u, v in raw.get("edges", [])]
-        probes = [_int(v) for v in raw.get("probes", [])]
-        nonprobes = [_int(v) for v in raw.get("nonprobes", [])]
+        edges = _pairs(raw.get("edges", []))
+        probes = _ints(raw.get("probes", []))
+        nonprobes = _ints(raw.get("nonprobes", []))
         cert = raw.get("certificate_f")
         if cert is not None:
-            cert = [(_int(u), _int(v)) for u, v in cert]
+            cert = _pairs(cert)
         metadata = raw.get("metadata", {})
         if not isinstance(metadata, dict):
             raise TypeError("metadata must be an object")

@@ -10,7 +10,8 @@ never relabelled copies.
 The cograph decomposition is one frontier BFS that splits a vertex mask
 into its components or those of its complement, ordered by least vertex;
 :func:`cograph_split`, :func:`is_connected`, :func:`connected_components`
-and :func:`is_p4_free` (a worklist, so no recursion) all run on it.
+and :func:`_cograph` (a worklist, so no recursion) all run on it.  The
+yes/no check :func:`_free` decides sP1+P4-freeness by cograph tests alone.
 """
 
 from __future__ import annotations
@@ -441,7 +442,7 @@ def verify_probe_certificate(
     """True iff adding the certificate edges makes the graph pattern-free;
     the pairs are checked first by :func:`_check_pairs`."""
     _check_pairs(ppg, cert)
-    return find_induced(ppg.graph.with_edges(cert.f_edges), h) is None
+    return _free(ppg.graph.with_edges(cert.f_edges), h)
 
 
 def _check_pairs(ppg: PartitionedProbeGraph, cert: ProbeCertificate) -> None:
@@ -474,25 +475,33 @@ def cograph_split(g: Graph, mask: int) -> tuple[bool, list[int]]:
 
 
 def is_p4_free(g: Graph, mask: Optional[int] = None):
-    """True if the subgraph induced by the vertex mask (default: all of
-    ``g``) is a cograph, else a witness induced path.
-
-    A graph is P4-free iff every induced subgraph on two or more vertices
-    is disconnected or co-disconnected, so :func:`cograph_split` runs on a
-    worklist of vertex masks, without recursion.  Vertices isolated or
-    universal inside a mask lie on no induced P4 and are dropped in bulk
-    first, which keeps long cotree chains such as threshold graphs to a
-    few mask operations per level.  The witness for the negative case is
-    the lexicographically least induced P4 inside the mask, as a 4-tuple
-    in path order.
-    """
+    """True if the subgraph on the vertex mask (default: all of ``g``) is a
+    cograph (:func:`_cograph`), else the lexicographically least induced
+    P4 inside the mask, as a 4-tuple in path order."""
     mask = (1 << g.n) - 1 if mask is None else mask
+    if _cograph(g, mask):
+        return True
+    return tuple(_find_within(g, path_pattern(4), mask).values())
+
+
+def _cograph(g: Graph, mask: int) -> bool:
+    """True iff the subgraph on the vertex mask is P4-free, that is, every
+    induced subgraph on two or more vertices is disconnected or
+    co-disconnected: :func:`cograph_split` runs on a worklist of vertex
+    masks, without recursion.  Vertices isolated or universal inside a
+    mask lie on no induced P4 and are dropped in bulk first, which keeps
+    long cotree chains such as threshold graphs to a few mask operations
+    per level."""
+    adj = g.adj_bits
     # In every part the worklist holds, a vertex's degree inside the part
     # is its degree inside the start mask minus the part's offset: parts
     # keep their degrees, and a co-component loses those joined to it.
-    by_degree = [0] * g.n
-    for v in iter_bits(mask):
-        by_degree[(g.adj_bits[v] & mask).bit_count()] |= 1 << v
+    by_degree = [0] * mask.bit_count()
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        by_degree[(adj[low.bit_length() - 1] & mask).bit_count()] |= low
     work = [(mask, 0)]
     while work:
         part, offset = work.pop()
@@ -506,18 +515,52 @@ def is_p4_free(g: Graph, mask: Optional[int] = None):
                 break
             part ^= drop
             size = part.bit_count()
-        if size < 4:
+        if size == 4 and (part & by_degree[offset + 1]).bit_count() == 2:
+            return False  # degrees 1 and 2 only: a P4, not 2K2 or C4
+        if size <= 4:
             continue
         joined, parts = cograph_split(g, part)
         if len(parts) == 1:
-            occurrence = _find_within(g, path_pattern(4), mask)
-            assert occurrence is not None
-            return tuple(occurrence[i] for i in range(4))
+            return False
         work += [
             (p, offset + size - p.bit_count() if joined else offset)
             for p in parts
         ]
     return True
+
+
+def _sp1_p4_free(g: Graph, mask: int, s: int, lo: int) -> bool:
+    """True iff the subgraph on the vertex mask holds no induced sP1+P4
+    whose s isolated vertices are all >= ``lo``; one exists iff, for the
+    least of them, v, the mask minus N[v] holds an (s-1)P1+P4 above v."""
+    if s == 0:
+        return _cograph(g, mask)
+    if lo and _cograph(g, mask):  # no P4 (top level: seldom a cograph)
+        return True
+    for v in iter_bits(mask & (-1 << lo)):
+        rest = mask & ~(g.adj_bits[v] | 1 << v)
+        if rest.bit_count() >= s + 3 and not _sp1_p4_free(g, rest, s - 1, v + 1):
+            return False
+    return True
+
+
+def _free(g: Graph, h: Pattern, mask: Optional[int] = None) -> bool:
+    """True iff the graph, or its subgraph on the vertex mask, holds no
+    induced copy of the pattern.  The rows of ``sp1_p4_pattern(s)`` are
+    decided by at most n^s cograph tests, any other pattern by the search."""
+    _check_pattern_size(h.name, h.graph.n)
+    s = _sp1_p4_count(h.graph.adj_bits)
+    if s is not None:
+        return _sp1_p4_free(g, (1 << g.n) - 1 if mask is None else mask, s, 0)
+    found = find_induced(g, h) if mask is None else _find_within(g, h, mask)
+    return found is None
+
+
+@functools.lru_cache(maxsize=256)
+def _sp1_p4_count(pat_adj: tuple[int, ...]) -> Optional[int]:
+    """s if the pattern rows are those of ``sp1_p4_pattern(s)``, else None."""
+    s = len(pat_adj) - 4
+    return s if s >= 0 and pat_adj == sp1_p4_pattern(s).graph.adj_bits else None
 
 
 _ATTEMPTS = 10_000
@@ -553,7 +596,7 @@ def random_probe_hfree(
                 if draw() < density:
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
-        if find_induced(Graph(n, tuple(rows)), h) is not None:
+        if not _free(Graph(n, tuple(rows)), h):
             continue
         non = sum(1 << v for v in range(n) if draw() < 0.5)
         g = Graph(n, tuple(

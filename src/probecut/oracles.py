@@ -32,6 +32,7 @@ from .graph import (
     Pattern,
     PartitionedProbeGraph,
     ProbeCertificate,
+    _free,
     _nbhd,
     find_induced,
     iter_bits,
@@ -234,10 +235,13 @@ def brute_probe_certificate(
     branch is ruled out) means no edge set works.  Nogoods found are
     tested before each ``find_induced`` call, largest jump first.  Only
     failing counters are skipped, so the result is the plain loop's.
+    A probe side that holds the pattern by itself answers "no" at once.
     """
     nonprobes = sorted(ppg.nonprobes)
     _check_scale(len(nonprobes), "|N|", DEFAULT_CERTIFICATE_LIMIT)
     g = ppg.graph
+    if not _free(g, h, sum(1 << v for v in ppg.probes)):
+        return None
     pairs = [
         (u, v)
         for i, u in enumerate(nonprobes)

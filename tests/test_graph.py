@@ -3,6 +3,7 @@ probe certificates and the random instance generator."""
 
 import itertools
 import random
+import signal
 import sys
 import time
 from unittest import mock
@@ -38,7 +39,7 @@ from probecut import (
     verify_probe_certificate,
 )
 import probecut.graph as graph_module
-from probecut.graph import _find_within, _nbhd, iter_bits
+from probecut.graph import _find_within, _free, _nbhd, iter_bits
 from probecut.oracles import brute_probe_certificate
 
 from conftest import (
@@ -450,6 +451,99 @@ class TestProbeCertificate:
             PartitionedProbeGraph(
                 build_graph(2, [(0, 1)]), frozenset(), frozenset({0, 1})
             )
+
+
+class TestFreeness:
+    """``_free`` decides an sP1+P4 by cograph tests of non-neighbourhoods
+    and every other pattern by the occurrence search; either way its
+    answer is whether the search finds nothing."""
+
+    def test_matches_occurrence_search_on_sp1_p4(self):
+        rng = random.Random(30)
+        answers = set()
+        for _ in range(500):
+            n = rng.randint(4, 16)
+            g = random_graph(n, rng.uniform(0.2, 0.9), rng.randrange(2**32))
+            masks = [None] + [rng.randrange(1 << n) for _ in range(2)]
+            for s in range(5):
+                h = sp1_p4_pattern(s)
+                for mask in masks:
+                    within = (1 << n) - 1 if mask is None else mask
+                    expected = _find_within(g, h, within) is None
+                    assert _free(g, h, mask) == expected, (g, s, mask)
+                    answers.add((s, mask is None, expected))
+        assert len(answers) == 20  # both answers for each s, masked or not
+
+    @pytest.mark.parametrize("name", ["K1,3", "diamond", "4P1", "2P2", "C5"])
+    def test_other_patterns_use_the_search(self, name, monkeypatch):
+        calls = []
+
+        def counted(g, h, within):
+            calls.append(h.name)
+            return find_within(g, h, within)
+
+        find_within = graph_module._find_within
+        monkeypatch.setattr(graph_module, "_find_within", counted)
+        h = parse_pattern(name)
+        for seed in range(20):
+            g = random_graph(9, 0.5, seed)
+            for mask in (None, 0b110111011):
+                within = (1 << g.n) - 1 if mask is None else mask
+                expected = find_within(g, h, within) is None
+                assert _free(g, h, mask) == expected
+        assert calls == [name] * 40
+        calls.clear()
+        _free(random_graph(9, 0.5, 0), sp1_p4_pattern(2))
+        assert calls == []
+
+    def test_oversized_pattern_refused_alike(self):
+        g, h = complete_graph(10), sp1_p4_pattern(5)
+        with pytest.raises(UnsupportedPattern) as searched:
+            find_induced(g, h)
+        with pytest.raises(UnsupportedPattern) as decided:
+            _free(g, h)
+        assert str(decided.value) == str(searched.value)
+        assert str(decided.value) == "pattern 5P1+P4 has 9 > 8 vertices"
+
+    @pytest.mark.parametrize("n, s, budget", [(200, 1, 0.3), (400, 2, 1.0)])
+    def test_certificate_check_within_budget(self, n, s, budget):
+        """A P4 joined to a random cograph on n - 4 vertices: every induced
+        P4 of a join lies in one side, and the cograph side is complete to
+        the path, so the graph is sP1+P4-free.  On a shared 2-CPU x86 host
+        the occurrence search took 0.8 to 1.3 s at n = 200 and over 300 s
+        at n = 400 with s = 2; the cograph tests take 0.06 to 0.07 s and
+        0.22 s, and 24.5 s at n = 400 if a nested non-neighbourhood that is
+        a cograph is not skipped.  Best of three; the alarm ends an overrun
+        at 10 s."""
+        rng = random.Random(0)
+        parts = [[v] for v in range(4, n)]
+        edges = [(0, 1), (1, 2), (2, 3)]
+        edges += [(u, v) for u in range(4) for v in range(4, n)]
+        while len(parts) > 1:
+            a = parts.pop(rng.randrange(len(parts)))
+            b = parts.pop(rng.randrange(len(parts)))
+            if rng.random() < 0.5:
+                edges += [(u, v) for u in a for v in b]
+            parts.append(a + b)
+        ppg = all_probes(build_graph(n, edges))
+
+        def overrun(signum, frame):
+            raise AssertionError("verify_probe_certificate over its budget")
+
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.alarm(10)
+        try:
+            times = []
+            for _ in range(3):
+                began = time.perf_counter()
+                assert verify_probe_certificate(
+                    ppg, ProbeCertificate.of([]), sp1_p4_pattern(s)
+                )
+                times.append(time.perf_counter() - began)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert min(times) < budget
 
 
 class TestCographMachinery:

@@ -34,6 +34,7 @@ from probecut import (
     validate_colouring,
     verify_probe_certificate,
 )
+import probecut.graph as graph_module
 import probecut.oracles as oracles
 from probecut.oracles import _colourings
 
@@ -481,11 +482,12 @@ class TestBruteProbeCertificate:
             assert found is not None
 
     def test_occurrence_without_candidate_pair_ends_search(self, monkeypatch):
-        # an induced P4 on the probes survives every edge set inside the
-        # eight isolated non-probes: one search call, not 2^28
-        g = build_graph(12, [(0, 1), (1, 2), (2, 3)])
+        # an induced P4 through one non-probe survives every edge set inside
+        # the eight non-probes: one search call, not 2^28.  The probe side
+        # alone is a P3, so the early "no" below does not answer first
+        g = build_graph(11, [(0, 1), (1, 2), (2, 3)])
         ppg = PartitionedProbeGraph(
-            g, frozenset(range(4)), frozenset(range(4, 12))
+            g, frozenset(range(3)), frozenset(range(3, 11))
         )
         calls = []
 
@@ -496,6 +498,30 @@ class TestBruteProbeCertificate:
         monkeypatch.setattr(oracles, "find_induced", counted)
         assert brute_probe_certificate(ppg, path_pattern(4)) is None
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["P4", "P1+P4", "2P2", "K1,3"])
+    def test_probe_side_occurrence_answers_before_search(
+        self, name, monkeypatch
+    ):
+        # the probe side holds the pattern by itself, so no certificate
+        # can remove it: "no" before the counter loop's first search
+        edges = {
+            "P4": [(0, 1), (1, 2), (2, 3)],
+            "P1+P4": [(1, 2), (2, 3), (3, 4)],
+            "2P2": [(0, 1), (2, 3)],
+            "K1,3": [(0, 1), (0, 2), (0, 3)],
+        }[name]
+        g = build_graph(13, edges)
+        ppg = PartitionedProbeGraph(
+            g, frozenset(range(5)), frozenset(range(5, 13))
+        )
+
+        def refused(graph, h):
+            raise AssertionError("find_induced called")
+
+        monkeypatch.setattr(oracles, "find_induced", refused)
+        monkeypatch.setattr(graph_module, "find_induced", refused)
+        assert brute_probe_certificate(ppg, parse_pattern(name)) is None
 
     @pytest.mark.parametrize("host, name, certified", [
         ("C16", "P1+P4", False),
