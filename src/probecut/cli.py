@@ -33,9 +33,9 @@ from .graph import (
     ProbeCertificate,
     _check_pairs,
     _check_pattern_size,
+    _free,
     _nbhd,
     build_graph,
-    find_induced,
     iter_bits,
     parse_pattern,
     path_pattern,
@@ -236,15 +236,15 @@ def _certificate_payload(cert: Optional[CutCertificate]):
     }
 
 
-def _emit_report(args, answer, *, certificate=None, branches=0, trace=None,
-                 started=None, violation=None) -> int:
+def _emit_report(args, answer, *, started, certificate=None, branches=0,
+                 trace=None, violation=None) -> int:
     report = {
         "command": " ".join(args),
         "answer": "yes" if answer else "no",
         "certificate": _certificate_payload(certificate),
         "branches_explored": branches,
         "case_trace": list(trace or []),
-        "wall_time": round(time.perf_counter() - started, 6) if started else 0.0,
+        "wall_time": round(time.perf_counter() - started, 6),
     }
     if violation is not None:
         report["violation"] = violation
@@ -380,6 +380,7 @@ def _check_output(construction: str, vertices: int, edges: int, pairs: int):
 def _check_sat4p1(n_vars: int, p: int, q: int, d: int) -> None:
     """Refuse a bad d, then a sat4p1 output over the limit, from the shape."""
     _check_sat4p1_d(d)
+    n_vars = max(n_vars, 0)  # a negative count is left to the shape check
     pad = n_vars * max(d - 3, 0)  # padding per clique
     _check_output(
         "sat4p1",
@@ -428,7 +429,7 @@ def cmd_generate(opts, argv) -> int:
     if opts.family == "random-probe-hfree":
         pattern = parse_pattern(opts.pattern)
         # every connected graph on two or more vertices contains K2
-        if find_induced(path_pattern(2).graph, pattern) is not None:
+        if not _free(path_pattern(2).graph, pattern):
             raise ParseError(f"no connected {pattern.name}-free graph has n >= 2")
         _check_size(opts.n)
         if comb(max(opts.n, 0), 2) > MAX_OUTPUT_ITEMS:

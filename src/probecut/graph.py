@@ -272,8 +272,11 @@ def connected_components(g: Graph, mask: Optional[int] = None) -> list[int]:
     return _parts(g.adj_bits, mask, 0)
 
 
-def find_induced(g: Graph, h: Pattern) -> Optional[dict[int, int]]:
-    """Find an induced occurrence of the pattern in ``g``.
+def find_induced(
+    g: Graph, h: Pattern, mask: Optional[int] = None
+) -> Optional[dict[int, int]]:
+    """Find an induced occurrence of the pattern in ``g``, or inside the
+    vertex mask (default: all of ``g``), in the ids of ``g``.
 
     Returns an injective map pattern-vertex -> graph-vertex preserving both
     edges and non-edges, or None if the graph is pattern-free.  The result
@@ -307,19 +310,14 @@ def find_induced(g: Graph, h: Pattern) -> Optional[dict[int, int]]:
     the pattern's rows.  Candidates start as the vertices of at least the
     pattern vertex's degree, a filter skipped when it would keep them all.
     """
-    return _find_within(g, h, (1 << g.n) - 1)
-
-
-def _find_within(g: Graph, h: Pattern, within: int) -> Optional[dict[int, int]]:
-    """:func:`find_induced` inside the vertex mask ``within``, in the ids
-    of ``g``: every candidate set is cut down to the mask."""
+    within = (1 << g.n) - 1 if mask is None else mask
     k = h.graph.n
     _check_pattern_size(h.name, k)
     if k > within.bit_count():
         return None
     if k == 0:
         return {}
-    plan, degrees, top = _pattern_plan(h.graph.adj_bits)
+    plan, degrees, top, _ = _pattern_plan(h.graph.adj_bits)
     adj = g.adj_bits
     if min(map(int.bit_count, adj)) >= top:
         start = [within] * k
@@ -419,7 +417,9 @@ def _find_within(g: Graph, h: Pattern, within: int) -> Optional[dict[int, int]]:
 @functools.lru_cache(maxsize=256)
 def _pattern_plan(pat_adj: tuple[int, ...]) -> tuple:
     """``plan[j]``, (l, adjacent, twin) for each later pattern vertex l,
-    the pattern degrees and the largest, for :func:`_find_within`."""
+    the pattern degrees and the largest, for :func:`find_induced`, and s
+    if the rows are those of ``sp1_p4_pattern(s)`` (else None), for
+    :func:`_free`."""
     k = len(pat_adj)
     plan = tuple(
         tuple(
@@ -433,7 +433,10 @@ def _pattern_plan(pat_adj: tuple[int, ...]) -> tuple:
         for j in range(k)
     )
     degrees = tuple(a.bit_count() for a in pat_adj)
-    return plan, degrees, max(degrees)
+    s = k - 4
+    if s < 0 or pat_adj != sp1_p4_pattern(s).graph.adj_bits:
+        s = None
+    return plan, degrees, max(degrees, default=0), s
 
 
 def verify_probe_certificate(
@@ -481,7 +484,7 @@ def is_p4_free(g: Graph, mask: Optional[int] = None):
     mask = (1 << g.n) - 1 if mask is None else mask
     if _cograph(g, mask):
         return True
-    return tuple(_find_within(g, path_pattern(4), mask).values())
+    return tuple(find_induced(g, path_pattern(4), mask).values())
 
 
 def _cograph(g: Graph, mask: int) -> bool:
@@ -549,18 +552,10 @@ def _free(g: Graph, h: Pattern, mask: Optional[int] = None) -> bool:
     induced copy of the pattern.  The rows of ``sp1_p4_pattern(s)`` are
     decided by at most n^s cograph tests, any other pattern by the search."""
     _check_pattern_size(h.name, h.graph.n)
-    s = _sp1_p4_count(h.graph.adj_bits)
+    s = _pattern_plan(h.graph.adj_bits)[3]
     if s is not None:
         return _sp1_p4_free(g, (1 << g.n) - 1 if mask is None else mask, s, 0)
-    found = find_induced(g, h) if mask is None else _find_within(g, h, mask)
-    return found is None
-
-
-@functools.lru_cache(maxsize=256)
-def _sp1_p4_count(pat_adj: tuple[int, ...]) -> Optional[int]:
-    """s if the pattern rows are those of ``sp1_p4_pattern(s)``, else None."""
-    s = len(pat_adj) - 4
-    return s if s >= 0 and pat_adj == sp1_p4_pattern(s).graph.adj_bits else None
+    return find_induced(g, h, mask) is None
 
 
 _ATTEMPTS = 10_000

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 from bisect import insort
+from itertools import combinations
 from typing import Iterator, Optional
 
 from .errors import OracleScaleExceeded
@@ -221,7 +222,7 @@ def brute_probe_certificate(
     """First candidate edge set inside the non-probe side, in counter
     order, whose addition makes the graph pattern-free, or None.
 
-    Bit i of the counter chooses the i-th absent non-probe pair.  An
+    Bit i of the counter chooses the i-th non-probe pair.  An
     occurrence of the pattern on a vertex set S depends only on the pairs
     inside S, so every counter that agrees with this one on their bits
     fails too: a nogood.  Let i be its least bit.  If bit i is clear, the
@@ -242,12 +243,7 @@ def brute_probe_certificate(
     g = ppg.graph
     if not _free(g, h, sum(1 << v for v in ppg.probes)):
         return None
-    pairs = [
-        (u, v)
-        for i, u in enumerate(nonprobes)
-        for v in nonprobes[i + 1 :]
-        if not g.has_edge(u, v)
-    ]
+    pairs = list(combinations(nonprobes, 2))
     ends = [1 << u | 1 << v for u, v in pairs]
     nogoods: list[tuple[int, int, int]] = []  # (-least bit, bits, values)
     why0 = [0] * len(pairs)

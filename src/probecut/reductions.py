@@ -90,7 +90,7 @@ def validate_sat_shape(inst: SatInstance) -> tuple[bool, list[str]]:
             violations.append(
                 f"variable {v} occurs in {neg_count[v]} negative clauses, expected 2"
             )
-    if inst.n_vars == 0:
+    if inst.n_vars <= 0:
         violations.append("instance has no variables")
     if 3 * len(inst.positive_clauses) != 2 * inst.n_vars:
         violations.append("positive clause count inconsistent with variable count")

@@ -875,6 +875,12 @@ class TestExitCodes:
              [0, True, 2], [0, 2, 3], [1, 4, 5], [3, 4, 5]
          ]})},
          "bad SAT document"),
+        # a negative count is the shape check's, not the size prediction's
+        (_SAT4P1 + ["--d", "5"],
+         {"inst": '{"n_vars": -3, "positive": [], "negative": []}'},
+         "error: instance has no variables; positive clause count"
+         " inconsistent with variable count; negative clause count"
+         " inconsistent with variable count\n"),
         # constructions whose output is quadratic in the input
         (_SAT4P1 + ["--d", "200"], {"inst": json.dumps(EXAMPLE_SAT)},
          "output limit"),
@@ -892,7 +898,8 @@ class TestExitCodes:
     ], ids=["metadata-list", "colouring-without-colours", "colours-not-list",
             "infinite-n", "infinite-vertex", "deep-instance", "deep-colouring",
             "side-of-above-n", "side-of-negative", "float-and-bool-instance",
-            "float-sat-n-vars", "bool-sat-variable", "sat4p1-d200",
+            "float-sat-n-vars", "bool-sat-variable", "sat4p1-negative-n-vars",
+            "sat4p1-d200",
             "split-star-2001", "moshi-star-1001", "sat4p1-n-vars-3000000",
             "random-n-1415", "random-n-100000"])
     def test_malformed_input_is_parse_error(

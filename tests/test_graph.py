@@ -39,7 +39,7 @@ from probecut import (
     verify_probe_certificate,
 )
 import probecut.graph as graph_module
-from probecut.graph import _find_within, _free, _nbhd, iter_bits
+from probecut.graph import _free, _nbhd, iter_bits
 from probecut.oracles import brute_probe_certificate
 
 from conftest import (
@@ -240,14 +240,15 @@ class TestPairScan:
     def test_same_occurrence_as_stack_search(self, n, p, seed, data):
         g = random_graph(n, p, seed)
         full = (1 << n) - 1
-        within = data.draw(st.just(full) | st.integers(0, full))
+        mask = data.draw(st.none() | st.just(full) | st.integers(0, full))
+        within = full if mask is None else mask
         k = data.draw(st.integers(0, 6))
         drawn = random_graph(
             k, data.draw(st.floats(0, 1)), data.draw(st.integers(0, 2**32))
         )
         pattern = Pattern("drawn", drawn)
         for h in [parse_pattern(name) for name in PATTERN_NAMES] + [pattern]:
-            assert _find_within(g, h, within) == stack_find_within(
+            assert find_induced(g, h, mask) == stack_find_induced(
                 g, h, within
             ), h
 
@@ -265,7 +266,7 @@ class TestPairScan:
             within = data.draw(st.just(full) | st.integers(0, full))
             for name in ("K1,3", "diamond", "4P1", "P1+P4", "2P2", "P4", "C5"):
                 h = parse_pattern(name)
-                assert _find_within(g, h, within) == stack_find_within(
+                assert find_induced(g, h, within) == stack_find_induced(
                     g, h, within
                 ), name
 
@@ -293,7 +294,7 @@ class TestPairScan:
         full = (1 << n) - 1
         within = full if full_mask else data.draw(st.integers(0, full))
         for h in [parse_pattern(name) for name in PATTERN_NAMES]:
-            assert _find_within(g, h, within) == stack_find_within(
+            assert find_induced(g, h, within) == stack_find_induced(
                 g, h, within
             ), h.name
 
@@ -316,7 +317,7 @@ class TestPairScan:
                 for g in graphs:
                     found = [find_induced(g, h) for h in patterns]
                     assert found == [
-                        stack_find_within(g, h, (1 << g.n) - 1)
+                        stack_find_induced(g, h, (1 << g.n) - 1)
                         for h in patterns
                     ]
                     differ |= found[0] != found[1]
@@ -469,7 +470,7 @@ class TestFreeness:
                 h = sp1_p4_pattern(s)
                 for mask in masks:
                     within = (1 << n) - 1 if mask is None else mask
-                    expected = _find_within(g, h, within) is None
+                    expected = find_induced(g, h, within) is None
                     assert _free(g, h, mask) == expected, (g, s, mask)
                     answers.add((s, mask is None, expected))
         assert len(answers) == 20  # both answers for each s, masked or not
@@ -478,18 +479,17 @@ class TestFreeness:
     def test_other_patterns_use_the_search(self, name, monkeypatch):
         calls = []
 
-        def counted(g, h, within):
+        def counted(g, h, mask=None):
             calls.append(h.name)
-            return find_within(g, h, within)
+            return search(g, h, mask)
 
-        find_within = graph_module._find_within
-        monkeypatch.setattr(graph_module, "_find_within", counted)
+        search = graph_module.find_induced
+        monkeypatch.setattr(graph_module, "find_induced", counted)
         h = parse_pattern(name)
         for seed in range(20):
             g = random_graph(9, 0.5, seed)
             for mask in (None, 0b110111011):
-                within = (1 << g.n) - 1 if mask is None else mask
-                expected = find_within(g, h, within) is None
+                expected = search(g, h, mask) is None
                 assert _free(g, h, mask) == expected
         assert calls == [name] * 40
         calls.clear()
@@ -691,7 +691,7 @@ class TestCographMachinery:
         assert is_p4_free(broken) == (0, 1, 3, 2)
 
 
-def stack_find_within(g, h, within):
+def stack_find_induced(g, h, within):
     """Reference: the induced-pattern search with every pattern vertex on
     the explicit stack and forward checking at each level."""
     k = h.graph.n

@@ -68,6 +68,15 @@ class TestValidateSatShape:
         ok, violations = validate_sat_shape(SatInstance.of(0, [], []))
         assert not ok
 
+    def test_negative_variable_count_has_no_variables(self):
+        ok, violations = validate_sat_shape(SatInstance.of(-3, [], []))
+        assert not ok
+        assert violations == [
+            "instance has no variables",
+            "positive clause count inconsistent with variable count",
+            "negative clause count inconsistent with variable count",
+        ]
+
     def test_short_clause_flagged(self):
         inst = SatInstance.of(3, [(0, 1)], [(0, 1, 2)])
         ok, violations = validate_sat_shape(inst)
