@@ -263,29 +263,28 @@ def complete_independent_max_cut(
         raise PreconditionViolation("red and blue masks must be disjoint")
     u_mask = ((1 << g.n) - 1) & ~(x | y)
     adj = g.adj_bits
-    for u in iter_bits(u_mask):
-        if adj[u] & u_mask:
-            raise PreconditionViolation(
-                "uncoloured vertices are not independent"
-            )
-        if (adj[u] & x).bit_count() > 1 or (adj[u] & y).bit_count() > 1:
-            raise PreconditionViolation(
-                f"vertex {u} has more than one coloured neighbour per colour;"
-                " pair is not colour-processed for d=1"
-            )
-    free = 0
-    for w in iter_bits(x | y):
-        if not adj[w] & (y if (x >> w) & 1 else x):
-            free |= 1 << w
     forced: list[int] = []
     optional: list[int] = []
     for u in iter_bits(u_mask):
         rx = adj[u] & x
         ry = adj[u] & y
+        if adj[u] & u_mask:
+            raise PreconditionViolation(
+                "uncoloured vertices are not independent"
+            )
+        if rx.bit_count() > 1 or ry.bit_count() > 1:
+            raise PreconditionViolation(
+                f"vertex {u} has more than one coloured neighbour per colour;"
+                " pair is not colour-processed for d=1"
+            )
         if rx and ry:
             forced.append(u)
         elif rx or ry:
             optional.append(u)
+    free = 0
+    for w in iter_bits(x | y):
+        if not adj[w] & (y if (x >> w) & 1 else x):
+            free |= 1 << w
     matched = max_bipartite_matching({u: adj[u] & free for u in forced + optional})
     if any(u not in matched for u in forced):
         return None

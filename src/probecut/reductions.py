@@ -25,6 +25,7 @@ from .graph import (
     Graph,
     PartitionedProbeGraph,
     ProbeCertificate,
+    _nbhd,
     build_graph,
     is_connected,
     iter_bits,
@@ -194,16 +195,14 @@ def subdivide4(g: Graph) -> tuple[PartitionedProbeGraph, ProbeCertificate]:
     n = g.n
     edges = g.edges()
     new_edges: list[tuple[int, int]] = []
-    close_at: dict[int, dict[int, int]] = {v: {} for v in range(n)}
     for k, (u, v) in enumerate(edges):
         y1, y2, y3, y4 = (n + 4 * k + i for i in range(4))
         new_edges += [(u, y1), (y1, y2), (y2, y3), (y3, y4), (y4, v)]
-        close_at[u][v] = y1  # y adjacent to u on the edge towards v
-        close_at[v][u] = y4
     total = n + 4 * len(edges)
     gprime = build_graph(total, new_edges)
-    f_pairs = [tuple(sorted(at.values())[:2]) for at in close_at.values()]
-    nonprobes = frozenset(y for at in close_at.values() for y in at.values())
+    # an original vertex neighbours exactly its three subdivision points
+    f_pairs = [tuple(iter_bits(gprime.adj_bits[v]))[:2] for v in range(n)]
+    nonprobes = frozenset(iter_bits(_nbhd(gprime.adj_bits, (1 << n) - 1)))
     ppg = PartitionedProbeGraph(
         gprime, frozenset(range(total)) - nonprobes, nonprobes
     )
@@ -224,14 +223,8 @@ def bipartite_to_split(
             raise NotBipartite(
                 f"edge {(u, v)} does not cross the given bipartition"
             )
-    side_sorted = sorted(side)
-    f_pairs = [
-        (u, v)
-        for i, u in enumerate(side_sorted)
-        for v in side_sorted[i + 1 :]
-    ]
     ppg = PartitionedProbeGraph(g, rest, side)
-    return ppg, ProbeCertificate.of(f_pairs)
+    return ppg, ProbeCertificate.of(combinations(sorted(side), 2))
 
 
 def _check_sat4p1_d(d: int) -> None:
@@ -260,46 +253,32 @@ def sat_to_4p1(
     ok, violations = validate_sat_shape(inst)
     if not ok:
         raise InvalidSatInstance("; ".join(violations))
-    p = len(inst.positive_clauses)
-    q = len(inst.negative_clauses)
     n_vars = inst.n_vars
     pad = max(d - 3, 0)
-
-    k_core = list(range(p))
-    k_pad = [
-        [p + h * pad + i for i in range(pad)] for h in range(n_vars)
-    ]
-    k_all = k_core + [v for block in k_pad for v in block]
-    base = p + n_vars * pad
-    kp_core = [base + i for i in range(q)]
-    kp_pad = [
-        [base + q + h * pad + i for i in range(pad)] for h in range(n_vars)
-    ]
-    kp_all = kp_core + [v for block in kp_pad for v in block]
-    base2 = base + q + n_vars * pad
-    i_verts = [base2 + h for h in range(n_vars)]
-    total = base2 + n_vars
+    sides = (inst.positive_clauses, inst.negative_clauses)
+    # each side: its clause vertices, then one padding block per variable
+    starts = []
+    nxt = 0
+    for clauses in sides:
+        starts.append(nxt)
+        nxt += len(clauses) + n_vars * pad
+    i_verts = range(nxt, nxt + n_vars)
 
     edges: list[tuple[int, int]] = []
-    for clique in (k_all, kp_all):
-        edges += [
-            (a, b) for i, a in enumerate(clique) for b in clique[i + 1 :]
-        ]
-    for i, clause in enumerate(inst.positive_clauses):
-        edges += [(i_verts[h], k_core[i]) for h in clause]
-    for j, clause in enumerate(inst.negative_clauses):
-        edges += [(i_verts[h], kp_core[j]) for h in clause]
-    for h in range(n_vars):
-        edges += [(i_verts[h], w) for w in k_pad[h] + kp_pad[h]]
-    if d >= 3:
-        for i in range(p):
-            for j in range(d - 2):
-                edges.append((k_core[i], kp_core[(i + j) % p]))
-
-    g = build_graph(total, edges)
-    probes = frozenset(range(total)) - frozenset(i_verts)
-    ppg = PartitionedProbeGraph(g, probes, frozenset(i_verts))
-    f_pairs = [
-        (a, b) for i, a in enumerate(i_verts) for b in i_verts[i + 1 :]
+    for clauses, start in zip(sides, starts):
+        pad0 = start + len(clauses)
+        edges += combinations(range(start, pad0 + n_vars * pad), 2)
+        for c, clause in enumerate(clauses, start):
+            edges += [(i_verts[h], c) for h in clause]
+        for h, x in enumerate(i_verts):
+            edges += [(x, pad0 + h * pad + i) for i in range(pad)]
+    p = len(inst.positive_clauses)
+    edges += [
+        (i, starts[1] + (i + j) % p) for i in range(p) for j in range(d - 2)
     ]
-    return ppg, ProbeCertificate.of(f_pairs)
+
+    g = build_graph(i_verts.stop, edges)
+    ppg = PartitionedProbeGraph(
+        g, frozenset(range(i_verts.start)), frozenset(i_verts)
+    )
+    return ppg, ProbeCertificate.of(combinations(i_verts, 2))

@@ -155,9 +155,9 @@ class _DcutSolver:
         only gains neighbours of its own colour.
 
         Vertices left uncoloured on a filled leaf take the second round,
-        which branches the frontier ``second(uncoloured)``, when ``second``
-        is given, and are coloured blue otherwise (only reachable
-        off-promise).
+        :meth:`_guess` of ``second(uncoloured)`` (sound, as both colours
+        are already on the probe side), when ``second`` is given, and are
+        coloured blue otherwise (only reachable off-promise).
         """
         adj = self.adj_bits
         for lx, ly in _branch_leaves(self.g, x, y, frontier, self.d):
@@ -171,7 +171,7 @@ class _DcutSolver:
                         ly |= 1 << v
             unc &= ~(lx | ly)
             if unc and second:
-                cert = self._search(lx, ly, second(unc))
+                cert = self._guess(lx, ly, second(unc))
             else:
                 cert = self._validate_total(lx, ly | unc)
             if cert:
@@ -350,8 +350,8 @@ class _DcutSolver:
                 return (1 << v) | (rest & -rest)
 
     def _two_component_round(self, c1m: int, c2m: int, unc: int) -> int:
-        """Frontier for the non-probes still uncoloured after the guesses
-        red x1 in c1 and blue x2 in c2.
+        """Second-round guess for the non-probes still uncoloured after
+        the guesses red x1 in c1 and blue x2 in c2.
 
         Such a vertex b has only probe neighbours, all coloured, of both
         colours, and none in x1 or x2 (their neighbourhood was branched):
@@ -364,11 +364,9 @@ class _DcutSolver:
         for b in iter_bits(unc):
             ab = adj[b]
             if (ab & c1m) and (c1m & ~ab) and (ab & c2m) and (c2m & ~ab):
-                edges = self._mixed_edge(b, c1m) | self._mixed_edge(b, c2m)
-                return _nbhd(self.adj_bits, edges) & self.n_mask
+                return self._mixed_edge(b, c1m) | self._mixed_edge(b, c2m)
         b = (unc & -unc).bit_length() - 1
-        cm = c1m if adj[b] & c1m == c1m else c2m
-        return _nbhd(self.adj_bits, cm) & self.n_mask
+        return c1m if adj[b] & c1m == c1m else c2m
 
     def _many_components(self, comps: list[int]) -> Optional[CutCertificate]:
         """Three or more probe components: sort the non-probes by the bit
@@ -424,15 +422,14 @@ class _DcutSolver:
         return self._classes(outer, c1m, 2 * self.d, then)
 
     def _type_b_round(self, b_mask, comps, c1m, unc) -> int:
-        """Frontier for the vertices the type-B guesses left uncoloured:
-        the neighbourhood of the components complete to the first
-        uncoloured type-B non-probe, or of the exceptional component."""
+        """Second-round guess for the vertices the type-B guesses left
+        uncoloured: the components complete to the first uncoloured type-B
+        non-probe, or the exceptional component."""
         left = unc & b_mask
         if left:
             ab = self.adj_bits[(left & -left).bit_length() - 1]
-            ym = sum(cm for cm in comps if ab & cm == cm)
-            return _nbhd(self.adj_bits, ym) & self.n_mask
-        return _nbhd(self.adj_bits, c1m) & self.n_mask
+            return sum(cm for cm in comps if ab & cm == cm)
+        return c1m
 
     def _dominating_pair_case(
         self, c_complete: dict[int, int], comps: list[int]
@@ -479,9 +476,9 @@ class _DcutSolver:
         for colour in (x0, y0):
             for cm in untouched:
                 if cm & colour == cm:
-                    extra |= self.adj_bits[(cm & -cm).bit_length() - 1]
+                    extra |= cm & -cm
                     break
-        return self._guess(x0, y0, guess_mask, lambda unc: extra & self.n_mask)
+        return self._guess(x0, y0, guess_mask, lambda unc: extra)
 
 
 def solve_dcut(ppg: PartitionedProbeGraph, d: int) -> SolveReport:

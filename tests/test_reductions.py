@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probecut import (
+    BLUE,
+    RED,
+    CutCertificate,
     GenerationTimeout,
     InvalidSatInstance,
     NoEdges,
     NotBipartite,
     NotConnected,
     NotCubic,
+    PartitionedProbeGraph,
+    ProbeCertificate,
     SatInstance,
     UnsupportedD,
     backtrack_dcut,
@@ -30,6 +35,7 @@ from probecut import (
     split_forbidden_patterns,
     star_pattern,
     subdivide4,
+    validate_colouring,
     validate_sat_shape,
     verify_probe_certificate,
 )
@@ -40,6 +46,7 @@ from conftest import (
     cycle_graph,
     path_graph,
     random_connected_graph,
+    random_cubic_graph,
 )
 
 EXAMPLE_SAT = SatInstance.of(
@@ -316,3 +323,187 @@ class TestSatTo4P1:
                     assert mask & blue in (0, mask), (
                         "clique split by a valid 2-colouring"
                     )
+
+
+# Reference copies of the constructions as first written, each gadget laid
+# out by hand; the library builds them in loops and must give identical
+# vertex ids, rows, sides and certificates.
+def _reference_subdivide4(g):
+    n = g.n
+    edges = g.edges()
+    new_edges = []
+    close_at = {v: {} for v in range(n)}
+    for k, (u, v) in enumerate(edges):
+        y1, y2, y3, y4 = (n + 4 * k + i for i in range(4))
+        new_edges += [(u, y1), (y1, y2), (y2, y3), (y3, y4), (y4, v)]
+        close_at[u][v] = y1  # y adjacent to u on the edge towards v
+        close_at[v][u] = y4
+    total = n + 4 * len(edges)
+    gprime = build_graph(total, new_edges)
+    f_pairs = [tuple(sorted(at.values())[:2]) for at in close_at.values()]
+    nonprobes = frozenset(y for at in close_at.values() for y in at.values())
+    ppg = PartitionedProbeGraph(
+        gprime, frozenset(range(total)) - nonprobes, nonprobes
+    )
+    return ppg, ProbeCertificate.of(f_pairs)
+
+
+def _reference_sat_to_4p1(inst, d):
+    p = len(inst.positive_clauses)
+    q = len(inst.negative_clauses)
+    n_vars = inst.n_vars
+    pad = max(d - 3, 0)
+    k_core = list(range(p))
+    k_pad = [[p + h * pad + i for i in range(pad)] for h in range(n_vars)]
+    k_all = k_core + [v for block in k_pad for v in block]
+    base = p + n_vars * pad
+    kp_core = [base + i for i in range(q)]
+    kp_pad = [
+        [base + q + h * pad + i for i in range(pad)] for h in range(n_vars)
+    ]
+    kp_all = kp_core + [v for block in kp_pad for v in block]
+    base2 = base + q + n_vars * pad
+    i_verts = [base2 + h for h in range(n_vars)]
+    total = base2 + n_vars
+    edges = []
+    for clique in (k_all, kp_all):
+        edges += [
+            (a, b) for i, a in enumerate(clique) for b in clique[i + 1 :]
+        ]
+    for i, clause in enumerate(inst.positive_clauses):
+        edges += [(i_verts[h], k_core[i]) for h in clause]
+    for j, clause in enumerate(inst.negative_clauses):
+        edges += [(i_verts[h], kp_core[j]) for h in clause]
+    for h in range(n_vars):
+        edges += [(i_verts[h], w) for w in k_pad[h] + kp_pad[h]]
+    if d >= 3:
+        for i in range(p):
+            for j in range(d - 2):
+                edges.append((k_core[i], kp_core[(i + j) % p]))
+    g = build_graph(total, edges)
+    probes = frozenset(range(total)) - frozenset(i_verts)
+    ppg = PartitionedProbeGraph(g, probes, frozenset(i_verts))
+    f_pairs = [
+        (a, b) for i, a in enumerate(i_verts) for b in i_verts[i + 1 :]
+    ]
+    return ppg, ProbeCertificate.of(f_pairs)
+
+
+def _layout(out):
+    ppg, cert = out
+    return (ppg.graph.n, ppg.graph.adj_bits, ppg.probes, ppg.nonprobes,
+            cert.f_edges)
+
+
+class TestReferenceLayouts:
+    """The golden digests reach sat4p1 only at d in {2, 3}, where there is
+    no padding; this pins every vertex id of the padded layouts too."""
+
+    def test_sat_to_4p1_matches_reference(self):
+        for n_vars in (3, 6, 9, 12, 15):
+            for seed in range(3):
+                inst = random_sat_instance(n_vars, seed)
+                for d in range(2, 9):
+                    assert _layout(sat_to_4p1(inst, d)) == _layout(
+                        _reference_sat_to_4p1(inst, d)
+                    ), (n_vars, seed, d)
+
+    def test_subdivide4_matches_reference(self):
+        checked = 0
+        for n in range(4, 51, 2):
+            for seed in range(2):
+                g = random_cubic_graph(n, 320_000 + seed)
+                if g is None:
+                    continue
+                assert _layout(subdivide4(g)) == _layout(
+                    _reference_subdivide4(g)
+                ), (n, seed)
+                checked += 1
+        assert checked == 48
+
+
+def _moshi_lift(g, colouring):
+    """Output colouring of ``moshi_double(g)`` from a source colouring:
+    both intermediates of an uncut edge take its ends' colour, and the two
+    of a cut edge uv take the colours of u and of v."""
+    out = list(colouring)
+    for u, v in g.edges():
+        out += [colouring[u], colouring[v]]
+    return out
+
+
+def _moshi_project(g, colouring):
+    """Source colouring of an output colouring: its original vertices."""
+    return list(colouring[: g.n])
+
+
+def _planted_matching_cut(n, seed):
+    """Connected graph on n >= 4 vertices with a planted matching cut:
+    two connected halves (random tree plus extra edges) joined by a
+    non-empty matching, under a random relabelling.  Returns the graph and
+    the halves' colouring."""
+    rng = random.Random(seed)
+    a = rng.randint(2, n - 2)
+    halves = (list(range(a)), list(range(a, n)))
+    edges = set()
+    for half in halves:
+        for i in range(1, len(half)):
+            edges.add((half[rng.randrange(i)], half[i]))
+        for _ in range(len(half)):
+            u, v = sorted(rng.sample(half, 2))
+            edges.add((u, v))
+    k = rng.randint(1, min(a, n - a))
+    edges.update(zip(rng.sample(halves[0], k), rng.sample(halves[1], k)))
+    label = list(range(n))
+    rng.shuffle(label)
+    g = build_graph(n, [(label[u], label[v]) for u, v in edges])
+    colouring = [None] * n
+    for v in range(n):
+        colouring[label[v]] = RED if v < a else BLUE
+    return g, colouring
+
+
+class TestMoshiTransport:
+    """Certificate transport through edge doubling: a source matching cut
+    lifts to an output 1-cut, and an output 1-cut projects to a source
+    one."""
+
+    def _check(self, g, colouring):
+        assert isinstance(validate_colouring(g, colouring, 1), CutCertificate)
+        ppg, _ = moshi_double(g)
+        lifted = _moshi_lift(g, colouring)
+        assert isinstance(
+            validate_colouring(ppg.graph, lifted, 1), CutCertificate
+        )
+        projected = _moshi_project(g, lifted)
+        assert isinstance(validate_colouring(g, projected, 1), CutCertificate)
+        return ppg.graph.n
+
+    def test_planted_sources(self):
+        began = time.perf_counter()
+        for seed in range(100):
+            rng = random.Random(seed)
+            g, colouring = _planted_matching_cut(rng.randint(30, 200), seed)
+            self._check(g, colouring)
+        assert time.perf_counter() - began < 10.0
+
+    def test_thousand_vertex_source(self):
+        g, colouring = _planted_matching_cut(1000, 7)
+        began = time.perf_counter()
+        assert self._check(g, colouring) == 1000 + 2 * g.edge_count()
+        assert time.perf_counter() - began < 3.0
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=40)
+    def test_output_cuts_project(self, seed):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng.randint(2, 6), 0.5, seed)
+        if g.edge_count() == 0:
+            return
+        ppg, _ = moshi_double(g)
+        cert = backtrack_dcut(ppg.graph, 1)
+        if cert is not None:
+            projected = _moshi_project(g, cert.colouring)
+            assert isinstance(
+                validate_colouring(g, projected, 1), CutCertificate
+            )
