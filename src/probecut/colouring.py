@@ -81,7 +81,8 @@ def _certify(
             and _within_budget(adj, y, x, d, lo)):
         return None
     cut = frozenset(
-        (min(u, v), max(u, v)) for u in iter_bits(x) for v in iter_bits(adj[u] & y)
+        (u, v) if u < v else (v, u)
+        for u in iter_bits(x) for v in iter_bits(adj[u] & y)
     )
     return CutCertificate(colouring_of(g.n, x, y), cut, d, perfect, len(cut))
 

@@ -11,7 +11,9 @@ The cograph decomposition is one frontier BFS that splits a vertex mask
 into its components or those of its complement, ordered by least vertex;
 :func:`cograph_split`, :func:`is_connected`, :func:`connected_components`
 and :func:`_cograph` (a worklist, so no recursion) all run on it.  The
-yes/no check :func:`_free` decides sP1+P4-freeness by cograph tests alone.
+yes/no check :func:`_free` peels universal and isolated pattern vertices
+off to a core, and decides an edgeless core by clique covers and a P4 core
+by cograph tests, leaving only any other core to the search.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ class ProbeCertificate:
     @staticmethod
     def of(pairs: Iterable[tuple[int, int]]) -> "ProbeCertificate":
         return ProbeCertificate(
-            frozenset((min(u, v), max(u, v)) for u, v in pairs)
+            frozenset((u, v) if u < v else (v, u) for u, v in pairs)
         )
 
 
@@ -417,9 +419,16 @@ def find_induced(
 @functools.lru_cache(maxsize=256)
 def _pattern_plan(pat_adj: tuple[int, ...]) -> tuple:
     """``plan[j]``, (l, adjacent, twin) for each later pattern vertex l,
-    the pattern degrees and the largest, for :func:`find_induced`, and s
-    if the rows are those of ``sp1_p4_pattern(s)`` (else None), for
-    :func:`_free`."""
+    the pattern degrees and the largest, for :func:`find_induced`, and the
+    peel plan ``(steps, kind, core)`` for :func:`_free`.
+
+    Peeling takes a vertex universal in what is left of the pattern, else
+    an isolated one, least id first; each step is (universal, twin), where
+    twin marks a step of the same kind as the one before, whose vertex is
+    then a twin of it in what was left.  It stops at a core: an edgeless
+    one (``kind`` "cover"), a P4 ("cograph"), or one with no universal or
+    isolated vertex ("search"), which is the pattern itself when nothing
+    was peeled.  ``core`` is the core as a pattern, for the search."""
     k = len(pat_adj)
     plan = tuple(
         tuple(
@@ -433,10 +442,35 @@ def _pattern_plan(pat_adj: tuple[int, ...]) -> tuple:
         for j in range(k)
     )
     degrees = tuple(a.bit_count() for a in pat_adj)
-    s = k - 4
-    if s < 0 or pat_adj != sp1_p4_pattern(s).graph.adj_bits:
-        s = None
-    return plan, degrees, max(degrees, default=0), s
+    steps: list[tuple[bool, bool]] = []
+    alive = (1 << k) - 1
+    while True:
+        left = list(iter_bits(alive))
+        inner = [(pat_adj[v] & alive).bit_count() for v in left]
+        if not any(inner):
+            kind = "cover" if left else "search"  # the empty pattern: search
+            break
+        if sorted(inner) == [1, 1, 2, 2]:  # only P4 has these degrees
+            kind = "cograph"
+            break
+        for universal, want in ((True, len(left) - 1), (False, 0)):
+            if want in inner:
+                twin = bool(steps) and steps[-1][0] == universal
+                steps.append((universal, twin))
+                alive ^= 1 << left[inner.index(want)]
+                break
+        else:
+            kind = "search"
+            break
+    index = {v: i for i, v in enumerate(left)}
+    core = Pattern(
+        f"{len(left)}P1" if kind == "cover" else "core",
+        build_graph(len(left), [
+            (index[u], index[v])
+            for u in left for v in iter_bits(pat_adj[u] & alive)
+        ]),
+    )
+    return plan, degrees, max(degrees, default=0), (tuple(steps), kind, core)
 
 
 def verify_probe_certificate(
@@ -532,30 +566,72 @@ def _cograph(g: Graph, mask: int) -> bool:
     return True
 
 
-def _sp1_p4_free(g: Graph, mask: int, s: int, lo: int) -> bool:
-    """True iff the subgraph on the vertex mask holds no induced sP1+P4
-    whose s isolated vertices are all >= ``lo``; one exists iff, for the
-    least of them, v, the mask minus N[v] holds an (s-1)P1+P4 above v."""
-    if s == 0:
-        return _cograph(g, mask)
-    if lo and _cograph(g, mask):  # no P4 (top level: seldom a cograph)
+def _free(g: Graph, h: Pattern, mask: Optional[int] = None) -> bool:
+    """True iff the graph, or its subgraph on the vertex mask, holds no
+    induced copy of the pattern, by the peel plan of :func:`_pattern_plan`.
+
+    A universal pattern vertex must map to some v with the rest of the
+    pattern inside N(v), an isolated one to some v with the rest outside
+    N[v]; twins take increasing images.  At the core, an edgeless kP1 is
+    absent if :func:`_covered` covers the mask by k - 1 cliques (a claw at
+    v is an independent triple in N(v)), a P4 is decided by
+    :func:`_cograph`, and the search decides the rest: a core with no
+    universal or isolated vertex, or a mask the greedy cover fails on.
+    So sP1+P4 takes at most n^s cograph tests, one per non-neighbourhood
+    of an independent s-set."""
+    _check_pattern_size(h.name, h.graph.n)
+    steps, kind, core = _pattern_plan(h.graph.adj_bits)[3]
+    if kind == "search" and not steps:
+        return find_induced(g, h, mask) is None
+    within = (1 << g.n) - 1 if mask is None else mask
+    return _absent(g, within, steps, kind, core, 0)
+
+
+def _absent(
+    g: Graph, mask: int, steps: tuple, kind: str, core: Pattern, lo: int
+) -> bool:
+    """True iff the mask holds no induced copy of the peel steps and core,
+    where a first step marked twin takes its image at ``lo`` or above; a
+    nested mask (``lo`` > 0) that is a cograph holds no P4 core at all."""
+    if not steps:
+        if kind == "cograph":
+            return _cograph(g, mask)
+        if kind == "cover" and _covered(g.adj_bits, mask, core.graph.n - 1):
+            return True
+        return find_induced(g, core, mask) is None
+    if lo and kind == "cograph" and _cograph(g, mask):
         return True
-    for v in iter_bits(mask & (-1 << lo)):
-        rest = mask & ~(g.adj_bits[v] | 1 << v)
-        if rest.bit_count() >= s + 3 and not _sp1_p4_free(g, rest, s - 1, v + 1):
+    (universal, twin), rest = steps[0], steps[1:]
+    need = len(rest) + core.graph.n
+    adj = g.adj_bits
+    todo = mask & (-1 << lo) if twin else mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        sub = mask & adj[v] if universal else mask & ~(adj[v] | low)
+        if sub.bit_count() >= need and not _absent(
+            g, sub, rest, kind, core, v + 1
+        ):
             return False
     return True
 
 
-def _free(g: Graph, h: Pattern, mask: Optional[int] = None) -> bool:
-    """True iff the graph, or its subgraph on the vertex mask, holds no
-    induced copy of the pattern.  The rows of ``sp1_p4_pattern(s)`` are
-    decided by at most n^s cograph tests, any other pattern by the search."""
-    _check_pattern_size(h.name, h.graph.n)
-    s = _pattern_plan(h.graph.adj_bits)[3]
-    if s is not None:
-        return _sp1_p4_free(g, (1 << g.n) - 1 if mask is None else mask, s, 0)
-    return find_induced(g, h, mask) is None
+def _covered(adj: tuple[int, ...], mask: int, cliques: int) -> bool:
+    """True if a greedy cover of the mask by at most ``cliques`` cliques
+    succeeds, which proves that it has no independent set of cliques + 1
+    vertices: each clique grows from the least vertex left, taking the
+    least common neighbour each time."""
+    while mask and cliques > 0:
+        low = mask & -mask
+        mask ^= low
+        common = adj[low.bit_length() - 1] & mask
+        while common:
+            low = common & -common
+            mask ^= low
+            common &= adj[low.bit_length() - 1]
+        cliques -= 1
+    return not mask
 
 
 _ATTEMPTS = 10_000

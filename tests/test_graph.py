@@ -33,6 +33,8 @@ from probecut import (
     parse_pattern,
     path_pattern,
     random_probe_hfree,
+    random_sat_instance,
+    sat_to_4p1,
     sp1_p4_pattern,
     star_pattern,
     two_p2_pattern,
@@ -454,10 +456,51 @@ class TestProbeCertificate:
             )
 
 
+_SHAPES = (
+    [f"P{t}" for t in range(1, 9)]
+    + [f"C{r}" for r in range(3, 9)]
+    + [f"K1,{m}" for m in range(8)]
+    + [f"{s}P1" for s in range(1, 9)]
+    + ["P1+P4", "2P1+P4", "3P1+P4", "4P1+P4", "diamond", "2P2"]
+)
+"""Every non-empty shape ``parse_pattern`` accepts; P4 is among the
+paths."""
+
+
+def _line_graph_of_bipartite(seed):
+    """The line graph of a random bipartite graph, its vertices shuffled:
+    N(e) is two cliques with no edge between them (the edges at each end
+    of e), and N(e) & N(f) for adjacent e, f is one clique, so the greedy
+    cover proves it claw-, K1,4- and diamond-free."""
+    rng = random.Random(seed)
+    edges = [
+        (a, b) for a in range(5) for b in range(5, 10) if rng.random() < 0.5
+    ]
+    rng.shuffle(edges)
+    return build_graph(len(edges), [
+        (i, j)
+        for i, j in itertools.combinations(range(len(edges)), 2)
+        if set(edges[i]) & set(edges[j])
+    ])
+
+
+def _disjoint_cliques(count, seed):
+    """At most ``count`` disjoint cliques on 12 shuffled vertices, which
+    the greedy cover splits into exactly those cliques."""
+    rng = random.Random(seed)
+    group = [rng.randrange(count) for _ in range(12)]
+    return build_graph(12, [
+        (u, v)
+        for u, v in itertools.combinations(range(12), 2)
+        if group[u] == group[v]
+    ])
+
+
 class TestFreeness:
-    """``_free`` decides an sP1+P4 by cograph tests of non-neighbourhoods
-    and every other pattern by the occurrence search; either way its
-    answer is whether the search finds nothing."""
+    """``_free`` peels universal and isolated pattern vertices off to a
+    core and decides an edgeless core by a greedy clique cover, a P4 core
+    by cograph tests and any other core by the occurrence search; either
+    way its answer is whether the search finds nothing."""
 
     def test_matches_occurrence_search_on_sp1_p4(self):
         rng = random.Random(30)
@@ -475,8 +518,66 @@ class TestFreeness:
                     answers.add((s, mask is None, expected))
         assert len(answers) == 20  # both answers for each s, masked or not
 
-    @pytest.mark.parametrize("name", ["K1,3", "diamond", "4P1", "2P2", "C5"])
+    @pytest.mark.parametrize("name", _SHAPES)
+    def test_matches_occurrence_search_on_every_shape(self, name):
+        """Random graphs on up to 12 vertices, half of them with the
+        pattern planted on random vertices; a planted graph's mask keeps
+        the planted vertices.  The pattern itself and a graph one vertex
+        too small start the list, so both answers are reached, masked and
+        unmasked."""
+        h = parse_pattern(name)
+        k, rows = h.graph.n, h.graph.adj_bits
+        rng = random.Random(name)
+        cases = [(h.graph, (1 << k) - 1), (random_graph(k - 1, 0.5, 0), 0)]
+        for _ in range(40):
+            n = rng.randint(k, 12)
+            g = random_graph(n, rng.random(), rng.randrange(2**32))
+            planted = 0
+            if rng.random() < 0.5:
+                at = rng.sample(range(n), k)
+                planted = sum(1 << v for v in at)
+                g = build_graph(n, [
+                    (u, v) for u, v in g.edges()
+                    if not (planted >> u & 1 and planted >> v & 1)
+                ] + [
+                    (at[i], at[j]) for i in range(k) for j in iter_bits(rows[i])
+                ])
+            cases.append((g, planted))
+        answers = set()
+        for g, planted in cases:
+            for mask in (None, planted | rng.randrange(1 << g.n)):
+                within = (1 << g.n) - 1 if mask is None else mask
+                expected = find_induced(g, h, within) is None
+                assert _free(g, h, mask) == expected, (g, mask)
+                answers.add((mask is None, expected))
+        assert len(answers) == 4
+
+    def test_matches_occurrence_search_on_random_patterns(self):
+        """Any pattern, not only a named shape: random graphs on up to 6
+        vertices peel to every kind of core."""
+        rng = random.Random(33)
+        for i in range(150):
+            k = rng.randint(1, 6)
+            shape = random_graph(k, rng.random(), rng.randrange(2**32))
+            h = Pattern(f"R{i}", shape)
+            for _ in range(10):
+                n = rng.randint(0, 11)
+                g = random_graph(n, rng.random(), rng.randrange(2**32))
+                for mask in (None, rng.randrange(1 << n)):
+                    within = (1 << n) - 1 if mask is None else mask
+                    expected = find_induced(g, h, within) is None
+                    assert _free(g, h, mask) == expected, (h, g, mask)
+
+    @pytest.mark.parametrize("name", [
+        "K1,3", "K1,4", "diamond", "3P1", "4P1", "2P2", "C4", "C5", "P5",
+    ])
     def test_other_patterns_use_the_search(self, name, monkeypatch):
+        """The search decides what no peel or cover does.  A pattern with
+        no universal or isolated vertex (2P2, C4, C5, P5) goes to it once
+        per check; one that peels to an edgeless core makes no call where
+        the greedy cover proves the core absent: line graphs of bipartite
+        graphs for the stars and the diamond, and at most k - 1 disjoint
+        cliques for kP1."""
         calls = []
 
         def counted(g, h, mask=None):
@@ -491,10 +592,63 @@ class TestFreeness:
             for mask in (None, 0b110111011):
                 expected = search(g, h, mask) is None
                 assert _free(g, h, mask) == expected
-        assert calls == [name] * 40
+        if name in ("2P2", "C4", "C5", "P5"):
+            assert calls == [name] * 40
+        else:
+            calls.clear()
+            for seed in range(20):
+                if name.endswith("P1"):
+                    g = _disjoint_cliques(h.graph.n - 1, seed)
+                else:
+                    g = _line_graph_of_bipartite(seed)
+                for mask in (None, random.Random(seed).randrange(1 << g.n)):
+                    assert search(g, h, mask) is None
+                    assert _free(g, h, mask)
+            assert calls == []
         calls.clear()
         _free(random_graph(9, 0.5, 0), sp1_p4_pattern(2))
         assert calls == []
+
+    def test_greedy_cover_failure_falls_back(self, monkeypatch):
+        """C5 has no independent triple, but the greedy cover takes {0, 1},
+        {2, 3} and then needs a third clique for 4, so the search answers."""
+        calls = []
+
+        def counted(g, h, mask=None):
+            calls.append(h.name)
+            return search(g, h, mask)
+
+        search = graph_module.find_induced
+        monkeypatch.setattr(graph_module, "find_induced", counted)
+        g = cycle_graph(5)
+        assert not graph_module._covered(g.adj_bits, 0b11111, 2)
+        assert _free(g, independent_pattern(3))
+        assert calls == ["3P1"]
+        assert not _free(cycle_graph(6), independent_pattern(3))
+
+    @pytest.mark.parametrize("name", ["diamond", "C3"])
+    def test_twin_universal_vertices(self, name):
+        """The two universal vertices of the diamond (and all three of C3)
+        are twins and take increasing images; every relabelling of the
+        pattern, alone or beside extra vertices, is still found; K4 holds
+        no diamond and C4 neither pattern."""
+        h = parse_pattern(name)
+        k = h.graph.n
+        for perm in itertools.permutations(range(k + 2)):
+            g = build_graph(k + 2, [
+                (perm[u], perm[v]) for u, v in h.graph.edges()
+            ] + [(perm[k], perm[k + 1]), (perm[0], perm[k])])
+            assert not _free(g, h)
+            assert not _free(g, h, sum(1 << perm[v] for v in range(k)))
+        assert _free(complete_graph(4), diamond_pattern())
+        assert _free(cycle_graph(4), h)
+
+    def test_empty_pattern_is_everywhere(self):
+        h = parse_pattern("0P1")
+        for g in (build_graph(0, []), random_graph(5, 0.5, 0)):
+            assert find_induced(g, h) == {}
+            assert not _free(g, h)
+            assert not _free(g, h, 0)
 
     def test_oversized_pattern_refused_alike(self):
         g, h = complete_graph(10), sp1_p4_pattern(5)
@@ -544,6 +698,49 @@ class TestFreeness:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert min(times) < budget
+
+
+    @pytest.mark.parametrize(
+        "source", ["sat4p1", "moshi-dense", "moshi-c500"]
+    )
+    def test_construction_check_within_budget(self, source):
+        """The pattern check of a construction's completed output at scale:
+        sat4p1 of 300 variables at d = 3 (700 vertices, 4P1-free: three
+        cliques), and moshi of a 60-vertex source with 518 edges (1,096
+        vertices) and of two C500 joined by three edges (3,006), both
+        claw-free.  On a shared 2-CPU x86 host the occurrence search took
+        6.0 s, 0.22 s and 0.05 s, and the peel and cover take 0.021 s,
+        0.036 s and 0.010 s.  Best of three; the alarm ends an overrun at
+        10 s."""
+        if source == "sat4p1":
+            ppg, cert = sat_to_4p1(random_sat_instance(300, 0), 3)
+            h, n = independent_pattern(4), 700
+        else:
+            if source == "moshi-dense":
+                g = random_connected_graph(60, 0.3, 51)
+            else:
+                g = build_graph(1000, [(v, v + 1) for v in range(499)] + [
+                    (v, v + 1) for v in range(500, 999)
+                ] + [(0, 499), (500, 999), (0, 500), (100, 600), (200, 700)])
+            ppg, cert = moshi_double(g)
+            h, n = star_pattern(3), 1096 if source == "moshi-dense" else 3006
+        assert ppg.graph.n == n
+
+        def overrun(signum, frame):
+            raise AssertionError("verify_probe_certificate over its budget")
+
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.alarm(10)
+        try:
+            times = []
+            for _ in range(3):
+                began = time.perf_counter()
+                assert verify_probe_certificate(ppg, cert, h)
+                times.append(time.perf_counter() - began)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert min(times) < 0.5
 
 
 class TestCographMachinery:
