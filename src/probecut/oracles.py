@@ -34,7 +34,6 @@ from .graph import (
     PartitionedProbeGraph,
     ProbeCertificate,
     _free,
-    _nbhd,
     find_induced,
     iter_bits,
 )
@@ -291,8 +290,18 @@ def backtrack_dcut(
     Every leaf is validated, so the result is exactly that of the plain
     enumeration oracles (checked by tests on shared scales).
 
-    Propagation runs a work queue holding only the vertices whose counts
-    just changed: the newly coloured ones and their coloured neighbours.
+    Propagation runs a work queue holding only the vertices whose state a
+    new colour can change.  When a set U takes colour c (a branch or a
+    forced move), U is rechecked, and so are the neighbours of U coloured
+    opposite to c.  That is enough: after a closure every coloured vertex
+    has at most d opposite neighbours, and none uncoloured if it has d.  A
+    neighbour coloured c keeps its opposite count and only loses
+    uncoloured neighbours, so that still holds for it.  The perfect rules
+    also read how many neighbours do not share a vertex's colour, which
+    falls when one takes it; so with ``require_perfect`` every coloured
+    neighbour of U is rechecked, but for the vertex that forced U: all its
+    neighbours are then coloured, d of them opposite, so its state is
+    final.  (Outside the perfect case it has colour c anyway.)
     The order in which rules fire does not matter.  Colours are only
     added, so a vertex's opposite count only grows and its count of
     neighbours not sharing its colour only shrinks; a rule that applies,
@@ -314,22 +323,24 @@ def backtrack_dcut(
         return None
     adj = g.adj_bits
     full = (1 << n) - 1
-
-    def propagate(
-        x: int, y: int, dirty: int, reach: int
-    ) -> Optional[tuple[int, int, int]]:
-        while dirty:
+    # the perfect rules read the free count: recheck both colours there
+    same = full if require_perfect else 0
+    stack = [(1, 0, 1, adj[0])]
+    while stack:
+        x, y, dirty, reach = stack.pop()
+        coloured = x | y
+        while dirty:  # the closure; a failure breaks out
             low = dirty & -dirty
             dirty ^= low
             av = adj[low.bit_length() - 1]
             red = x & low
             opp = (av & (y if red else x)).bit_count()
             if opp > d:
-                return None
-            unc = av & ~(x | y)
+                break
+            unc = av & ~coloured
             free = opp + unc.bit_count()
             if require_perfect and free < d:
-                return None
+                break
             if not unc:
                 continue
             if opp == d:
@@ -344,37 +355,35 @@ def backtrack_dcut(
                 x |= unc
             else:
                 y |= unc
-            touched = unc | _nbhd(adj, unc)
-            dirty |= touched & (x | y)
-            reach |= touched
-        return x, y, reach
-
-    stack = [(1, 0, 1, adj[0])]
-    while stack:
-        state = propagate(*stack.pop())
-        if state is None:
-            continue
-        x, y, reach = state
-        coloured = x | y
-        uncoloured = full & ~coloured
-        if not uncoloured:
-            cert = _certify(g, x, y, d, require_perfect)
-            if cert:
-                return cert
-            continue
-        # branch on the uncoloured vertex with most coloured neighbours
-        cand = reach & uncoloured or uncoloured & -uncoloured
-        best_v, best_k = -1, -1
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            k = (adj[v] & coloured).bit_count()
-            if k > best_k:
-                best_v, best_k = v, k
-        bit = 1 << best_v
-        dirty = bit | (adj[best_v] & coloured)
-        reach |= adj[best_v]
-        stack.append((x, y | bit, dirty, reach))
-        stack.append((x | bit, y, dirty, reach))
+            coloured |= unc
+            nb, rest = 0, unc
+            while rest:
+                w = rest & -rest
+                rest ^= w
+                nb |= adj[w.bit_length() - 1]
+            reach |= unc | nb
+            # the forcing vertex is left out: its state is final
+            dirty |= unc | nb & ((y if to_red else x) | coloured & same) & ~low
+        else:
+            uncoloured = full & ~coloured
+            if not uncoloured:
+                cert = _certify(g, x, y, d, require_perfect)
+                if cert:
+                    return cert
+                continue
+            # branch on the uncoloured vertex with most coloured neighbours
+            cand = reach & uncoloured or uncoloured & -uncoloured
+            best_v, best_k = -1, -1
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
+                k = (adj[v] & coloured).bit_count()
+                if k > best_k:
+                    best_v, best_k = v, k
+            bit = 1 << best_v
+            av = adj[best_v]
+            reach |= av
+            stack.append((x, y | bit, bit | av & (x | coloured & same), reach))
+            stack.append((x | bit, y, bit | av & (y | coloured & same), reach))
     return None

@@ -13,6 +13,8 @@ from probecut import (
     build_graph,
     is_connected,
 )
+from probecut.colouring import _certify
+from probecut.graph import _nbhd
 
 settings.register_profile(
     "suite",
@@ -138,3 +140,75 @@ def reference_closure(adj, n, x, y, d):
             if (adj[v] & x).bit_count() > d and (adj[v] & y).bit_count() > d:
                 return None
     return x, y
+
+
+def reference_backtrack_dcut(g: Graph, d: int, require_perfect: bool = False):
+    """Reference copy of ``oracles.backtrack_dcut`` with its closure in a
+    nested ``propagate`` that rechecks every coloured neighbour of a newly
+    coloured vertex, whatever its colour.  Same branch rule, red-first
+    order and leaf validation, so the oracle must return the same result,
+    certificate for certificate."""
+    n = g.n
+    if n < 2:
+        return None
+    adj = g.adj_bits
+    full = (1 << n) - 1
+
+    def propagate(x, y, dirty, reach):
+        while dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            av = adj[low.bit_length() - 1]
+            red = x & low
+            opp = (av & (y if red else x)).bit_count()
+            if opp > d:
+                return None
+            unc = av & ~(x | y)
+            free = opp + unc.bit_count()
+            if require_perfect and free < d:
+                return None
+            if not unc:
+                continue
+            if opp == d:
+                to_red = bool(red)
+            elif require_perfect and free == d:
+                to_red = not red
+            else:
+                continue
+            if to_red:
+                x |= unc
+            else:
+                y |= unc
+            touched = unc | _nbhd(adj, unc)
+            dirty |= touched & (x | y)
+            reach |= touched
+        return x, y, reach
+
+    stack = [(1, 0, 1, adj[0])]
+    while stack:
+        state = propagate(*stack.pop())
+        if state is None:
+            continue
+        x, y, reach = state
+        coloured = x | y
+        uncoloured = full & ~coloured
+        if not uncoloured:
+            cert = _certify(g, x, y, d, require_perfect)
+            if cert:
+                return cert
+            continue
+        cand = reach & uncoloured or uncoloured & -uncoloured
+        best_v, best_k = -1, -1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            k = (adj[v] & coloured).bit_count()
+            if k > best_k:
+                best_v, best_k = v, k
+        bit = 1 << best_v
+        dirty = bit | (adj[best_v] & coloured)
+        reach |= adj[best_v]
+        stack.append((x, y | bit, dirty, reach))
+        stack.append((x | bit, y, dirty, reach))
+    return None

@@ -13,6 +13,7 @@ from probecut import (
     BLUE,
     RED,
     CutCertificate,
+    Graph,
     OracleScaleExceeded,
     PartitionedProbeGraph,
     ProbeCertificate,
@@ -29,7 +30,10 @@ from probecut import (
     parse_pattern,
     path_pattern,
     random_probe_hfree,
+    random_sat_instance,
+    sat_to_4p1,
     sp1_p4_pattern,
+    subdivide4,
     two_p2_pattern,
     validate_colouring,
     verify_probe_certificate,
@@ -42,7 +46,9 @@ from conftest import (
     cycle_graph,
     path_graph,
     random_connected_graph,
+    random_cubic_graph,
     random_graph,
+    reference_backtrack_dcut,
     star_graph,
 )
 
@@ -596,6 +602,16 @@ class TestOracleInvariants:
         assert isinstance(validate_colouring(g, swapped, 2), CutCertificate)
 
 
+def _perfect_agrees(g, d):
+    """Perfect d-cut of backtrack_dcut against the plain enumeration scan;
+    a "yes" must re-validate.  Returns whether there is one."""
+    cert = backtrack_dcut(g, d, require_perfect=True)
+    assert (cert is not None) == (next(_colourings(g, d, d), None) is not None)
+    if cert is not None:
+        assert validate_colouring(g, cert.colouring, d, True) == cert
+    return cert is not None
+
+
 class TestBacktrackDcut:
     def test_small_examples(self):
         assert backtrack_dcut(cycle_graph(3), 1) is None
@@ -621,12 +637,89 @@ class TestBacktrackDcut:
         assert (backtrack_dcut(g, 1, require_perfect=True) is not None) == (
             brute_pmc(g) is not None
         )
+        for d in (2, 3):
+            _perfect_agrees(g, d)
+
+    def test_perfect_agrees_with_enumeration_above_d_one(self):
+        """1,500 seeded graphs on up to 12 vertices: 44 perfect 2-cuts and
+        18 perfect 3-cuts, each re-validated, and every "no" confirmed."""
+        yes = {2: 0, 3: 0}
+        for seed in range(1500):
+            rng = random.Random(seed)
+            n = rng.randint(2, 12)
+            g = random_graph(n, rng.choice([0.3, 0.5, 0.7]), seed)
+            for d in yes:
+                yes[d] += _perfect_agrees(g, d)
+        assert yes == {2: 44, 3: 18}
+
+    def test_same_certificate_as_reference(self):
+        """The closure rechecks only the vertices a new colour can change,
+        so every node reaches the fixpoint or failure of the reference,
+        which rechecks every coloured neighbour: same branch vertices, same
+        tree, same first valid leaf.  1,000 seeded graphs, n = 2-16 and
+        density 0.2-0.9, at d = 1, 2, 3 with and without the perfect
+        rules; each of the six reaches both answers (perfect 3-cuts, the
+        rarest, 14 times)."""
+        answers = {}
+        for seed in range(1000):
+            rng = random.Random(seed)
+            g = random_graph(rng.randint(2, 16), rng.uniform(0.2, 0.9), seed)
+            for d in (1, 2, 3):
+                for perfect in (False, True):
+                    cert = backtrack_dcut(g, d, require_perfect=perfect)
+                    assert cert == reference_backtrack_dcut(g, d, perfect)
+                    answers.setdefault((d, perfect), set()).add(cert is None)
+        assert all(seen == {True, False} for seen in answers.values())
+
+    @pytest.mark.parametrize("construction", ["moshi", "subdivide4", "sat4p1"])
+    def test_same_certificate_as_reference_on_outputs(self, construction):
+        """The same comparison on construction outputs at the sizes the
+        reduce-check benchmark runs: moshi doublings of 6-8 vertex sources,
+        4-subdivisions of cubic graphs on 8-16 vertices (perfect 1-cuts)
+        and sat4p1 outputs of 6-15 variables at d = 2 and 3.  The moshi and
+        subdivide4 outputs reach both answers; every random SAT source of
+        these sizes is satisfiable, so the sat4p1 outputs only "yes"."""
+        cases = []
+        for seed in range(4):
+            if construction == "moshi":
+                for n in (6, 7, 8):
+                    for p in (0.3, 0.5, 0.7):
+                        g = random_connected_graph(n, p, seed)
+                        cases.append((moshi_double(g)[0].graph, 1, False))
+            elif construction == "subdivide4":
+                for n in (8, 10, 12, 14, 16):
+                    g = random_cubic_graph(n, seed)
+                    cases.append((subdivide4(g)[0].graph, 1, True))
+            else:
+                for n_vars in (6, 9, 12, 15):
+                    inst = random_sat_instance(n_vars, seed)
+                    for d in (2, 3):
+                        cases.append((sat_to_4p1(inst, d)[0].graph, d, False))
+        answers = set()
+        for g, d, perfect in cases:
+            cert = backtrack_dcut(g, d, require_perfect=perfect)
+            assert cert == reference_backtrack_dcut(g, d, perfect)
+            answers.add(cert is None)
+        assert answers == ({False} if construction == "sat4p1" else {True, False})
+
+
+class _CountedRows(tuple):
+    """Adjacency rows that count how often they are read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
 
 
 class TestBacktrackWork:
     """Leaf validation keeps the answers exact when propagation is lost,
-    so only the work shows it: after a branch, the coloured neighbours of
-    the branch vertex must be rechecked as well as the vertex itself."""
+    and the first valid leaf stays put when it does needless work, so only
+    the work shows either: after a branch, the neighbours of the branch
+    vertex whose counts it changed must be rechecked as well as the vertex
+    itself (the leaf and time bounds), and only those (the rows read, a
+    count that does not depend on the host)."""
 
     def test_validated_leaves(self, monkeypatch):
         """G(14, 0.35) at d = 1, d = 2 and perfect d = 1: 126 validated
@@ -647,6 +740,19 @@ class TestBacktrackWork:
                 backtrack_dcut(g, d, require_perfect=perfect)
         assert sum(counts) <= 126
         assert max(counts) <= 2
+
+    @pytest.mark.parametrize("g, d, yes, rows", [
+        (moshi_double(random_graph(10, 0.5, 3))[0].graph, 1, False, 1585),
+        (sat_to_4p1(random_sat_instance(30, 1), 3)[0].graph, 3, True, 4539),
+    ], ids=["moshi-50-no", "sat4p1-70-yes"])
+    def test_rows_read(self, g, d, yes, rows):
+        """Adjacency rows read by one call, leaf validation included: 1,777
+        and 5,414 when every coloured neighbour of a new colour is
+        rechecked, not only those coloured opposite to it."""
+        adj = _CountedRows(g.adj_bits)
+        cert = backtrack_dcut(Graph(g.n, adj), d)
+        assert (cert is not None) == yes
+        assert adj.reads <= rows
 
     def test_moshi_output_within_budget(self):
         """The 50-vertex doubling of G(10, 0.5) has no matching cut; the
