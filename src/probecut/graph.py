@@ -286,19 +286,19 @@ def find_induced(
     in id order, candidates tried in ascending order.
 
     The search runs on an explicit stack with forward checking: placing
-    pattern vertex j narrows the candidates of every later vertex, and a
-    placement that leaves one of them none is dropped at once.  Only dead
-    branches are cut, so the first occurrence found is still the least.
+    pattern vertex j narrows the candidates of every later vertex, written
+    in place into the next level's row, and a placement that leaves one of
+    them none is dropped at once.  Only dead branches are cut, so the first
+    occurrence found is still the least.
 
-    The last three levels leave the stack.  Vertex k-3 runs as one loop
-    that builds, for each of its images, the candidate masks (Ca, Cb) of
-    the last two vertices a and b; a pair scan then takes the least x in
-    Ca that has a fitting partner in Cb (adjacent to x or not, as a and b
-    are) and its least partner y, which is the least completion.  Whether
-    (Ca, Cb) has a fitting pair depends only on the two masks, so pairs
-    shown to have none are kept for the rest of the call and not scanned
-    again: on pattern-free proofs such as the claw check of a
-    construction's output, many images of k-3 leave the same two masks.
+    Every level runs the same loop; the last two vertices a and b leave
+    it.  Each image of vertex k-3 ends in a pair scan of the candidate
+    masks (Ca, Cb) of a and b, which takes the least x in Ca that has a
+    fitting partner in Cb (adjacent to x or not, as a and b are) and its
+    least partner y, the least completion.  Whether (Ca, Cb) has a fitting
+    pair depends only on the two masks, so pairs shown to have none are
+    kept for the rest of the call and not scanned again: on pattern-free
+    proofs, many images of k-3 leave the same two masks.
 
     Twin pattern vertices (the same neighbours apart from each other, such
     as the leaves of a claw, the vertices of sP1 or the ends of each edge
@@ -357,40 +357,15 @@ def find_induced(
         found = pair(start[0], start[1])
         return None if found is None else dict(enumerate(found))
     c = k - 3
-    (_, ca_adjacent, ca_twin), (_, cb_adjacent, cb_twin) = plan[c][-2:]
     dead = set()  # (Ca, Cb) pairs already shown to hold no fitting pair
     image = [0] * k
-    # cands[j][l]: candidates for pattern vertex l >= j given images[:j];
-    # left[j]: candidates for j not tried yet
-    cands = [start] + [[]] * k
+    # cands[j][l]: candidates for pattern vertex l > j given images[:j],
+    # rewritten in place by level j - 1; left[j]: candidates for j not tried
+    cands = [start] + [[0] * k for _ in range(k - 2)]
     left = [0] * k
     left[0] = start[0]
     j = 0
     while j >= 0:
-        if j == c:
-            # level k-3 as one loop: build (Ca, Cb) for each image of c
-            mine = cands[c]
-            cc, ca0, cb0 = mine[c], mine[c + 1], mine[c + 2]
-            while cc:
-                low = cc & -cc
-                cc ^= low
-                w = low.bit_length() - 1
-                aw = adj[w]
-                ca = ca0 & (aw if ca_adjacent else ~aw ^ low)
-                if ca_twin:
-                    ca &= -2 << w
-                cb = cb0 & (aw if cb_adjacent else ~aw ^ low)
-                if cb_twin:
-                    cb &= -2 << w
-                if ca and cb and (ca, cb) not in dead:
-                    found = pair(ca, cb)
-                    if found is not None:
-                        image[c] = w
-                        image[c + 1 :] = found
-                        return dict(enumerate(image))
-                    dead.add((ca, cb))
-            j -= 1
-            continue
         cand = left[j]
         if not cand:
             j -= 1
@@ -398,21 +373,29 @@ def find_induced(
         low = cand & -cand
         left[j] = cand ^ low
         w = low.bit_length() - 1
-        image[j] = w
-        mine = cands[j]
-        nxt = mine[:]
+        mine, nxt = cands[j], cands[j + 1]
         aw = adj[w]
         for l, adjacent, twin in plan[j]:
-            m = mine[l] & ~low & (aw if adjacent else ~aw)
+            m = mine[l] & (aw if adjacent else ~aw ^ low)
             if twin:
                 m &= -2 << w
             if not m:
                 break
             nxt[l] = m
         else:
-            j += 1
-            cands[j] = nxt
-            left[j] = nxt[j]
+            image[j] = w
+            if j < c:
+                j += 1
+                left[j] = nxt[j]
+                continue
+            # level k-3 ends in the pair scan of the last two vertices
+            ca, cb = nxt[c + 1], nxt[c + 2]
+            if (ca, cb) not in dead:
+                found = pair(ca, cb)
+                if found is not None:
+                    image[c + 1 :] = found
+                    return dict(enumerate(image))
+                dead.add((ca, cb))
     return None
 
 
@@ -581,8 +564,6 @@ def _free(g: Graph, h: Pattern, mask: Optional[int] = None) -> bool:
     of an independent s-set."""
     _check_pattern_size(h.name, h.graph.n)
     steps, kind, core = _pattern_plan(h.graph.adj_bits)[3]
-    if kind == "search" and not steps:
-        return find_induced(g, h, mask) is None
     within = (1 << g.n) - 1 if mask is None else mask
     return _absent(g, within, steps, kind, core, 0)
 

@@ -110,7 +110,8 @@ def random_sat_instance(n_vars: int, seed: int) -> SatInstance:
     shuffled and cut into clause triples; draws with a repeated variable in
     a clause are rejected, and ``GenerationTimeout`` is raised after
     ``_SAT_ATTEMPTS`` = 10,000 draws.  n_vars must be a multiple of 3 so
-    the clause counts come out integral.
+    the clause counts come out integral; an accepted draw then meets the
+    shape of :func:`validate_sat_shape` by construction.
     """
     if n_vars <= 0 or n_vars % 3 != 0:
         raise InvalidSatInstance("n_vars must be a positive multiple of 3")
@@ -134,10 +135,7 @@ def random_sat_instance(n_vars: int, seed: int) -> SatInstance:
         neg = draw()
         if neg is None:
             continue
-        inst = SatInstance.of(n_vars, pos, neg)
-        ok, _violations = validate_sat_shape(inst)
-        if ok:
-            return inst
+        return SatInstance.of(n_vars, pos, neg)
     raise GenerationTimeout(
         f"no valid-shape SAT instance with {n_vars} variables"
         f" in {_SAT_ATTEMPTS} draws"

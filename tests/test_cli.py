@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from probecut import (
     ProbeCertificate,
     SatInstance,
     build_graph,
+    is_connected,
     parse_pattern,
     UnsupportedD,
     UnsupportedPattern,
@@ -37,6 +39,8 @@ from probecut.cli import (
     parse_instance,
     serialize_instance,
 )
+
+from conftest import random_connected_graph, random_cubic_graph
 
 K2_JSON = '{"n":2,"edges":[[0,1]],"probes":[0,1],"nonprobes":[]}'
 
@@ -626,6 +630,81 @@ class TestGenerateCommands:
         _refused(capsys, ["reduce", "--from", "sat", "--construction",
                           "sat4p1", "--d", d, "--input",
                           str(tmp_path / "missing.json")], SAT4P1_D)
+
+
+def _graph_json(g):
+    return json.dumps({"n": g.n, "edges": g.edges()})
+
+
+def _connected_bipartite(seed):
+    """A connected bipartite graph: classes {0..a-1} and {a..n-1}."""
+    rng = random.Random(seed)
+    while True:
+        a, b = rng.randint(1, 6), rng.randint(1, 6)
+        g = build_graph(a + b, [
+            (u, v) for u in range(a) for v in range(a, a + b)
+            if rng.random() < 0.5
+        ])
+        if is_connected(g):
+            return g
+
+
+class TestOutputPrediction:
+    """The CLI bounds each construction's output from its layout before it
+    builds it; the predicted (vertices, edges, pairs) are exactly the
+    emitted instance's vertex count, edge count and certificate size."""
+
+    @staticmethod
+    def _recorded(monkeypatch, capsys, argv):
+        """Run ``argv``; return every prediction it checked and the
+        (n, edges, pairs) of the instance it emitted."""
+        checked = []
+        monkeypatch.setattr(
+            cli, "_check_output", lambda name, *sizes: checked.append(sizes)
+        )
+        assert main(argv) == 0
+        doc = parse_instance(capsys.readouterr().out)
+        emitted = (doc.ppg.graph.n, doc.ppg.graph.edge_count(),
+                   len(doc.certificate.f_edges))
+        return checked, emitted
+
+    @pytest.mark.parametrize("construction", ["moshi", "subdivide4", "split"])
+    def test_reduce_predicts_its_output(
+        self, tmp_path, capsys, monkeypatch, construction
+    ):
+        if construction == "moshi":
+            cases = [
+                (random_connected_graph(n, p, seed), 0)
+                for n in range(2, 11) for p in (0.3, 0.6, 0.9)
+                for seed in range(3)
+            ]
+        elif construction == "subdivide4":
+            cases = [
+                (random_cubic_graph(n, seed), 0)
+                for n in (4, 6, 8, 10, 12) for seed in range(4)
+            ]
+        else:
+            graphs = [_connected_bipartite(seed) for seed in range(30)]
+            cases = [(g, 0) for g in graphs] + [(g, g.n - 1) for g in graphs]
+        for g, side_of in cases:
+            path = _write(tmp_path, "g.json", _graph_json(g))
+            checked, emitted = self._recorded(monkeypatch, capsys, [
+                "reduce", "--from", "graph", "--construction", construction,
+                "--input", path, "--side-of", str(side_of),
+            ])
+            assert checked == [emitted], (g, side_of)
+
+    def test_generate_sat4p1_predicts_its_output(self, capsys, monkeypatch):
+        """Both predictions, from --n-vars before sampling and from the
+        drawn instance, padding included for d > 3."""
+        for n_vars in (3, 6, 9, 12):
+            for d in range(2, 9):
+                for seed in range(3):
+                    checked, emitted = self._recorded(monkeypatch, capsys, [
+                        "generate", "--family", "sat4p1", "--n-vars",
+                        str(n_vars), "--d", str(d), "--seed", str(seed),
+                    ])
+                    assert checked == [emitted] * 2, (n_vars, d, seed)
 
 
 class TestCrosscheck:

@@ -37,6 +37,7 @@ from probecut import (
     sat_to_4p1,
     sp1_p4_pattern,
     star_pattern,
+    subdivide4,
     two_p2_pattern,
     verify_probe_certificate,
 )
@@ -51,6 +52,7 @@ from conftest import (
     exhaustive_induced,
     path_graph,
     random_connected_graph,
+    random_cubic_graph,
     random_graph,
     star_graph,
 )
@@ -496,6 +498,32 @@ def _disjoint_cliques(count, seed):
     ])
 
 
+def _certified_outputs(name):
+    """The construction outputs whose certificate check proves the pattern
+    absent: 75 ``moshi_double`` outputs for the claw, 30 ``subdivide4``
+    outputs for the claw and the diamond, and 84 ``sat_to_4p1`` outputs
+    at d = 2 to 8 for 4P1."""
+    outputs = []
+    if name == "K1,3":
+        outputs += [
+            moshi_double(random_connected_graph(n, p, seed))
+            for n in (4, 6, 8, 10, 12) for p in (0.3, 0.5, 0.7)
+            for seed in range(5)
+        ]
+    if name in ("K1,3", "diamond"):
+        outputs += [
+            subdivide4(random_cubic_graph(n, seed))
+            for n in (4, 6, 8, 10, 12, 14) for seed in range(5)
+        ]
+    if name == "4P1":
+        outputs += [
+            sat_to_4p1(random_sat_instance(n_vars, seed), d)
+            for n_vars in (3, 6, 9, 12) for d in range(2, 9)
+            for seed in range(3)
+        ]
+    return outputs
+
+
 class TestFreeness:
     """``_free`` peels universal and isolated pattern vertices off to a
     core and decides an edgeless core by a greedy clique cover, a P4 core
@@ -574,15 +602,18 @@ class TestFreeness:
     def test_other_patterns_use_the_search(self, name, monkeypatch):
         """The search decides what no peel or cover does.  A pattern with
         no universal or isolated vertex (2P2, C4, C5, P5) goes to it once
-        per check; one that peels to an edgeless core makes no call where
-        the greedy cover proves the core absent: line graphs of bipartite
-        graphs for the stars and the diamond, and at most k - 1 disjoint
-        cliques for kP1."""
+        per check, with the pattern itself as the core; one that peels to
+        an edgeless core makes no call where the greedy cover proves the
+        core absent: line graphs of bipartite graphs for the stars and the
+        diamond, at most k - 1 disjoint cliques for kP1, and the
+        certificate checks of the constructions (the claw check of
+        ``moshi_double``, the claw and diamond checks of ``subdivide4`` and
+        the 4P1 check of ``sat_to_4p1`` at d = 2 to 8)."""
         calls = []
 
-        def counted(g, h, mask=None):
-            calls.append(h.name)
-            return search(g, h, mask)
+        def counted(g, pattern, mask=None):
+            calls.append(pattern.graph.adj_bits)
+            return search(g, pattern, mask)
 
         search = graph_module.find_induced
         monkeypatch.setattr(graph_module, "find_induced", counted)
@@ -593,7 +624,7 @@ class TestFreeness:
                 expected = search(g, h, mask) is None
                 assert _free(g, h, mask) == expected
         if name in ("2P2", "C4", "C5", "P5"):
-            assert calls == [name] * 40
+            assert calls == [h.graph.adj_bits] * 40
         else:
             calls.clear()
             for seed in range(20):
@@ -604,6 +635,12 @@ class TestFreeness:
                 for mask in (None, random.Random(seed).randrange(1 << g.n)):
                     assert search(g, h, mask) is None
                     assert _free(g, h, mask)
+            outputs = _certified_outputs(name)
+            assert len(outputs) == {
+                "K1,3": 105, "diamond": 30, "4P1": 84
+            }.get(name, 0)
+            for ppg, cert in outputs:
+                assert verify_probe_certificate(ppg, cert, h)
             assert calls == []
         calls.clear()
         _free(random_graph(9, 0.5, 0), sp1_p4_pattern(2))

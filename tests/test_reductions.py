@@ -90,8 +90,10 @@ class TestValidateSatShape:
         assert not ok and any("3 distinct" in v for v in violations)
 
     def test_random_instances_valid(self):
-        for seed in range(5):
-            for n in (6, 9):
+        """The only guard of the drawn shape: ``random_sat_instance``
+        returns its draw unchecked."""
+        for seed in range(50):
+            for n in range(3, 61, 3):
                 ok, violations = validate_sat_shape(random_sat_instance(n, seed))
                 assert ok, violations
 
